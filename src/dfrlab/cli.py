@@ -27,6 +27,7 @@ from .errors import (
     SolverNonConvergenceError,
 )
 from .harness import (
+    fit_support,
     load_experiment_config,
     record_to_document,
     rollout,
@@ -34,7 +35,7 @@ from .harness import (
 )
 from .kernel_ocsvm import KernelParams, OcsvmParams
 from .supervisor import generate_demos, load_demos, save_demos
-from .support import TimeVaryingSupport, fit_pooled, fit_time_varying, load_support, save_support
+from .support import load_support, save_support
 from .util import atomic_write_text, dump_json
 
 
@@ -66,13 +67,7 @@ def _cmd_fit_support(args):
         solver_tol=args.solver_tol,
         max_solver_iters=args.max_solver_iters,
     )
-    projection = _parse_projection(args.projection)
-    if args.pooled:
-        proj = projection if projection is not None else list(range(demos.state_dim))
-        model = fit_pooled(demos, params, projection=proj)
-        support = TimeVaryingSupport(estimators=[model], projection=proj)
-    else:
-        support = fit_time_varying(demos, params, projection=projection)
+    support = fit_support(demos, params, _parse_projection(args.projection), args.pooled)
     save_support(support, args.out)
     print(f"wrote a {support.horizon}-slice support bundle to {args.out}")
     return 0

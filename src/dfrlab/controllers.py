@@ -4,16 +4,17 @@ The learned policy is ridge regression from RBF features of the state to the
 demonstrated control, with a bias feature, output clipped to the largest
 control norm seen in the demos.
 
-Four controllers share one interface:
+The controllers share one interface:
 
 * baseline: always apply the learned policy.
 * es (early stop): apply the policy until the switching rule first trips,
   then emit zero control for the rest of the episode.
-* dfr (derivative-free recovery): when the switching rule trips, climb the
-  support decision function using probe/step pairs that need no gradient
-  access, then resume the policy once clear of the threshold.
-* oracle: like dfr, but the ascent direction comes from finite-difference
+* dfr and oracle: one recovery controller with two iteration kinds.  When
+  the switching rule trips it climbs the support decision function, then
+  resumes the policy once clear of the threshold.  dfr climbs by probe/step
+  pairs that need no gradient access; oracle steps along finite-difference
   probes on simulated steps, as an upper reference for the ascent rate.
+* supervisor: the scripted demonstrator.
 
 The switching rule trips at state x and time t when
 
@@ -249,7 +250,7 @@ def should_recover(g_value, u_hat, cfg, lam=None):
 
 @dataclass(frozen=True)
 class RecoveryStep:
-    """One probe/step pair of the recovery ascent, with its audit values."""
+    """One recovery iteration with its audit values (oracle: no probe)."""
 
     u_delta: np.ndarray
     u_recovery: np.ndarray
@@ -259,6 +260,21 @@ class RecoveryStep:
     flipped: bool
 
 
+@dataclass
+class AppliedRecord:
+    """One applied control and the state it produced."""
+
+    u: np.ndarray
+    tag: str  # policy | probe | recovery | zero
+    state: np.ndarray
+    collided: bool
+    reached: bool
+
+
+def _applied(u, res, tag):
+    return AppliedRecord(u, tag, res.next_state.vec, res.collided, res.reached_goal)
+
+
 def _recovery_magnitudes(cfg, g_before, lam):
     radius = cfg.epsilon * g_before / lam
     eta_cap = (1.0 - cfg.epsilon) * g_before / lam
@@ -266,14 +282,15 @@ def _recovery_magnitudes(cfg, g_before, lam):
     return radius, eta_mag
 
 
-def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam=None):
+def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam=None, g_before=None):
     """One derivative-free ascent iteration at frozen time index t.
 
     Probe a random direction with magnitude epsilon * g / lambda; if the
     decision value did not improve, flip the direction; then take the
     recovery step of magnitude min(eta, (1 - epsilon) * g / lambda).  The
     two commanded magnitudes sum to at most g / lambda, which in certified
-    mode bounds the worst-case decision drop by g itself.
+    mode bounds the worst-case decision drop by g itself.  g_before is the
+    decision value at state, evaluated here when the caller does not pass it.
 
     Both motions are applied for real through micro_step: they commit state,
     but being recovery-rate actions they happen between horizon ticks, so an
@@ -281,7 +298,8 @@ def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam=None):
     """
     if lam is None:
         lam = cfg.lam
-    g_before = support.g_at(t, state.vec)
+    if g_before is None:
+        g_before = support.g_at(t, state.vec)
     if g_before <= 0.0:
         raise OutsideSupportError(
             f"recovery requested outside the estimated support (g={g_before:.3g} at t={t})",
@@ -313,7 +331,7 @@ def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam=None):
         g_after=float(g_after),
         flipped=bool(flipped),
     )
-    applied = [(u_delta, res_probe, "probe"), (u_rec, res_rec, "recovery")]
+    applied = [_applied(u_delta, res_probe, "probe"), _applied(u_rec, res_rec, "recovery")]
     return rec, res_rec.next_state, applied
 
 
@@ -351,19 +369,28 @@ def finite_difference_oracle_step(handle, support, t, state, cfg, lam=None):
     return eta_mag * grad / norm
 
 
-@dataclass
-class AppliedControl:
-    control: np.ndarray
-    result: object  # StepResult
-    tag: str  # policy | probe | recovery | zero
+def _oracle_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before):
+    """One oracle iteration, shaped like dfr_recovery_iteration: the finite-
+    difference control applied once through micro_step.  rng is unused."""
+    u_rec = finite_difference_oracle_step(handle, support, t, state, cfg, lam=lam)
+    res = handle.micro_step(state, u_rec)
+    rec = RecoveryStep(
+        u_delta=np.zeros(2),
+        u_recovery=u_rec,
+        g_before=float(g_before),
+        g_probe=float(g_before),
+        g_after=float(support.g_at(t, res.next_state.vec)),
+        flipped=False,
+    )
+    return rec, res.next_state, [_applied(u_rec, res, "recovery")]
 
 
 @dataclass
 class CtrlStep:
-    applied: list
+    applied: list  # AppliedRecord per applied control, in order
     state: object  # EnvState
     halted: bool = False
-    recovery_steps: list = field(default_factory=list)
+    recovery_steps: list = field(default_factory=list)  # RecoveryStep per iteration
 
 
 class BaselineController:
@@ -377,7 +404,7 @@ class BaselineController:
     def step(self, handle, support, policy, t, state, rng):
         u = policy.action(state.vec)
         res = handle.step(state, u)
-        return CtrlStep(applied=[AppliedControl(u, res, "policy")], state=res.next_state)
+        return CtrlStep(applied=[_applied(u, res, "policy")], state=res.next_state)
 
 
 class EarlyStopController:
@@ -399,105 +426,68 @@ class EarlyStopController:
         if self.triggered:
             u = np.zeros(2)
             res = handle.step(state, u)
-            return CtrlStep(applied=[AppliedControl(u, res, "zero")], state=res.next_state)
+            return CtrlStep(applied=[_applied(u, res, "zero")], state=res.next_state)
         res = handle.step(state, u_hat)
-        return CtrlStep(applied=[AppliedControl(u_hat, res, "policy")], state=res.next_state)
+        return CtrlStep(applied=[_applied(u_hat, res, "policy")], state=res.next_state)
 
 
-class DfrController:
-    """Recovery ascent when the switching rule trips, then the policy."""
+class RecoveryController:
+    """Recovery iterations while the switching rule trips, then one policy
+    step; a colliding or goal-reaching motion ends the step without it.
+    Subclasses differ only in the iteration they pass to recover."""
+
+    def __init__(self, cfg=None):
+        self.cfg = cfg or SwitchConfig()
+
+    def recover(self, iteration, handle, support, policy, t, state, rng):
+        cfg = self.cfg
+        lam = effective_lambda(cfg, support, t, handle.spec)
+        applied = []
+        recovery_steps = []
+        g = support.g_at(t, state.vec)
+        if g < 0.0:
+            raise OutsideSupportError(
+                f"state outside the estimated support (g={g:.3g} at t={t})",
+                t=t,
+                g_value=g,
+            )
+        u_hat = policy.action(state.vec)
+        while should_recover(g, u_hat, cfg, lam=lam):
+            if len(recovery_steps) >= cfg.max_recovery_iters:
+                return CtrlStep(applied=applied, state=state, halted=True,
+                                recovery_steps=recovery_steps)
+            rec, state, motions = iteration(
+                handle, support, t, state, cfg, rng, lam=lam, g_before=g
+            )
+            recovery_steps.append(rec)
+            applied.extend(motions)
+            if any(a.collided or a.reached for a in motions):
+                return CtrlStep(applied=applied, state=state,
+                                recovery_steps=recovery_steps)
+            g = rec.g_after
+            u_hat = policy.action(state.vec)
+        res = handle.step(state, u_hat)
+        applied.append(_applied(u_hat, res, "policy"))
+        return CtrlStep(applied=applied, state=res.next_state,
+                        recovery_steps=recovery_steps)
+
+
+class DfrController(RecoveryController):
+    """Derivative-free recovery: probe/flip ascent iterations."""
 
     kind = "dfr"
 
-    def __init__(self, cfg=None):
-        self.cfg = cfg or SwitchConfig()
-
     def step(self, handle, support, policy, t, state, rng):
-        cfg = self.cfg
-        lam = effective_lambda(cfg, support, t, handle.spec)
-        applied = []
-        recovery_steps = []
-        g = support.g_at(t, state.vec)
-        if g < 0.0:
-            raise OutsideSupportError(
-                f"state outside the estimated support (g={g:.3g} at t={t})",
-                t=t,
-                g_value=g,
-            )
-        u_hat = policy.action(state.vec)
-        iters = 0
-        while should_recover(g, u_hat, cfg, lam=lam):
-            if iters >= cfg.max_recovery_iters:
-                return CtrlStep(applied=applied, state=state, halted=True,
-                                recovery_steps=recovery_steps)
-            rec, state, rec_applied = dfr_recovery_iteration(
-                handle, support, t, state, cfg, rng, lam=lam
-            )
-            recovery_steps.append(rec)
-            applied.extend(AppliedControl(u, r, tag) for u, r, tag in rec_applied)
-            iters += 1
-            if any(a.result.collided or a.result.reached_goal for a in applied[-2:]):
-                return CtrlStep(applied=applied, state=state,
-                                recovery_steps=recovery_steps)
-            g = support.g_at(t, state.vec)
-            u_hat = policy.action(state.vec)
-        res = handle.step(state, u_hat)
-        applied.append(AppliedControl(u_hat, res, "policy"))
-        return CtrlStep(applied=applied, state=res.next_state,
-                        recovery_steps=recovery_steps)
+        return self.recover(dfr_recovery_iteration, handle, support, policy, t, state, rng)
 
 
-class OracleController:
-    """DFR with finite-difference ascent directions from simulated probes."""
+class OracleController(RecoveryController):
+    """Recovery with finite-difference ascent directions from simulated probes."""
 
     kind = "oracle"
 
-    def __init__(self, cfg=None):
-        self.cfg = cfg or SwitchConfig()
-
     def step(self, handle, support, policy, t, state, rng):
-        cfg = self.cfg
-        lam = effective_lambda(cfg, support, t, handle.spec)
-        applied = []
-        recovery_steps = []
-        g = support.g_at(t, state.vec)
-        if g < 0.0:
-            raise OutsideSupportError(
-                f"state outside the estimated support (g={g:.3g} at t={t})",
-                t=t,
-                g_value=g,
-            )
-        u_hat = policy.action(state.vec)
-        iters = 0
-        while should_recover(g, u_hat, cfg, lam=lam):
-            if iters >= cfg.max_recovery_iters:
-                return CtrlStep(applied=applied, state=state, halted=True,
-                                recovery_steps=recovery_steps)
-            g_before = g
-            u_rec = finite_difference_oracle_step(handle, support, t, state, cfg, lam=lam)
-            res = handle.micro_step(state, u_rec)
-            state = res.next_state
-            g = support.g_at(t, state.vec)
-            recovery_steps.append(
-                RecoveryStep(
-                    u_delta=np.zeros(2),
-                    u_recovery=u_rec,
-                    g_before=float(g_before),
-                    g_probe=float(g_before),
-                    g_after=float(g),
-                    flipped=False,
-                )
-            )
-            applied.append(AppliedControl(u_rec, res, "recovery"))
-            iters += 1
-            if res.collided or res.reached_goal:
-                return CtrlStep(applied=applied, state=state,
-                                recovery_steps=recovery_steps)
-            u_hat = policy.action(state.vec)
-        res = handle.step(state, u_hat)
-        applied.append(AppliedControl(u_hat, res, "policy"))
-        return CtrlStep(applied=applied, state=res.next_state,
-                        recovery_steps=recovery_steps)
+        return self.recover(_oracle_recovery_iteration, handle, support, policy, t, state, rng)
 
 
 class SupervisorController:
@@ -511,7 +501,7 @@ class SupervisorController:
     def step(self, handle, support, policy, t, state, rng):
         u = supervisor_action(handle.spec, state)
         res = handle.step(state, u)
-        return CtrlStep(applied=[AppliedControl(u, res, "policy")], state=res.next_state)
+        return CtrlStep(applied=[_applied(u, res, "policy")], state=res.next_state)
 
 
 CONTROLLER_KINDS = ("baseline", "es", "dfr", "oracle", "supervisor")

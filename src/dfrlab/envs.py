@@ -25,7 +25,6 @@ from importlib.resources import files as _resource_files
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedOperationError
-from .util import atomic_write_text, dump_json
 
 POINT_PUSH = "point_push"
 LINE_TRACK = "line_track"
@@ -357,10 +356,6 @@ def env_spec_from_document(doc):
         if isinstance(exc, InvalidInputError):
             raise
         raise InvalidInputError(f"malformed environment spec document: {exc!r}") from exc
-
-
-def save_env_spec(spec, path):
-    atomic_write_text(path, dump_json(env_spec_to_document(spec)))
 
 
 def builtin_env_spec(name):

@@ -20,7 +20,7 @@ audit.  Each writes a manifest, line-delimited rollout records, and CSV
 metrics into an output directory.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from concurrent.futures import ProcessPoolExecutor
 import hashlib
 import json
@@ -34,6 +34,8 @@ import numpy as np
 from . import __version__
 from .controllers import (
     CONTROLLER_KINDS,
+    AppliedRecord,
+    RecoveryStep,
     SwitchConfig,
     PolicyConfig,
     effective_lambda,
@@ -115,31 +117,8 @@ def proportion_margin_test(k_hi, n_hi, k_lo, n_lo, margin, z=Z_ONE_SIDED_95):
 
 
 @dataclass
-class AppliedRecord:
-    """One applied control and the state it produced."""
-
-    u: np.ndarray
-    tag: str  # policy | probe | recovery | zero
-    state: np.ndarray
-    collided: bool
-    reached: bool
-
-
-@dataclass
-class RecoveryEvent:
-    """Audit values of one recovery iteration (mirrors the controller's)."""
-
-    u_delta: np.ndarray
-    u_recovery: np.ndarray
-    g_before: float
-    g_probe: float
-    g_after: float
-    flipped: bool
-
-
-@dataclass
 class StepRecord:
-    """One horizon step: its controls, decision value, and recovery events."""
+    """One horizon step: its controls, decision value, and recovery iterations."""
 
     t: int
     g: float  # decision value at step start; None when no support was consulted
@@ -178,7 +157,9 @@ class RolloutRecord:
         return 1 + sum(len(step.applied) for step in self.steps)
 
 
-def _classify_states(spec, states):
+def classify_outcome(record, spec):
+    """Recompute the outcome from the stored state sequence alone."""
+    states = record.state_sequence()
     for vec in states:
         if not check_constraint(spec, EnvState(vec=vec)):
             return COLLIDED
@@ -186,11 +167,6 @@ def _classify_states(spec, states):
         if reached_goal(spec, EnvState(vec=vec)):
             return COMPLETED
     return HALTED
-
-
-def classify_outcome(record, spec):
-    """Recompute the outcome from the stored state sequence alone."""
-    return _classify_states(spec, record.state_sequence())
 
 
 RECORD_FORMAT = "rollout-record"
@@ -260,7 +236,7 @@ def record_from_document(doc):
                     for a in s["applied"]
                 ],
                 recovery=[
-                    RecoveryEvent(
+                    RecoveryStep(
                         u_delta=np.asarray(e["u_delta"], dtype=float),
                         u_recovery=np.asarray(e["u_recovery"], dtype=float),
                         g_before=float(e["g_before"]),
@@ -365,35 +341,13 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
                 outcome = HALTED
                 halt_reason = "outside-support"
                 break
-            applied = [
-                AppliedRecord(
-                    u=np.asarray(a.control, dtype=float).copy(),
-                    tag=a.tag,
-                    state=a.result.next_state.vec.copy(),
-                    collided=bool(a.result.collided),
-                    reached=bool(a.result.reached_goal),
-                )
-                for a in cs.applied
-            ]
-            recovery = [
-                RecoveryEvent(
-                    u_delta=np.asarray(r.u_delta, dtype=float).copy(),
-                    u_recovery=np.asarray(r.u_recovery, dtype=float).copy(),
-                    g_before=r.g_before,
-                    g_probe=r.g_probe,
-                    g_after=r.g_after,
-                    flipped=r.flipped,
-                )
-                for r in cs.recovery_steps
-            ]
-            for r in recovery:
+            for r in cs.recovery_steps:
                 g_seen.extend((r.g_before, r.g_probe, r.g_after))
-            n_recovery += len(recovery)
-            steps.append(
-                StepRecord(t=t, g=g_start, applied=applied, recovery=recovery, halted=cs.halted)
-            )
+            n_recovery += len(cs.recovery_steps)
+            steps.append(StepRecord(t=t, g=g_start, applied=cs.applied,
+                                    recovery=cs.recovery_steps, halted=cs.halted))
             state = cs.state
-            for a in applied:
+            for a in cs.applied:
                 if a.collided:
                     outcome = COLLIDED
                     break
@@ -444,12 +398,30 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
 # aggregation
 
 
-def summarize(records):
-    """Per-controller outcome fractions, timing, and recovery histograms.
+def tally(outcomes):
+    """Count and fraction of each outcome in a list of outcome names.
 
-    The halted fraction is defined as 1 - completed - collided so the three
-    fractions sum to 1.0 exactly; raw counts are reported alongside.  Timing
-    lives under its own key so deterministic consumers can drop it.
+    Returns (n, counts, fractions).  The halted fraction is defined as
+    1 - completed - collided so the three fractions sum to 1.0 exactly.
+    """
+    counts = {o: 0 for o in OUTCOMES}
+    for o in outcomes:
+        counts[o] += 1
+    n = len(outcomes)
+    completed_frac = counts[COMPLETED] / n
+    collided_frac = counts[COLLIDED] / n
+    fractions = {
+        COMPLETED: completed_frac,
+        COLLIDED: collided_frac,
+        HALTED: 1.0 - completed_frac - collided_frac,
+    }
+    return n, counts, fractions
+
+
+def summarize(records):
+    """Per-controller outcome counts and fractions, timing, and recovery
+    histograms.  Timing lives under its own key so deterministic consumers
+    can drop it.
     """
     by_kind = {}
     for rec in records:
@@ -458,21 +430,14 @@ def summarize(records):
     timing = {}
     for kind in sorted(by_kind):
         recs = by_kind[kind]
-        n = len(recs)
-        counts = {o: sum(1 for r in recs if r.outcome == o) for o in OUTCOMES}
-        completed_frac = counts[COMPLETED] / n
-        collided_frac = counts[COLLIDED] / n
+        n, counts, fractions = tally([r.outcome for r in recs])
         hist = {}
         for r in recs:
             hist[r.recovery_iterations] = hist.get(r.recovery_iterations, 0) + 1
         controllers[kind] = {
             "n": n,
             "counts": counts,
-            "fractions": {
-                COMPLETED: completed_frac,
-                COLLIDED: collided_frac,
-                HALTED: 1.0 - completed_frac - collided_frac,
-            },
+            "fractions": fractions,
             "recovery_iterations": {str(k): hist[k] for k in sorted(hist)},
         }
         walls = [r.wall_clock_s for r in recs if r.wall_clock_s is not None]
@@ -482,22 +447,14 @@ def summarize(records):
     return {"controllers": controllers, "timing": timing}
 
 
-def _tally(records):
-    return {o: sum(1 for r in records if r.outcome == o) for o in OUTCOMES}
-
-
-def _outcome_row(base, n, counts):
-    completed_frac = counts[COMPLETED] / n
-    collided_frac = counts[COLLIDED] / n
-    row = dict(base)
-    row["n"] = n
+def _outcome_row(base, outcomes):
+    """A metrics row: base columns plus counts, fractions and Wilson intervals."""
+    n, counts, fractions = tally(outcomes)
+    row = dict(base, n=n)
     for o in OUTCOMES:
         row[o] = counts[o]
-        lo, hi = wilson_interval(counts[o], n)
-        row[f"{o}_lo"], row[f"{o}_hi"] = lo, hi
-    row["completed_frac"] = completed_frac
-    row["collided_frac"] = collided_frac
-    row["halted_frac"] = 1.0 - completed_frac - collided_frac
+        row[f"{o}_frac"] = fractions[o]
+        row[f"{o}_lo"], row[f"{o}_hi"] = wilson_interval(counts[o], n)
     return row
 
 
@@ -612,14 +569,7 @@ class ExperimentConfig:
 
 CONFIG_FORMAT = "experiment-config"
 
-_CONFIG_FIELDS = (
-    "env", "demo_grid", "trials", "eval_samples", "controllers", "nu", "gamma",
-    "solver_tol", "max_solver_iters", "policy_centers", "policy_bandwidth",
-    "policy_ridge", "lam", "eta", "epsilon", "max_recovery_iters", "lambda_mode",
-    "projection", "pooled", "demo_jitter", "disturbance", "seed", "demo_seeds",
-    "ascent_cells", "oracle_eta", "trace_points", "min_activations",
-    "certified_rollouts",
-)
+_CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def experiment_config_to_document(config):
@@ -673,21 +623,24 @@ def config_sha256(config):
 # shared runner plumbing
 
 
+def fit_support(demos, params, projection=None, pooled=False):
+    """Per-slice estimators, or one estimator over all slices pooled.
+
+    projection defaults to every state coordinate.
+    """
+    proj = None if projection is None else list(projection)
+    if not pooled:
+        return fit_time_varying(demos, params, projection=proj)
+    if proj is None:
+        proj = list(range(demos.state_dim))
+    model = fit_pooled(demos, params, projection=proj)
+    return TimeVaryingSupport(estimators=[model], projection=proj)
+
+
 def _fit_cell(spec, config, demo_seed, n):
     """Demos, support estimator, and policy for one (seed, count) cell."""
     demos = generate_demos(spec, n, seed=demo_seed, jitter_sigma=config.demo_jitter)
-    params = config.ocsvm_params()
-    if config.pooled:
-        proj = (
-            list(config.projection)
-            if config.projection is not None
-            else list(range(spec.state_dim))
-        )
-        model = fit_pooled(demos, params, projection=proj)
-        support = TimeVaryingSupport(estimators=[model], projection=proj)
-    else:
-        proj = None if config.projection is None else list(config.projection)
-        support = fit_time_varying(demos, params, projection=proj)
+    support = fit_support(demos, config.ocsvm_params(), config.projection, config.pooled)
     policy = fit_policy(demos, config.policy_config())
     return demos, support, policy
 
@@ -740,12 +693,6 @@ def run_learning_curve(config, jobs=1):
     spec = load_env_spec(config.env)
     rows = []
     records = []
-    pooled = {kind: {o: 0 for o in OUTCOMES} for kind in config.controllers}
-    per_count = {
-        (kind, n): {o: 0 for o in OUTCOMES}
-        for kind in config.controllers
-        for n in config.demo_grid
-    }
     scfg = config.switch_config()
     for trial in range(config.trials):
         demo_seed = config.demo_seeds[trial]
@@ -757,7 +704,6 @@ def run_learning_curve(config, jobs=1):
                 recs = _run_rollouts(
                     spec, kind, sup, pol, seeds, scfg, config.disturbance, jobs
                 )
-                counts = _tally(recs)
                 rows.append(
                     _outcome_row(
                         {
@@ -766,15 +712,13 @@ def run_learning_curve(config, jobs=1):
                             "trial": trial,
                             "demo_seed": demo_seed,
                         },
-                        len(recs),
-                        counts,
+                        [r.outcome for r in recs],
                     )
                 )
-                for o in OUTCOMES:
-                    pooled[kind][o] += counts[o]
-                    per_count[(kind, n)][o] += counts[o]
                 records.extend(recs)
 
+    summary = summarize(records)
+    pooled = {kind: summary["controllers"][kind]["counts"] for kind in config.controllers}
     total = config.trials * len(config.demo_grid) * config.eval_samples
     gates = {}
     aggregates = {
@@ -817,8 +761,12 @@ def run_learning_curve(config, jobs=1):
         overlap = {}
         cell_n = config.trials * config.eval_samples
         for n in config.demo_grid:
-            lo_d, hi_d = wilson_interval(per_count[("dfr", n)][COMPLETED], cell_n)
-            lo_b, hi_b = wilson_interval(per_count[("baseline", n)][COMPLETED], cell_n)
+            k_d, k_b = (
+                sum(r[COMPLETED] for r in rows if r["controller"] == kind and r["demo_count"] == n)
+                for kind in ("dfr", "baseline")
+            )
+            lo_d, hi_d = wilson_interval(k_d, cell_n)
+            lo_b, hi_b = wilson_interval(k_b, cell_n)
             overlap[str(n)] = bool(lo_d <= hi_b and lo_b <= hi_d)
         aggregates["completion_interval_overlap"] = overlap
 
@@ -829,7 +777,7 @@ def run_learning_curve(config, jobs=1):
         "rows": rows,
         "gates": gates,
         "aggregates": aggregates,
-        "summary": summarize(records),
+        "summary": summary,
         "records": records,
     }
 
@@ -1002,19 +950,17 @@ def run_disturbance_eval(config, jobs=1):
     seeds = [[config.seed, 0, 0, i] for i in range(config.eval_samples)]
     rows = []
     records = []
-    counts = {}
     for kind in config.controllers:
         sup, pol = _arm_inputs(kind, support, policy)
         recs = _run_rollouts(spec, kind, sup, pol, seeds, scfg, disturbance, jobs)
-        counts[kind] = _tally(recs)
         rows.append(
             _outcome_row(
                 {"controller": kind, "demo_count": n, "demo_seed": demo_seed},
-                len(recs),
-                counts[kind],
+                [r.outcome for r in recs],
             )
         )
         records.extend(recs)
+    counts = {row["controller"]: row for row in rows}
 
     gates = {}
     aggregates = {"disturbance_enabled": bool(disturbance)}
@@ -1069,13 +1015,12 @@ def run_certified(config):
         max_recovery_iters=config.max_recovery_iters,
         lambda_mode="certified",
     )
-    kept = 0
+    outcomes = []
     skipped = 0
     attempts = 0
     min_g = math.inf
-    counts = {o: 0 for o in OUTCOMES}
     limit = 20 * config.certified_rollouts
-    while kept < config.certified_rollouts:
+    while len(outcomes) < config.certified_rollouts:
         if attempts >= limit:
             raise InvalidInputError(
                 f"start gate rejected too many resets ({skipped} of {attempts}); "
@@ -1089,8 +1034,7 @@ def run_certified(config):
         if rec.halt_reason == "start-gate":
             skipped += 1
             continue
-        kept += 1
-        counts[rec.outcome] += 1
+        outcomes.append(rec.outcome)
         if rec.g_min is not None and rec.g_min < min_g:
             min_g = rec.g_min
     lam0 = support.lipschitz_at(0) * spec.dyn_constant
@@ -1110,14 +1054,13 @@ def run_certified(config):
                     "demo_count": n,
                     "demo_seed": config.demo_seeds[0],
                 },
-                kept,
-                counts,
+                outcomes,
             )
         ],
         "gates": gates,
         "aggregates": {
             "min_g": min_g,
-            "rollouts": kept,
+            "rollouts": len(outcomes),
             "start_gate_skipped": skipped,
             "lambda_certified_t0": lam0,
         },

@@ -171,11 +171,6 @@ def fit_pooled(demos, params, projection=None):
     return train_ocsvm(demos.all_states()[:, projection], params)
 
 
-def g_t(support, t, x):
-    """Decision value of the time-t estimator at full state x."""
-    return support.g_at(t, x)
-
-
 def _ball_point(rng, center, radius):
     angle = rng.uniform(0.0, 2.0 * np.pi)
     r = radius * np.sqrt(rng.uniform())

@@ -14,11 +14,6 @@ def as_generator(seed_or_rng):
     return np.random.default_rng(seed_or_rng)
 
 
-def spawn_seeds(seed, n):
-    """Derive n independent child SeedSequences from one integer seed."""
-    return np.random.SeedSequence(seed).spawn(n)
-
-
 def dump_json(obj):
     """Serialize to JSON with stable key order and shortest round-trip floats."""
     return json.dumps(obj, indent=2, sort_keys=False, allow_nan=False) + "\n"

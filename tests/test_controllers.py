@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from dfrlab.controllers import (
-    AppliedControl,
     PolicyConfig,
     Policy,
     SwitchConfig,
@@ -232,7 +231,7 @@ def test_recovery_iteration_magnitudes_and_audit(lt_handle):
     assert np.allclose(nxt.vec, x0 + rec.u_delta + rec.u_recovery, atol=1e-15)
     assert rec.g_probe == pytest.approx(_g(support, x0 + rec.u_delta), abs=1e-15)
     assert rec.g_after == pytest.approx(_g(support, nxt.vec), abs=1e-15)
-    assert [a[2] for a in applied] == ["probe", "recovery"]
+    assert [a.tag for a in applied] == ["probe", "recovery"]
 
 
 def test_recovery_iteration_flip_semantics(lt_handle):
@@ -366,17 +365,59 @@ def test_dfr_recovers_and_resumes_policy(lt_handle):
     assert out.recovery_steps[-1].g_after > 0.01 * 0.5
 
 
-def test_dfr_halts_at_iteration_cap(lt_handle):
+@pytest.mark.parametrize(
+    "kind, n_applied, tags",
+    [("dfr", 6, {"probe", "recovery"}), ("oracle", 3, {"recovery"})],
+    ids=["dfr", "oracle"],
+)
+def test_dfr_halts_at_iteration_cap(lt_handle, kind, n_applied, tags):
     # lam so large the exit test is unreachable: g <= 0.5 but threshold is 5
     support = _radial_support()
     policy = _constant_policy((0.5, 0.0))
-    ctrl = make_controller("dfr", SwitchConfig(lam=10.0, max_recovery_iters=3))
+    ctrl = make_controller(kind, SwitchConfig(lam=10.0, max_recovery_iters=3))
     state = EnvState(vec=np.array([1.0, 0.0]), offset=0.0)
     out = ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(0))
     assert out.halted
     assert len(out.recovery_steps) == 3
-    assert len(out.applied) == 6  # probe + recovery per iteration
-    assert {a.tag for a in out.applied} == {"probe", "recovery"}
+    # dfr applies a probe and a recovery motion per iteration, oracle one
+    assert len(out.applied) == n_applied
+    assert {a.tag for a in out.applied} == tags
+
+
+@pytest.mark.parametrize("kind", ["dfr", "oracle"])
+@pytest.mark.parametrize(
+    "center, start, flag",
+    [
+        # the support peaks beyond the deviation limit |y| < 4: ascent collides
+        ((0.0, 5.0), (0.0, 3.95), "collided"),
+        # the support peaks past the goal line x >= 40: ascent reaches it
+        ((41.0, 0.0), (39.95, 0.0), "reached"),
+    ],
+    ids=["collided", "reached"],
+)
+def test_recovery_stops_when_a_motion_collides_or_reaches(lt_handle, kind, center, start, flag):
+    # lam = 2 puts the switching threshold (1.0) above the peak g (0.9), so
+    # only a colliding or goal-reaching recovery motion can end the step
+    support = _radial_support(center=center)
+    policy = _constant_policy((0.5, 0.0))
+    ctrl = make_controller(kind, SwitchConfig(lam=2.0))
+    state = EnvState(vec=np.array(start), offset=0.0)
+    out = ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(0))
+    assert not out.halted
+    assert out.recovery_steps
+    assert all(a.tag != "policy" for a in out.applied)
+    per_iteration = {"dfr": 2, "oracle": 1}[kind]
+    assert len(out.applied) == per_iteration * len(out.recovery_steps)
+    last = out.applied[-1]
+    assert getattr(last, flag)
+    assert np.array_equal(out.state.vec, last.state)
+    # only the final iteration touched the constraint or the goal
+    assert not any(a.collided or a.reached for a in out.applied[:-per_iteration])
+    if kind == "oracle":
+        for rec in out.recovery_steps:
+            assert np.array_equal(rec.u_delta, np.zeros(2))
+            assert rec.g_probe == rec.g_before
+            assert rec.flipped is False
 
 
 def test_dfr_raises_outside_support_at_step_start(lt_handle):
