@@ -4,7 +4,9 @@ The learned policy is ridge regression from RBF features of the state to the
 demonstrated control, with a bias feature, output clipped to the largest
 control norm seen in the demos.
 
-The controllers share one interface:
+The controllers share one interface, step(handle, support, policy, t, state,
+rng, g=None), where g is g_t(state) when the caller already holds it (the
+controllers that need it evaluate it otherwise; the others ignore it):
 
 * baseline: always apply the learned policy.
 * es (early stop): apply the policy until the switching rule first trips,
@@ -29,6 +31,7 @@ lambda is a tuned scalar.
 
 from dataclasses import dataclass, field
 import json
+import math
 import warnings
 
 import numpy as np
@@ -40,7 +43,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .supervisor import supervisor_action
-from .util import atomic_write_text, dump_json, float_list
+from .util import atomic_write_text, dump_json, float_list, vector_norm
 
 
 @dataclass(frozen=True)
@@ -72,13 +75,12 @@ class Policy:
     clip_norm: float
     train_loss: float = None
 
+    def __post_init__(self):
+        self._center_sq = (self.centers * self.centers).sum(axis=1)[None, :]
+
     def features(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        sq = (
-            (X * X).sum(axis=1)[:, None]
-            + (self.centers * self.centers).sum(axis=1)[None, :]
-            - 2.0 * (X @ self.centers.T)
-        )
+        sq = (X * X).sum(axis=1)[:, None] + self._center_sq - 2.0 * (X @ self.centers.T)
         np.maximum(sq, 0.0, out=sq)
         phi = np.exp(-sq / (2.0 * self.bandwidth**2))
         return np.concatenate([phi, X, np.ones((X.shape[0], 1))], axis=1)
@@ -92,7 +94,14 @@ class Policy:
         return U
 
     def action(self, x):
-        return self.actions(np.asarray(x, dtype=float)[None, :])[0]
+        """actions(x[None])[0] for one state x, bit for bit, without the batch
+        clip's set-up.  numpy sums a row of fewer than eight squares left to
+        right, as this does."""
+        u = (self.features(x) @ self.weights)[0]
+        norm = math.sqrt(sum(v * v for v in u.tolist()))
+        if norm > self.clip_norm:
+            u *= self.clip_norm / norm
+        return u
 
 
 def _farthest_point_indices(X, k):
@@ -245,7 +254,7 @@ def should_recover(g_value, u_hat, cfg, lam=None):
     """True iff g <= lambda * ||u_hat|| (zero control at positive g is safe)."""
     if lam is None:
         lam = cfg.lam
-    return bool(g_value <= lam * float(np.linalg.norm(u_hat)))
+    return bool(g_value <= lam * vector_norm(np.asarray(u_hat, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -307,10 +316,10 @@ def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam=None, g_befo
             g_value=g_before,
         )
     direction = rng.normal(size=2)
-    norm = float(np.linalg.norm(direction))
+    norm = vector_norm(direction)
     while norm < 1e-12:
         direction = rng.normal(size=2)
-        norm = float(np.linalg.norm(direction))
+        norm = vector_norm(direction)
     direction = direction / norm
     radius, eta_mag = _recovery_magnitudes(cfg, g_before, lam)
 
@@ -335,12 +344,14 @@ def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam=None, g_befo
     return rec, res_rec.next_state, applied
 
 
-def finite_difference_oracle_step(handle, support, t, state, cfg, lam=None):
+def finite_difference_oracle_step(handle, support, t, state, cfg, lam=None, g_before=None):
     """Recovery control from central differences over simulated probe steps.
 
     Estimates d g / d u per control axis by previewing steps of +-fd_delta
     (simulation only; the real episode does not advance), then steps eta
     along the normalized gradient.  A zero gradient yields a zero control.
+    g_before is the decision value at state, evaluated here when the caller
+    does not pass it.
     """
     if not getattr(handle, "supports_preview", False):
         raise UnsupportedOperationError(
@@ -348,7 +359,7 @@ def finite_difference_oracle_step(handle, support, t, state, cfg, lam=None):
         )
     if lam is None:
         lam = cfg.lam
-    g0 = support.g_at(t, state.vec)
+    g0 = support.g_at(t, state.vec) if g_before is None else g_before
     if g0 <= 0.0:
         raise OutsideSupportError(
             f"recovery requested outside the estimated support (g={g0:.3g} at t={t})",
@@ -362,7 +373,7 @@ def finite_difference_oracle_step(handle, support, t, state, cfg, lam=None):
         g_plus = support.g_at(t, handle.preview(state, probe).next_state.vec)
         g_minus = support.g_at(t, handle.preview(state, -probe).next_state.vec)
         grad[axis] = (g_plus - g_minus) / (2.0 * cfg.fd_delta)
-    norm = float(np.linalg.norm(grad))
+    norm = vector_norm(grad)
     if norm < 1e-12:
         return np.zeros(2)
     _, eta_mag = _recovery_magnitudes(cfg, g0, lam)
@@ -372,7 +383,8 @@ def finite_difference_oracle_step(handle, support, t, state, cfg, lam=None):
 def _oracle_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before):
     """One oracle iteration, shaped like dfr_recovery_iteration: the finite-
     difference control applied once through micro_step.  rng is unused."""
-    u_rec = finite_difference_oracle_step(handle, support, t, state, cfg, lam=lam)
+    u_rec = finite_difference_oracle_step(handle, support, t, state, cfg, lam=lam,
+                                          g_before=g_before)
     res = handle.micro_step(state, u_rec)
     rec = RecoveryStep(
         u_delta=np.zeros(2),
@@ -401,7 +413,7 @@ class BaselineController:
     def __init__(self, cfg=None):
         self.cfg = cfg or SwitchConfig()
 
-    def step(self, handle, support, policy, t, state, rng):
+    def step(self, handle, support, policy, t, state, rng, g=None):
         u = policy.action(state.vec)
         res = handle.step(state, u)
         return CtrlStep(applied=[_applied(u, res, "policy")], state=res.next_state)
@@ -416,11 +428,12 @@ class EarlyStopController:
         self.cfg = cfg or SwitchConfig()
         self.triggered = False
 
-    def step(self, handle, support, policy, t, state, rng):
+    def step(self, handle, support, policy, t, state, rng, g=None):
         if not self.triggered:
             u_hat = policy.action(state.vec)
             lam = effective_lambda(self.cfg, support, t, handle.spec)
-            g = support.g_at(t, state.vec)
+            if g is None:
+                g = support.g_at(t, state.vec)
             if should_recover(g, u_hat, self.cfg, lam=lam):
                 self.triggered = True
         if self.triggered:
@@ -439,12 +452,13 @@ class RecoveryController:
     def __init__(self, cfg=None):
         self.cfg = cfg or SwitchConfig()
 
-    def recover(self, iteration, handle, support, policy, t, state, rng):
+    def recover(self, iteration, handle, support, policy, t, state, rng, g=None):
         cfg = self.cfg
         lam = effective_lambda(cfg, support, t, handle.spec)
         applied = []
         recovery_steps = []
-        g = support.g_at(t, state.vec)
+        if g is None:
+            g = support.g_at(t, state.vec)
         if g < 0.0:
             raise OutsideSupportError(
                 f"state outside the estimated support (g={g:.3g} at t={t})",
@@ -477,8 +491,8 @@ class DfrController(RecoveryController):
 
     kind = "dfr"
 
-    def step(self, handle, support, policy, t, state, rng):
-        return self.recover(dfr_recovery_iteration, handle, support, policy, t, state, rng)
+    def step(self, handle, support, policy, t, state, rng, g=None):
+        return self.recover(dfr_recovery_iteration, handle, support, policy, t, state, rng, g)
 
 
 class OracleController(RecoveryController):
@@ -486,8 +500,8 @@ class OracleController(RecoveryController):
 
     kind = "oracle"
 
-    def step(self, handle, support, policy, t, state, rng):
-        return self.recover(_oracle_recovery_iteration, handle, support, policy, t, state, rng)
+    def step(self, handle, support, policy, t, state, rng, g=None):
+        return self.recover(_oracle_recovery_iteration, handle, support, policy, t, state, rng, g)
 
 
 class SupervisorController:
@@ -498,7 +512,7 @@ class SupervisorController:
     def __init__(self, cfg=None):
         self.cfg = cfg or SwitchConfig()
 
-    def step(self, handle, support, policy, t, state, rng):
+    def step(self, handle, support, policy, t, state, rng, g=None):
         u = supervisor_action(handle.spec, state)
         res = handle.step(state, u)
         return CtrlStep(applied=[_applied(u, res, "policy")], state=res.next_state)

@@ -19,12 +19,14 @@ bounded random walk, entering the deviation coordinate; K = 1.
 
 from dataclasses import dataclass, field
 import json
+import math
 
 from importlib.resources import files as _resource_files
 
 import numpy as np
 
 from .errors import InvalidInputError, UnsupportedOperationError
+from .util import vector_norm
 
 POINT_PUSH = "point_push"
 LINE_TRACK = "line_track"
@@ -70,6 +72,8 @@ class EnvSpec:
     goal_progress: float = None
     nominal_step: float = None
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
+    # derived in __post_init__; not part of the spec's identity, repr or document
+    push: "PushGeometry" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in BUILTIN_ENV_NAMES:
@@ -82,6 +86,15 @@ class EnvSpec:
                       self.robot_start, self.object_start_box, self.state_bounds)
             if any(v is None for v in needed):
                 raise InvalidInputError("point_push spec is missing geometry fields")
+            (lo_x, lo_y), (hi_x, hi_y) = self.workspace
+            object.__setattr__(self, "push", PushGeometry(
+                box=(float(lo_x), float(lo_y), float(hi_x), float(hi_y)),
+                contact=self.robot_radius + self.object_radius,
+                keep_out=tuple((float(cx), float(cy), radius + self.robot_radius,
+                                radius + self.object_radius)
+                               for (cx, cy), radius in self.constraint_regions),
+                goal=(float(self.goal_center[0]), float(self.goal_center[1]), self.goal_radius),
+            ))
         else:
             if self.deviation_limit is None or self.goal_progress is None or self.nominal_step is None:
                 raise InvalidInputError("line_track spec is missing geometry fields")
@@ -93,6 +106,17 @@ class EnvSpec:
     @property
     def control_dim(self):
         return 2
+
+
+@dataclass(frozen=True)
+class PushGeometry:
+    """The point_push constants that step, check_constraint and reached_goal
+    read on every call, as Python floats."""
+
+    box: tuple  # (lo_x, lo_y, hi_x, hi_y) of the workspace
+    contact: float  # robot_radius + object_radius
+    keep_out: tuple  # (cx, cy, radius + robot_radius, radius + object_radius) per region
+    goal: tuple  # (gx, gy, goal_radius)
 
 
 @dataclass(frozen=True)
@@ -148,16 +172,20 @@ def goal_pos(state):
     return state.vec[4:6]
 
 
+def _dist(dx, dy):
+    # For threshold tests only: it may differ from vector_norm in the last
+    # bit, which changes a test's outcome only exactly at its threshold.
+    return math.sqrt(dx * dx + dy * dy)
+
+
 def check_constraint(spec, state):
     """True iff the state violates no constraint (boundary counts as violating)."""
     if spec.kind == POINT_PUSH:
-        r = robot_pos(state)
-        o = object_pos(state)
-        for (cx, cy), radius in spec.constraint_regions:
-            c = np.array([cx, cy])
-            if np.linalg.norm(r - c) <= radius + spec.robot_radius:
+        rx, ry, ox, oy = state.vec[:4].tolist()
+        for cx, cy, robot_reach, object_reach in spec.push.keep_out:
+            if _dist(rx - cx, ry - cy) <= robot_reach:
                 return False
-            if np.linalg.norm(o - c) <= radius + spec.object_radius:
+            if _dist(ox - cx, oy - cy) <= object_reach:
                 return False
         return True
     return abs(state.vec[1]) < spec.deviation_limit
@@ -165,7 +193,9 @@ def check_constraint(spec, state):
 
 def reached_goal(spec, state):
     if spec.kind == POINT_PUSH:
-        return bool(np.linalg.norm(object_pos(state) - np.asarray(spec.goal_center)) <= spec.goal_radius)
+        gx, gy, radius = spec.push.goal
+        ox, oy = state.vec[2:4].tolist()
+        return _dist(ox - gx, oy - gy) <= radius
     return bool(state.vec[0] >= spec.goal_progress)
 
 
@@ -194,9 +224,9 @@ def reset(spec, seed):
 
 def _clip_control(spec, u):
     u = np.asarray(u, dtype=float)
-    if u.shape != (spec.control_dim,) or not np.isfinite(u).all():
+    if u.shape != (spec.control_dim,) or not all(map(math.isfinite, u.tolist())):
         raise InvalidInputError(f"control must be a finite vector of length {spec.control_dim}")
-    norm = float(np.linalg.norm(u))
+    norm = vector_norm(u)
     if norm > spec.u_max:
         u = u * (spec.u_max / norm)
     return u
@@ -210,21 +240,30 @@ def step(spec, state, u, stream=None):
     """
     u = _clip_control(spec, u)
     if spec.kind == POINT_PUSH:
-        (lo, hi) = np.asarray(spec.workspace[0]), np.asarray(spec.workspace[1])
-        r = robot_pos(state)
-        o = object_pos(state).copy()
-        r_new = np.clip(r + u, lo, hi)
-        d = o - r_new
-        dist = float(np.linalg.norm(d))
-        depth = (spec.robot_radius + spec.object_radius) - dist
+        geo = spec.push
+        lo_x, lo_y, hi_x, hi_y = geo.box
+        ux, uy = u.tolist()
+        rx, ry, ox, oy, gx, gy = state.vec.tolist()
+        # np.clip's comparisons, in its order, so signed zeros agree too
+        rx += ux
+        ry += uy
+        rx = rx if rx > lo_x else lo_x
+        ry = ry if ry > lo_y else lo_y
+        rx = rx if rx < hi_x else hi_x
+        ry = ry if ry < hi_y else hi_y
+        dx = ox - rx
+        dy = oy - ry
+        dist = vector_norm(np.array((dx, dy)))
+        depth = geo.contact - dist
         if depth > 0.0:
             if dist > 1e-12:
-                normal = d / dist
+                nx, ny = dx / dist, dy / dist
             else:  # centers coincide (degenerate); push along the control
-                un = float(np.linalg.norm(u))
-                normal = u / un if un > 0 else np.array([1.0, 0.0])
-            o = o + depth * normal
-        nxt = EnvState(vec=np.concatenate([r_new, o, goal_pos(state)]))
+                un = vector_norm(u)
+                nx, ny = (ux / un, uy / un) if un > 0 else (1.0, 0.0)
+            ox += depth * nx
+            oy += depth * ny
+        nxt = EnvState(vec=np.array((rx, ry, ox, oy, gx, gy)))
     else:
         delta = stream.increment() if stream is not None else 0.0
         vec = np.array([state.vec[0] + u[0], state.vec[1] + u[1] - delta])

@@ -331,7 +331,7 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
             if g_start is not None:
                 g_seen.append(g_start)
             try:
-                cs = ctrl.step(handle, support, policy, t, state, rng)
+                cs = ctrl.step(handle, support, policy, t, state, rng, g=g_start)
             except OutsideSupportError as exc:
                 # Escape without contact: no constraint was violated, so the
                 # episode halts.  The offending decision value still counts

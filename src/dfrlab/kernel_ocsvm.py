@@ -107,9 +107,16 @@ def decision_value(model, x):
         raise InvalidInputError(
             f"state has shape {x.shape}, model expects dimension {model.dim}"
         )
-    diff = model.support_vectors - x[None, :]
-    k = np.exp(-model.kernel.gamma * (diff * diff).sum(axis=1))
-    return float(model.alphas @ k) - model.rho
+    return _decision_sum(model, x)
+
+
+def _decision_sum(model, x):
+    """decision_value without its checks: x is a float vector of model.dim."""
+    diff = model.support_vectors - x
+    diff *= diff
+    k = diff.sum(axis=1)
+    k *= -model.kernel.gamma
+    return float(model.alphas.dot(np.exp(k, out=k))) - model.rho
 
 
 def decision_values(model, X):

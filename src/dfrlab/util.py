@@ -1,6 +1,7 @@
-"""Small shared helpers: RNG handling, atomic file writes, stable JSON."""
+"""Small shared helpers: RNG handling, vector norms, atomic file writes, stable JSON."""
 
 import json
+import math
 import os
 import tempfile
 
@@ -12,6 +13,13 @@ def as_generator(seed_or_rng):
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
+
+
+def vector_norm(v):
+    """np.linalg.norm(v) of a 1-D float array, bit for bit and without its
+    overhead: the square root of v.dot(v), a BLAS dot product that may fuse
+    multiply and add, so it can differ from sqrt(x*x + y*y) in the last bit."""
+    return math.sqrt(v.dot(v))
 
 
 def dump_json(obj):
