@@ -14,6 +14,7 @@ import os
 import sys
 
 from .controllers import (
+    CONTROLLER_KINDS,
     PolicyConfig,
     SwitchConfig,
     fit_policy,
@@ -221,7 +222,7 @@ def build_parser():
     p.add_argument("--support", default=None, help="support bundle directory")
     p.add_argument("--policy", default=None, help="policy file")
     p.add_argument("--controller", required=True,
-                   choices=("baseline", "es", "dfr", "oracle", "supervisor"),
+                   choices=CONTROLLER_KINDS,
                    help="controller to run")
     p.add_argument("--lambda-mode", choices=("manual", "certified"), default="manual",
                    help="switching threshold mode")

@@ -6,7 +6,8 @@ control norm seen in the demos.
 
 The controllers share one interface, step(handle, support, policy, t, state,
 rng, g=None), where g is g_t(state) when the caller already holds it (the
-controllers that need it evaluate it otherwise; the others ignore it):
+controllers that need it evaluate it otherwise; the others ignore it).
+CONTROLLERS maps each kind to its class:
 
 * baseline: always apply the learned policy.
 * es (early stop): apply the policy until the switching rule first trips,
@@ -30,20 +31,18 @@ lambda is a tuned scalar.
 """
 
 from dataclasses import dataclass, field
-import json
 import math
 import warnings
 
 import numpy as np
 
 from .envs import dynamics_constant
-from .errors import (
-    InvalidInputError,
-    OutsideSupportError,
-    UnsupportedOperationError,
-)
+from .errors import InvalidInputError, OutsideSupportError
 from .supervisor import supervisor_action
-from .util import atomic_write_text, dump_json, float_list, vector_norm
+from .util import atomic_write_text, dump_json, float_list, load_json, malformed, vector_norm
+
+# Control offset of the oracle's central differences.
+FD_DELTA = 1e-4
 
 
 @dataclass(frozen=True)
@@ -159,10 +158,8 @@ def fit_policy(demos, config):
     return policy
 
 
-def empirical_loss(policy, demos, loss="l2"):
-    """Mean over trajectories of the summed per-step control error."""
-    if loss != "l2":
-        raise InvalidInputError(f"unsupported loss {loss!r}; only 'l2' is implemented")
+def empirical_loss(policy, demos):
+    """Mean over trajectories of the summed per-step l2 control error."""
     total = 0.0
     for traj in demos.trajectories:
         if len(traj.controls) == 0:
@@ -190,9 +187,8 @@ def save_policy(policy, path):
 
 
 def load_policy(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
+    doc = load_json(path, "policy file")
+    with malformed(f"malformed policy file {path}"):
         if doc["format"] != POLICY_FORMAT:
             raise InvalidInputError(f"not a policy file: format={doc['format']!r}")
         return Policy(
@@ -203,10 +199,6 @@ def load_policy(path):
             clip_norm=float(doc["clip_norm"]),
             train_loss=doc.get("train_loss"),
         )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        if isinstance(exc, InvalidInputError):
-            raise
-        raise InvalidInputError(f"cannot read policy file {path}: {exc!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -224,7 +216,6 @@ class SwitchConfig:
     epsilon: float = 0.1
     max_recovery_iters: int = 500
     lambda_mode: str = "manual"
-    fd_delta: float = 1e-4
 
     def __post_init__(self):
         if self.lambda_mode != "certified" and not (self.lam is not None and self.lam > 0.0):
@@ -239,8 +230,6 @@ class SwitchConfig:
             raise InvalidInputError("max_recovery_iters must be >= 1")
         if self.lambda_mode not in ("manual", "certified"):
             raise InvalidInputError(f"unknown lambda_mode {self.lambda_mode!r}")
-        if not self.fd_delta > 0.0:
-            raise InvalidInputError("fd_delta must be positive")
 
 
 def effective_lambda(cfg, support, t, spec):
@@ -347,16 +336,12 @@ def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam=None, g_befo
 def finite_difference_oracle_step(handle, support, t, state, cfg, lam=None, g_before=None):
     """Recovery control from central differences over simulated probe steps.
 
-    Estimates d g / d u per control axis by previewing steps of +-fd_delta
-    (simulation only; the real episode does not advance), then steps eta
-    along the normalized gradient.  A zero gradient yields a zero control.
-    g_before is the decision value at state, evaluated here when the caller
-    does not pass it.
+    Estimates d g / d u per control axis from simulated micro_steps of
+    +-FD_DELTA (their results are discarded, so the episode does not
+    advance), then steps eta along the normalized gradient.  A zero gradient
+    yields a zero control.  g_before is the decision value at state,
+    evaluated here when the caller does not pass it.
     """
-    if not getattr(handle, "supports_preview", False):
-        raise UnsupportedOperationError(
-            "finite-difference recovery needs simulated probe steps"
-        )
     if lam is None:
         lam = cfg.lam
     g0 = support.g_at(t, state.vec) if g_before is None else g_before
@@ -369,10 +354,10 @@ def finite_difference_oracle_step(handle, support, t, state, cfg, lam=None, g_be
     grad = np.zeros(2)
     for axis in range(2):
         probe = np.zeros(2)
-        probe[axis] = cfg.fd_delta
-        g_plus = support.g_at(t, handle.preview(state, probe).next_state.vec)
-        g_minus = support.g_at(t, handle.preview(state, -probe).next_state.vec)
-        grad[axis] = (g_plus - g_minus) / (2.0 * cfg.fd_delta)
+        probe[axis] = FD_DELTA
+        g_plus = support.g_at(t, handle.micro_step(state, probe).next_state.vec)
+        g_minus = support.g_at(t, handle.micro_step(state, -probe).next_state.vec)
+        grad[axis] = (g_plus - g_minus) / (2.0 * FD_DELTA)
     norm = vector_norm(grad)
     if norm < 1e-12:
         return np.zeros(2)
@@ -405,13 +390,23 @@ class CtrlStep:
     recovery_steps: list = field(default_factory=list)  # RecoveryStep per iteration
 
 
-class BaselineController:
-    """Always the learned policy."""
+class Controller:
+    """Base of the five controllers.  uses_support and uses_policy say
+    whether a controller consults the support estimator and the learned
+    policy; rollouts check their inputs and gate starts by them."""
 
-    kind = "baseline"
+    uses_support = True
+    uses_policy = True
 
     def __init__(self, cfg=None):
         self.cfg = cfg or SwitchConfig()
+
+
+class BaselineController(Controller):
+    """Always the learned policy."""
+
+    kind = "baseline"
+    uses_support = False
 
     def step(self, handle, support, policy, t, state, rng, g=None):
         u = policy.action(state.vec)
@@ -419,13 +414,13 @@ class BaselineController:
         return CtrlStep(applied=[_applied(u, res, "policy")], state=res.next_state)
 
 
-class EarlyStopController:
+class EarlyStopController(Controller):
     """The learned policy until the switching rule first trips, then zeros."""
 
     kind = "es"
 
     def __init__(self, cfg=None):
-        self.cfg = cfg or SwitchConfig()
+        super().__init__(cfg)
         self.triggered = False
 
     def step(self, handle, support, policy, t, state, rng, g=None):
@@ -444,13 +439,10 @@ class EarlyStopController:
         return CtrlStep(applied=[_applied(u_hat, res, "policy")], state=res.next_state)
 
 
-class RecoveryController:
+class RecoveryController(Controller):
     """Recovery iterations while the switching rule trips, then one policy
     step; a colliding or goal-reaching motion ends the step without it.
     Subclasses differ only in the iteration they pass to recover."""
-
-    def __init__(self, cfg=None):
-        self.cfg = cfg or SwitchConfig()
 
     def recover(self, iteration, handle, support, policy, t, state, rng, g=None):
         cfg = self.cfg
@@ -504,13 +496,12 @@ class OracleController(RecoveryController):
         return self.recover(_oracle_recovery_iteration, handle, support, policy, t, state, rng, g)
 
 
-class SupervisorController:
+class SupervisorController(Controller):
     """The scripted demonstrator, for sanity rows in experiments."""
 
     kind = "supervisor"
-
-    def __init__(self, cfg=None):
-        self.cfg = cfg or SwitchConfig()
+    uses_support = False
+    uses_policy = False
 
     def step(self, handle, support, policy, t, state, rng, g=None):
         u = supervisor_action(handle.spec, state)
@@ -518,19 +509,17 @@ class SupervisorController:
         return CtrlStep(applied=[_applied(u, res, "policy")], state=res.next_state)
 
 
-CONTROLLER_KINDS = ("baseline", "es", "dfr", "oracle", "supervisor")
+CONTROLLERS = {
+    c.kind: c
+    for c in (BaselineController, EarlyStopController, DfrController, OracleController,
+              SupervisorController)
+}
+CONTROLLER_KINDS = tuple(CONTROLLERS)
 
 
 def make_controller(kind, cfg=None):
-    table = {
-        "baseline": BaselineController,
-        "es": EarlyStopController,
-        "dfr": DfrController,
-        "oracle": OracleController,
-        "supervisor": SupervisorController,
-    }
-    if kind not in table:
+    if kind not in CONTROLLERS:
         raise InvalidInputError(
-            f"unknown controller {kind!r}; expected one of {sorted(table)}"
+            f"unknown controller {kind!r}; expected one of {sorted(CONTROLLERS)}"
         )
-    return table[kind](cfg)
+    return CONTROLLERS[kind](cfg)

@@ -25,8 +25,8 @@ from importlib.resources import files as _resource_files
 
 import numpy as np
 
-from .errors import InvalidInputError, UnsupportedOperationError
-from .util import vector_norm
+from .errors import InvalidInputError
+from .util import load_json, malformed, vector_norm
 
 POINT_PUSH = "point_push"
 LINE_TRACK = "line_track"
@@ -298,32 +298,25 @@ def random_state(spec, rng):
 class EnvHandle:
     """An environment plus its (optional) disturbance stream.
 
-    step advances the real episode; preview computes the same transition
-    disturbance-free without touching the stream, which stands in for
-    snapshot/restore and is only available in simulation.
+    step advances the real episode and ticks the stream; micro_step applies
+    a control with the stream held still.
     """
 
-    def __init__(self, spec, stream=None, supports_preview=True):
+    def __init__(self, spec, stream=None):
         self.spec = spec
         self.stream = stream
-        self.supports_preview = supports_preview
 
     def step(self, state, u):
         return step(self.spec, state, u, stream=self.stream)
 
     def micro_step(self, state, u):
-        """Apply a recovery-rate control for real, platform held still.
+        """Apply a control disturbance-free, without ticking the stream.
 
         Recovery iterations run much faster than the horizon clock, so the
         disturbance process (which advances once per horizon step) does not
-        tick between them.  With no stream attached this is identical to
-        step.
+        tick between them; the oracle's simulated probe steps use it too.
+        With no stream attached this is identical to step.
         """
-        return step(self.spec, state, u, stream=None)
-
-    def preview(self, state, u):
-        if not self.supports_preview:
-            raise UnsupportedOperationError("this environment handle cannot simulate probe steps")
         return step(self.spec, state, u, stream=None)
 
 
@@ -358,7 +351,7 @@ def env_spec_to_document(spec):
 
 
 def env_spec_from_document(doc):
-    try:
+    with malformed("malformed environment spec document"):
         if doc.get("format") != ENV_FORMAT:
             raise InvalidInputError(f"not an environment spec document: {doc.get('format')!r}")
         dist = doc.get("disturbance", {})
@@ -391,10 +384,6 @@ def env_spec_from_document(doc):
             nominal_step=float(doc["nominal_step"]),
             **common,
         )
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidInputError):
-            raise
-        raise InvalidInputError(f"malformed environment spec document: {exc!r}") from exc
 
 
 def builtin_env_spec(name):
@@ -411,9 +400,4 @@ def load_env_spec(path_or_name):
     """Accepts a builtin environment name or a path to a spec file."""
     if path_or_name in BUILTIN_ENV_NAMES:
         return builtin_env_spec(path_or_name)
-    try:
-        with open(path_or_name) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"cannot read environment spec {path_or_name}: {exc}") from exc
-    return env_spec_from_document(doc)
+    return env_spec_from_document(load_json(path_or_name, "environment spec"))

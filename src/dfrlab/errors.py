@@ -33,9 +33,5 @@ class OutsideSupportError(RuntimeError):
         self.g_value = g_value
 
 
-class UnsupportedOperationError(RuntimeError):
-    """The environment handle lacks a capability the caller needs."""
-
-
 class GateFailureError(RuntimeError):
     """An experiment's statistical gate did not pass."""

@@ -20,7 +20,7 @@ audit.  Each writes a manifest, line-delimited rollout records, and CSV
 metrics into an output directory.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from concurrent.futures import ProcessPoolExecutor
 import hashlib
 import json
@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .controllers import (
     CONTROLLER_KINDS,
+    CONTROLLERS,
     AppliedRecord,
     RecoveryStep,
     SwitchConfig,
@@ -55,15 +56,12 @@ from .errors import GateFailureError, InvalidInputError, OutsideSupportError
 from .kernel_ocsvm import KernelParams, OcsvmParams
 from .supervisor import generate_demos
 from .support import TimeVaryingSupport, fit_pooled, fit_time_varying
-from .util import atomic_write_text, dump_json, float_list
+from .util import atomic_write_text, dump_json, float_list, load_json, malformed
 
 COMPLETED = "completed"
 COLLIDED = "collided"
 HALTED = "halted"
 OUTCOMES = (COMPLETED, COLLIDED, HALTED)
-
-# Controllers that consult the support estimator during the episode.
-ESTIMATOR_GUIDED = ("es", "dfr", "oracle")
 
 Z_ONE_SIDED_95 = 1.6448536269514722
 Z_TWO_SIDED_95 = 1.959963984540054
@@ -217,7 +215,7 @@ def record_to_document(record):
 
 
 def record_from_document(doc):
-    try:
+    with malformed("malformed rollout record"):
         if doc["format"] != RECORD_FORMAT:
             raise InvalidInputError(f"not a rollout record: format={doc['format']!r}")
         steps = [
@@ -260,8 +258,6 @@ def record_from_document(doc):
             g_min=doc["g_min"],
             g_final=doc["g_final"],
         )
-    except (KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed rollout record: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +265,6 @@ def record_from_document(doc):
 
 
 def _seed_sequence(seed):
-    if isinstance(seed, np.random.SeedSequence):
-        return seed, list(seed.entropy) if isinstance(seed.entropy, (list, tuple)) else seed.entropy
     if isinstance(seed, (int, np.integer)):
         return np.random.SeedSequence(int(seed)), int(seed)
     if isinstance(seed, (list, tuple)) and seed and all(
@@ -284,19 +278,19 @@ def _seed_sequence(seed):
 def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None):
     """Run one seeded episode and return its full record.
 
-    controller is a kind name or a controller instance (a fresh instance is
-    built from a name, which matters for the stateful early-stop controller).
-    disturbance=None uses the environment's own default; True/False forces
-    the stream on or off.  The record's outcome always equals
-    classify_outcome re-applied to its stored states.
+    controller is a kind name; every episode gets a fresh instance, which
+    matters for the stateful early-stop controller.  disturbance=None uses
+    the environment's own default; True/False forces the stream on or off.
+    The record's outcome always equals classify_outcome re-applied to its
+    stored states.
     """
     ss, seed_key = _seed_sequence(seed)
     reset_ss, probe_ss, stream_ss = ss.spawn(3)
-    ctrl = make_controller(controller, cfg) if isinstance(controller, str) else controller
+    ctrl = make_controller(controller, cfg)
     kind = ctrl.kind
-    if kind in ESTIMATOR_GUIDED and support is None:
+    if ctrl.uses_support and support is None:
         raise InvalidInputError(f"controller {kind!r} needs a support estimator")
-    if kind != "supervisor" and policy is None:
+    if ctrl.uses_policy and policy is None:
         raise InvalidInputError(f"controller {kind!r} needs a policy")
 
     if disturbance is None:
@@ -320,7 +314,7 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
     if support is not None:
         gate_g = support.g_at(0, state.vec)
         g_seen.append(gate_g)
-    if kind in ESTIMATOR_GUIDED and gate_g is not None and gate_g < 0.0:
+    if ctrl.uses_support and gate_g < 0.0:
         outcome = HALTED
         halt_reason = "start-gate"
 
@@ -590,22 +584,19 @@ def experiment_config_from_document(doc, overrides=None):
     """
     if doc.get("format") != CONFIG_FORMAT:
         raise InvalidInputError(f"not an experiment config: format={doc.get('format')!r}")
+    unknown = sorted(set(doc) - {"format", "version", *_CONFIG_FIELDS})
+    if unknown:
+        raise InvalidInputError(f"unknown experiment config key(s): {', '.join(unknown)}")
     kwargs = dict(overrides or {})
     for name in _CONFIG_FIELDS:
         if name in doc:
             kwargs[name] = doc[name]
-    try:
+    with malformed("malformed experiment config"):
         return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise InvalidInputError(f"malformed experiment config: {exc}") from exc
 
 
 def load_experiment_config(path, overrides=None):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"cannot read experiment config {path}: {exc}") from exc
+    doc = load_json(path, "experiment config")
     return experiment_config_from_document(doc, overrides=overrides)
 
 
@@ -638,11 +629,11 @@ def fit_support(demos, params, projection=None, pooled=False):
 
 
 def _fit_cell(spec, config, demo_seed, n):
-    """Demos, support estimator, and policy for one (seed, count) cell."""
+    """Support estimator and policy for one (seed, count) cell."""
     demos = generate_demos(spec, n, seed=demo_seed, jitter_sigma=config.demo_jitter)
     support = fit_support(demos, config.ocsvm_params(), config.projection, config.pooled)
     policy = fit_policy(demos, config.policy_config())
-    return demos, support, policy
+    return support, policy
 
 
 def _rollout_task(args):
@@ -659,14 +650,25 @@ def _run_rollouts(spec, kind, support, policy, seeds, cfg, disturbance, jobs):
     return [_rollout_task(t) for t in tasks]
 
 
-def _arm_inputs(kind, support, policy):
-    # baseline and the supervisor never consult the estimator; the supervisor
-    # also ignores the learned policy.
-    if kind == "supervisor":
-        return None, None
-    if kind == "baseline":
-        return None, policy
-    return support, policy
+def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
+    """The experiment loop shared by every runner but the certified audit.
+
+    Each cell (seed key, demo seed, demo count) is fitted once; every arm in
+    kinds then rolls out on the cell's paired seeds [master seed, *seed key,
+    episode].  Yields (cell, kind, switch config, support, policy, records)
+    per arm, with support or policy None where the controller does not
+    consult it.  The oracle arm steps with oracle_eta when it is set.
+    """
+    for cell in cells:
+        key, demo_seed, n = cell
+        support, policy = _fit_cell(spec, config, demo_seed, n)
+        seeds = [[config.seed, *key, i] for i in range(config.eval_samples)]
+        for kind in kinds:
+            scfg = config.switch_config(eta=config.oracle_eta if kind == "oracle" else None)
+            sup = support if CONTROLLERS[kind].uses_support else None
+            pol = policy if CONTROLLERS[kind].uses_policy else None
+            recs = _run_rollouts(spec, kind, sup, pol, seeds, scfg, disturbance, jobs)
+            yield cell, kind, scfg, sup, pol, recs
 
 
 def gates_all_passed(gates):
@@ -691,31 +693,19 @@ def run_learning_curve(config, jobs=1):
     controller on eval_samples paired rollouts.
     """
     spec = load_env_spec(config.env)
+    cells = [
+        ((trial, gi), config.demo_seeds[trial], n)
+        for trial in range(config.trials)
+        for gi, n in enumerate(config.demo_grid)
+    ]
     rows = []
     records = []
-    scfg = config.switch_config()
-    for trial in range(config.trials):
-        demo_seed = config.demo_seeds[trial]
-        for gi, n in enumerate(config.demo_grid):
-            _, support, policy = _fit_cell(spec, config, demo_seed, n)
-            seeds = [[config.seed, trial, gi, i] for i in range(config.eval_samples)]
-            for kind in config.controllers:
-                sup, pol = _arm_inputs(kind, support, policy)
-                recs = _run_rollouts(
-                    spec, kind, sup, pol, seeds, scfg, config.disturbance, jobs
-                )
-                rows.append(
-                    _outcome_row(
-                        {
-                            "controller": kind,
-                            "demo_count": n,
-                            "trial": trial,
-                            "demo_seed": demo_seed,
-                        },
-                        [r.outcome for r in recs],
-                    )
-                )
-                records.extend(recs)
+    for ((trial, _), demo_seed, n), kind, _, _, _, recs in _arm_runs(
+        spec, config, cells, config.controllers, config.disturbance, jobs
+    ):
+        base = {"controller": kind, "demo_count": n, "trial": trial, "demo_seed": demo_seed}
+        rows.append(_outcome_row(base, [r.outcome for r in recs]))
+        records.extend(recs)
 
     summary = summarize(records)
     pooled = {kind: summary["controllers"][kind]["counts"] for kind in config.controllers}
@@ -790,13 +780,14 @@ def activation_traces(record, support, policy, cfg, spec):
     """Normalized ascent traces, one per recovery activation in the record.
 
     The value of iteration k is min(1, g_before / (lambda * ||u_hat(x_k)||))
-    with u_hat recomputed at the state the iteration started from; 1.0 is the
-    switching threshold.  An activation that hands control back to the policy
-    gets a terminal 1.0 anchor: the exit test g > lambda*||u_hat|| passed, the
+    with u_hat recomputed at the state x_k the iteration started from: the
+    step's start state for k = 0, else where the k-th recovery-tagged motion
+    of the step ended (dfr and oracle alike).  1.0 is the switching
+    threshold.  An activation that hands control back to the policy gets a
+    terminal 1.0 anchor: the exit test g > lambda*||u_hat|| passed, the
     trace just has no sample of its own there.
     """
     traces = []
-    oracle = record.controller == "oracle"
     cur = record.start_state
     for step in record.steps:
         step_start = cur
@@ -805,12 +796,9 @@ def activation_traces(record, support, policy, cfg, spec):
         if not step.recovery:
             continue
         lam = effective_lambda(cfg, support, step.t, spec)
+        starts = [step_start] + [a.state for a in step.applied if a.tag == "recovery"]
         vals = []
-        for k, ev in enumerate(step.recovery):
-            if k == 0:
-                pre = step_start
-            else:
-                pre = step.applied[k - 1].state if oracle else step.applied[2 * k - 1].state
+        for ev, pre in zip(step.recovery, starts):
             threshold = lam * float(np.linalg.norm(policy.action(pre)))
             vals.append(min(1.0, ev.g_before / threshold))
         if step.applied and step.applied[-1].tag == "policy":
@@ -839,9 +827,9 @@ def resample_trace(values, points):
 def run_ascent_traces(config, jobs=1):
     """Averaged normalized recovery curves for the dfr and oracle arms."""
     spec = load_env_spec(config.env)
-    cells = config.ascent_cells
-    if cells is None:
-        cells = tuple(
+    pairs = config.ascent_cells
+    if pairs is None:
+        pairs = tuple(
             (config.demo_seeds[t], n)
             for t in range(config.trials)
             for n in config.demo_grid
@@ -849,19 +837,15 @@ def run_ascent_traces(config, jobs=1):
     arms = tuple(k for k in config.controllers if k in ("dfr", "oracle"))
     if not arms:
         raise InvalidInputError("ascent experiment needs the dfr and/or oracle controller")
+    cells = [((ci, 0), demo_seed, n) for ci, (demo_seed, n) in enumerate(pairs)]
     traces = {arm: [] for arm in arms}
     records = []
-    for ci, (demo_seed, n) in enumerate(cells):
-        _, support, policy = _fit_cell(spec, config, demo_seed, n)
-        seeds = [[config.seed, ci, 0, i] for i in range(config.eval_samples)]
-        for arm in arms:
-            scfg = config.switch_config(eta=config.oracle_eta if arm == "oracle" else None)
-            recs = _run_rollouts(
-                spec, arm, support, policy, seeds, scfg, config.disturbance, jobs
-            )
-            for rec in recs:
-                traces[arm].extend(activation_traces(rec, support, policy, scfg, spec))
-            records.extend(recs)
+    for _, arm, scfg, support, policy, recs in _arm_runs(
+        spec, config, cells, arms, config.disturbance, jobs
+    ):
+        for rec in recs:
+            traces[arm].extend(activation_traces(rec, support, policy, scfg, spec))
+        records.extend(recs)
 
     curves = {}
     rows = []
@@ -944,21 +928,14 @@ def run_disturbance_eval(config, jobs=1):
     spec = load_env_spec(config.env)
     n = config.demo_grid[-1]
     demo_seed = config.demo_seeds[0]
-    _, support, policy = _fit_cell(spec, config, demo_seed, n)
     disturbance = True if config.disturbance is None else config.disturbance
-    scfg = config.switch_config()
-    seeds = [[config.seed, 0, 0, i] for i in range(config.eval_samples)]
     rows = []
     records = []
-    for kind in config.controllers:
-        sup, pol = _arm_inputs(kind, support, policy)
-        recs = _run_rollouts(spec, kind, sup, pol, seeds, scfg, disturbance, jobs)
-        rows.append(
-            _outcome_row(
-                {"controller": kind, "demo_count": n, "demo_seed": demo_seed},
-                [r.outcome for r in recs],
-            )
-        )
+    for _, kind, _, _, _, recs in _arm_runs(
+        spec, config, [((0, 0), demo_seed, n)], config.controllers, disturbance, jobs
+    ):
+        base = {"controller": kind, "demo_count": n, "demo_seed": demo_seed}
+        rows.append(_outcome_row(base, [r.outcome for r in recs]))
         records.extend(recs)
     counts = {row["controller"]: row for row in rows}
 
@@ -1007,14 +984,8 @@ def run_certified(config):
     """
     spec = load_env_spec(config.env)
     n = config.demo_grid[-1]
-    _, support, policy = _fit_cell(spec, config, config.demo_seeds[0], n)
-    scfg = SwitchConfig(
-        lam=None,
-        eta=config.eta,
-        epsilon=config.epsilon,
-        max_recovery_iters=config.max_recovery_iters,
-        lambda_mode="certified",
-    )
+    support, policy = _fit_cell(spec, config, config.demo_seeds[0], n)
+    scfg = replace(config.switch_config(), lam=None, lambda_mode="certified")
     outcomes = []
     skipped = 0
     attempts = 0
@@ -1037,7 +1008,7 @@ def run_certified(config):
         outcomes.append(rec.outcome)
         if rec.g_min is not None and rec.g_min < min_g:
             min_g = rec.g_min
-    lam0 = support.lipschitz_at(0) * spec.dyn_constant
+    lam0 = effective_lambda(scfg, support, 0, spec)
     gates = {
         "no_support_exit": {
             "passed": min_g >= -1e-9,

@@ -16,13 +16,12 @@ is included as an independent cross-check for small instances.
 """
 
 from dataclasses import dataclass, field
-import json
 import math
 
 import numpy as np
 
 from .errors import InvalidInputError, SolverNonConvergenceError
-from .util import atomic_write_text, dump_json, float_list
+from .util import atomic_write_text, dump_json, float_list, load_json, malformed
 
 # Training sets up to this size get a dense precomputed kernel matrix; larger
 # ones fall back to an LRU row cache.
@@ -402,7 +401,7 @@ def model_to_document(model):
 
 
 def model_from_document(doc):
-    try:
+    with malformed("malformed estimator document"):
         if doc["format"] != MODEL_FORMAT:
             raise InvalidInputError(f"not an estimator document: format={doc['format']!r}")
         sv = np.array([entry[0] for entry in doc["support"]], dtype=float)
@@ -415,8 +414,6 @@ def model_from_document(doc):
             nu=float(doc["nu"]),
             train_count=int(doc["train_count"]),
         )
-    except (KeyError, IndexError, TypeError) as exc:
-        raise InvalidInputError(f"malformed estimator document: {exc!r}") from exc
 
 
 def save_model(model, path):
@@ -425,9 +422,4 @@ def save_model(model, path):
 
 
 def load_model(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"cannot read estimator file {path}: {exc}") from exc
-    return model_from_document(doc)
+    return model_from_document(load_json(path, "estimator file"))

@@ -21,6 +21,7 @@ import numpy as np
 from .envs import (
     LINE_TRACK,
     POINT_PUSH,
+    _clip_control,
     goal_pos,
     object_pos,
     reset,
@@ -29,7 +30,7 @@ from .envs import (
 )
 from .errors import InvalidInputError
 from .support import DemoSet, Trajectory
-from .util import atomic_write_text, float_list
+from .util import atomic_write_text, float_list, malformed
 
 # PointPush waypoint tuning
 _STANDOFF = 0.02          # extra gap between robot and object at the approach waypoint
@@ -143,11 +144,6 @@ def supervisor_action(spec, state):
     raise InvalidInputError(f"no supervisor for environment kind {spec.kind!r}")
 
 
-def _clip_norm(u, cap):
-    n = float(np.linalg.norm(u))
-    return u * (cap / n) if n > cap else u
-
-
 def generate_demos(spec, n, seed, jitter_sigma=0.0):
     """Roll out the supervisor n times (disturbance off) and collect demos.
 
@@ -171,7 +167,7 @@ def generate_demos(spec, n, seed, jitter_sigma=0.0):
         for t in range(spec.horizon):
             u = supervisor_action(spec, state)
             if jitter_sigma > 0.0:
-                u = _clip_norm(u + jitter_rng.normal(0.0, jitter_sigma, size=2), spec.u_max)
+                u = _clip_control(spec, u + jitter_rng.normal(0.0, jitter_sigma, size=2))
             res = step(spec, state, u, stream=None)
             if res.collided:
                 raise RuntimeError(
@@ -223,8 +219,8 @@ def save_demos(demos, path):
 def load_demos(path):
     trajectories = []
     try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
+        with open(path) as fh, malformed(f"malformed demo record in {path}"):
+            for line in fh:
                 line = line.strip()
                 if not line:
                     continue
@@ -239,8 +235,6 @@ def load_demos(path):
                 )
     except OSError as exc:
         raise InvalidInputError(f"cannot read demo file {path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise InvalidInputError(f"malformed demo record in {path}: {exc!r}") from exc
     if not trajectories:
         raise InvalidInputError(f"demo file {path} contains no trajectories")
     return DemoSet(trajectories=trajectories)

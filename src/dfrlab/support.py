@@ -7,8 +7,7 @@ time slices, and any region visited only during a small fraction of the
 horizon can fall below the nu quantile and be rejected outright.
 """
 
-from dataclasses import dataclass, field
-import json
+from dataclasses import dataclass
 import os
 
 import numpy as np
@@ -22,7 +21,7 @@ from .kernel_ocsvm import (
     save_model,
     train_ocsvm,
 )
-from .util import as_generator, atomic_write_text, dump_json
+from .util import atomic_write_text, dump_json, load_json, malformed
 
 
 @dataclass
@@ -91,13 +90,12 @@ class TimeVaryingSupport:
     """One estimator per demonstration time slice plus bookkeeping.
 
     projection is an index list selecting the state coordinates the
-    estimators were trained on; lipschitz holds a Lipschitz bound of each
-    slice's decision function.
+    estimators were trained on.  Each slice's Lipschitz bound is derived
+    from its estimator once, at construction.
     """
 
     estimators: list
     projection: np.ndarray
-    lipschitz: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.projection = np.asarray(self.projection, dtype=int)
@@ -108,10 +106,7 @@ class TimeVaryingSupport:
                     f"coordinates, the slice-{t} estimator expects {model.dim}"
                 )
         self._min_state_dim = int(self.projection.max()) + 1 if self.projection.size else 0
-        if self.lipschitz is None:
-            self.lipschitz = np.array([lipschitz_bound(e) for e in self.estimators])
-        else:
-            self.lipschitz = np.asarray(self.lipschitz, dtype=float)
+        self._lipschitz = [lipschitz_bound(e) for e in self.estimators]
 
     @property
     def horizon(self):
@@ -136,7 +131,7 @@ class TimeVaryingSupport:
         return _decision_sum(self.estimators[self.estimator_index(t)], x[self.projection])
 
     def lipschitz_at(self, t):
-        return float(self.lipschitz[self.estimator_index(t)])
+        return self._lipschitz[self.estimator_index(t)]
 
 
 def _resolve_projection(projection, state_dim):
@@ -189,7 +184,7 @@ def make_failure_demo(n_demos, T, seed):
     """
     if n_demos < 2 or T < 1:
         raise InvalidInputError(f"need n_demos >= 2 and T >= 1, got {n_demos}, {T}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     c0 = np.array([0.0, 0.0])
     c1 = np.array([10.0, 0.0])
     trajectories = []
@@ -204,6 +199,9 @@ def make_failure_demo(n_demos, T, seed):
 
 
 BUNDLE_FORMAT = "support-bundle"
+# Version 1 manifests also stored each slice's Lipschitz bound, which the
+# slice models determine; it is ignored on load.
+BUNDLE_VERSIONS = (1, 2)
 
 
 def save_support(support, directory):
@@ -212,10 +210,9 @@ def save_support(support, directory):
     first = support.estimators[0]
     manifest = {
         "format": BUNDLE_FORMAT,
-        "version": 1,
+        "version": 2,
         "horizon": support.horizon,
         "projection": support.projection.tolist(),
-        "lipschitz": [float(v) for v in support.lipschitz],
         "params": {"nu": float(first.nu), "gamma": float(first.kernel.gamma)},
         "slices": [f"slice_{t:03d}.json" for t in range(support.horizon)],
     }
@@ -226,18 +223,19 @@ def save_support(support, directory):
 
 def load_support(directory):
     manifest_path = os.path.join(directory, "manifest.json")
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"cannot read bundle manifest {manifest_path}: {exc}") from exc
+    manifest = load_json(manifest_path, "bundle manifest")
     if manifest.get("format") != BUNDLE_FORMAT:
         raise InvalidInputError(f"{manifest_path} is not a support bundle manifest")
-    estimators = [load_model(os.path.join(directory, name)) for name in manifest["slices"]]
-    if len(estimators) != manifest["horizon"]:
-        raise InvalidInputError("bundle manifest horizon disagrees with slice count")
-    return TimeVaryingSupport(
-        estimators=estimators,
-        projection=np.asarray(manifest["projection"], dtype=int),
-        lipschitz=np.asarray(manifest["lipschitz"], dtype=float),
-    )
+    if manifest.get("version") not in BUNDLE_VERSIONS:
+        raise InvalidInputError(
+            f"{manifest_path} has bundle version {manifest.get('version')!r}; "
+            f"expected one of {list(BUNDLE_VERSIONS)}"
+        )
+    with malformed(f"malformed bundle manifest {manifest_path}"):
+        estimators = [load_model(os.path.join(directory, name)) for name in manifest["slices"]]
+        if len(estimators) != manifest["horizon"]:
+            raise InvalidInputError("bundle manifest horizon disagrees with slice count")
+        return TimeVaryingSupport(
+            estimators=estimators,
+            projection=np.asarray(manifest["projection"], dtype=int),
+        )

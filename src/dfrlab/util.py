@@ -1,5 +1,6 @@
-"""Small shared helpers: RNG handling, vector norms, atomic file writes, stable JSON."""
+"""Small shared helpers: vector norms, JSON documents, atomic file writes."""
 
+import contextlib
 import json
 import math
 import os
@@ -7,12 +8,7 @@ import tempfile
 
 import numpy as np
 
-
-def as_generator(seed_or_rng):
-    """Return a numpy Generator. Accepts an int seed, a SeedSequence, or a Generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
+from .errors import InvalidInputError
 
 
 def vector_norm(v):
@@ -20,6 +16,30 @@ def vector_norm(v):
     overhead: the square root of v.dot(v), a BLAS dot product that may fuse
     multiply and add, so it can differ from sqrt(x*x + y*y) in the last bit."""
     return math.sqrt(v.dot(v))
+
+
+def load_json(path, what):
+    """The JSON object in the file at path; what names it in the error."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidInputError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"cannot read {what} {path}: not a JSON object")
+    return doc
+
+
+@contextlib.contextmanager
+def malformed(what):
+    """Turn a lookup, type or value error raised while decoding a document
+    into InvalidInputError naming what; an InvalidInputError passes as is."""
+    try:
+        yield
+    except InvalidInputError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what}: {exc!r}") from exc
 
 
 def dump_json(obj):

@@ -3,12 +3,17 @@ artifacts, exit codes, and config/flag precedence."""
 
 import csv
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from dfrlab.harness import ExperimentConfig, save_experiment_config
+from dfrlab.harness import (
+    ExperimentConfig,
+    experiment_config_to_document,
+    save_experiment_config,
+)
 
 SUBCOMMANDS = (
     "demos",
@@ -150,6 +155,62 @@ def test_bad_flag_value_exits_2(work, tmp_path):
     proc = run_cli("fit-support", "--demos", str(work["demos"]), "--nu", "2.0",
                    "--out", str(tmp_path / "sup"))
     assert proc.returncode == 2
+
+
+def _ragged_policy(work, d):
+    doc = json.loads(work["policy"].read_text())
+    doc["centers"][1] = doc["centers"][1][:3]
+    (d / "policy.json").write_text(json.dumps(doc))
+    return ("rollout", "--env", "point_push", "--controller", "baseline",
+            "--policy", str(d / "policy.json"))
+
+
+def _ragged_estimator(work, d):
+    bundle = d / "support"
+    shutil.copytree(work["support"], bundle)
+    doc = json.loads((bundle / "slice_000.json").read_text())
+    doc["support"][1][0] = doc["support"][1][0][:3]
+    (bundle / "slice_000.json").write_text(json.dumps(doc))
+    return ("rollout", "--env", "point_push", "--controller", "dfr",
+            "--support", str(bundle), "--policy", str(work["policy"]))
+
+
+def _manifest_without_slices(work, d):
+    (d / "manifest.json").write_text(json.dumps({"format": "support-bundle", "version": 2}))
+    return ("rollout", "--env", "point_push", "--controller", "dfr",
+            "--support", str(d), "--policy", str(work["policy"]))
+
+
+def _non_integer_demo_grid(work, d):
+    doc = experiment_config_to_document(ExperimentConfig())
+    doc["demo_grid"] = ["x"]
+    (d / "cfg.json").write_text(json.dumps(doc))
+    return ("exp-learning-curve", "--config", str(d / "cfg.json"), "--out", str(d / "run"))
+
+
+def _ragged_demo_states(work, d):
+    lines = work["demos"].read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["states"][1] = rec["states"][1][:3]
+    (d / "demos.jsonl").write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+    return ("fit-policy", "--demos", str(d / "demos.jsonl"), "--out", str(d / "p.json"))
+
+
+MALFORMED_INPUTS = {
+    "policy-ragged-centers": _ragged_policy,
+    "estimator-ragged-support-vectors": _ragged_estimator,
+    "bundle-manifest-without-slices": _manifest_without_slices,
+    "config-non-integer-demo-grid": _non_integer_demo_grid,
+    "demos-ragged-states": _ragged_demo_states,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_file_exits_2(work, tmp_path, case):
+    proc = run_cli(*MALFORMED_INPUTS[case](work, tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,7 @@ from dfrlab.controllers import (
     should_recover,
 )
 from dfrlab.envs import EnvHandle, EnvState, builtin_env_spec
-from dfrlab.errors import (
-    InvalidInputError,
-    OutsideSupportError,
-    UnsupportedOperationError,
-)
+from dfrlab.errors import InvalidInputError, OutsideSupportError
 from dfrlab.kernel_ocsvm import KernelParams, OcsvmModel
 from dfrlab.support import DemoSet, TimeVaryingSupport, Trajectory
 
@@ -176,8 +172,6 @@ def test_switch_config_validation():
         SwitchConfig(max_recovery_iters=0)
     with pytest.raises(InvalidInputError):
         SwitchConfig(lambda_mode="auto")
-    with pytest.raises(InvalidInputError):
-        SwitchConfig(fd_delta=0.0)
 
 
 def test_should_recover_boundary():
@@ -300,14 +294,6 @@ def test_oracle_step_zero_gradient_yields_zero(lt_handle):
     state = EnvState(vec=np.zeros(2), offset=0.0)  # at the peak, grad = 0
     u = finite_difference_oracle_step(lt_handle, support, 0, state, SwitchConfig())
     assert np.array_equal(u, np.zeros(2))
-
-
-def test_oracle_step_needs_preview(line_track_spec):
-    handle = EnvHandle(line_track_spec, supports_preview=False)
-    support = _radial_support()
-    state = EnvState(vec=np.array([1.0, 0.0]), offset=0.0)
-    with pytest.raises(UnsupportedOperationError):
-        finite_difference_oracle_step(handle, support, 0, state, SwitchConfig())
 
 
 # ---------------------------------------------------------------------------

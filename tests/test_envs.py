@@ -23,7 +23,7 @@ from dfrlab.envs import (
     robot_pos,
     step,
 )
-from dfrlab.errors import InvalidInputError, UnsupportedOperationError
+from dfrlab.errors import InvalidInputError
 
 
 def _pp_state(robot, obj, goal=(0.8, 0.5)):
@@ -217,16 +217,9 @@ def test_handle_step_ticks_stream_micro_step_does_not(line_track_spec):
     state = EnvState(vec=np.zeros(2), offset=0.0)
     before = stream.offset
     handle.micro_step(state, np.array([0.1, 0.0]))
-    handle.preview(state, np.array([0.1, 0.0]))
     assert stream.offset == before
     handle.step(state, np.array([0.1, 0.0]))
     assert stream.offset != before
-
-
-def test_preview_can_be_disabled(line_track_spec):
-    handle = EnvHandle(line_track_spec, supports_preview=False)
-    with pytest.raises(UnsupportedOperationError):
-        handle.preview(EnvState(vec=np.zeros(2)), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

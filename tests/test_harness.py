@@ -1,6 +1,8 @@
 """Rollout bookkeeping, outcome statistics, and the experiment runners at
 miniature sizes."""
 
+from importlib.resources import files
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from dfrlab.harness import (
     experiment_config_from_document,
     experiment_config_to_document,
     gates_all_passed,
+    load_experiment_config,
     proportion_margin_test,
     record_from_document,
     record_to_document,
@@ -302,6 +305,35 @@ def test_activation_traces_values_and_anchor(point_push_spec, pp_support, pp_pol
     assert traces[0][0] == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind, motions_per_iteration", [("dfr", 2), ("oracle", 1)])
+def test_activation_traces_later_iterations(
+    point_push_spec, pp_support, pp_policy, kind, motions_per_iteration
+):
+    # Iteration k >= 1 starts where iteration k - 1's recovery motion ended:
+    # applied[2k - 1] for dfr (probe, recovery pairs), applied[k - 1] for
+    # oracle (recovery motions only).
+    cfg = SwitchConfig(lam=0.05)
+    rec = None
+    for seed in range(60):
+        cand = rollout(point_push_spec, kind, pp_support, pp_policy, seed=seed, cfg=cfg)
+        if any(len(s.recovery) >= 2 for s in cand.steps):
+            rec = cand
+            break
+    assert rec is not None, f"no {kind} step with two iterations among the first 60 seeds"
+    traces = activation_traces(rec, pp_support, pp_policy, cfg, point_push_spec)
+    checked = 0
+    for step, vals in zip([s for s in rec.steps if s.recovery], traces):
+        for k in range(1, len(step.recovery)):
+            motion = step.applied[motions_per_iteration * k - 1]
+            assert motion.tag == "recovery"
+            ev = step.recovery[k]
+            assert pp_support.g_at(step.t, motion.state) == ev.g_before
+            u_hat = pp_policy.action(motion.state)
+            assert vals[k] == min(1.0, ev.g_before / (0.05 * float(np.linalg.norm(u_hat))))
+            checked += 1
+    assert checked >= 1
+
+
 def test_resample_trace_linear_interpolation():
     assert np.allclose(resample_trace([0.0, 1.0], 3), [0.0, 0.5, 1.0], atol=1e-15)
     assert np.array_equal(resample_trace([0.7], 5), np.full(5, 0.7))
@@ -338,6 +370,22 @@ def test_experiment_config_document_round_trip():
     )
     doc = experiment_config_to_document(cfg)
     assert experiment_config_from_document(doc) == cfg
+
+
+def test_experiment_config_rejects_unknown_keys():
+    doc = experiment_config_to_document(ExperimentConfig())
+    doc["lamda"] = 0.07
+    with pytest.raises(InvalidInputError, match="lamda"):
+        experiment_config_from_document(doc)
+
+
+def test_shipped_configs_load():
+    paths = sorted(p for p in files("dfrlab").joinpath("data").iterdir()
+                   if p.name.startswith("exp_"))
+    assert len(paths) == 4
+    for path in paths:
+        cfg = load_experiment_config(str(path))
+        assert experiment_config_from_document(experiment_config_to_document(cfg)) == cfg
 
 
 def test_config_document_wins_over_overrides():

@@ -1,11 +1,13 @@
 """Time-sliced support estimation: slicing, projection, the pooled-vs-sliced
 failure construction, and bundle serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
 from dfrlab.errors import InsufficientDataError, InvalidInputError
-from dfrlab.kernel_ocsvm import KernelParams, OcsvmParams, decision_value
+from dfrlab.kernel_ocsvm import KernelParams, OcsvmParams, decision_value, lipschitz_bound
 from dfrlab.support import (
     DemoSet,
     TimeVaryingSupport,
@@ -172,4 +174,41 @@ def test_bundle_round_trip(tmp_path, small_demos, rng):
 def test_load_support_rejects_non_bundle(tmp_path):
     (tmp_path / "manifest.json").write_text('{"format": "nope"}')
     with pytest.raises(InvalidInputError, match="not a support bundle"):
+        load_support(tmp_path)
+
+
+def test_bundle_round_trip_keeps_lipschitz_bounds(tmp_path, small_demos):
+    sup = fit_time_varying(small_demos, _params())
+    save_support(sup, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["version"] == 2
+    assert "lipschitz" not in manifest
+    back = load_support(tmp_path)
+    for t in range(sup.horizon):
+        assert back.lipschitz_at(t) == sup.lipschitz_at(t)
+
+
+def test_version_1_bundle_still_loads(tmp_path, small_demos, rng):
+    sup = fit_time_varying(small_demos, _params())
+    save_support(sup, tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["version"] = 1
+    manifest["lipschitz"] = [lipschitz_bound(e) for e in sup.estimators]
+    path.write_text(json.dumps(manifest))
+    back = load_support(tmp_path)
+    for t in range(sup.horizon):
+        assert back.lipschitz_at(t) == sup.lipschitz_at(t)
+        x = rng.normal(size=2) + 5.0
+        assert back.g_at(t, x) == sup.g_at(t, x)
+
+
+@pytest.mark.parametrize("version", [0, 3, "2", None])
+def test_unknown_bundle_version_is_rejected(tmp_path, small_demos, version):
+    save_support(fit_time_varying(small_demos, _params()), tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["version"] = version
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(InvalidInputError, match="bundle version"):
         load_support(tmp_path)
