@@ -2,16 +2,15 @@
 # # A tour of the pushing environment
 #
 # point_push is a planar quasi-static world: a disc robot pushes a disc
-# object toward a goal region between two keep-out discs.  The state is six
-# numbers (robot, object, goal positions); motion happens only while the
-# robot commands it, and one step can move the state by at most twice the
-# commanded control norm (robot motion plus an equal object push).
+# object toward a goal region between two keep-out discs.  The state is an
+# array of six numbers (robot, object, goal positions); motion happens only
+# while the robot commands it, and one step can move the state by at most
+# twice the commanded control norm (robot motion plus an equal object push).
 
 # %%
 import numpy as np
 
 from dfrlab.envs import (
-    EnvState,
     builtin_env_spec,
     check_constraint,
     object_pos,
@@ -34,10 +33,10 @@ print(f"keep-out discs: {spec.constraint_regions}")
 # contact therefore transfers motion one-to-one.
 
 # %%
-state = EnvState(vec=np.array([0.42, 0.5, 0.5, 0.5, 0.8, 0.5]))
-res = step(spec, state, np.array([0.02, 0.0]))
-print(f"robot  {robot_pos(state)} -> {robot_pos(res.next_state)}")
-print(f"object {object_pos(state)} -> {object_pos(res.next_state)}  (pushed 0.02)")
+state = np.array([0.42, 0.5, 0.5, 0.5, 0.8, 0.5])
+nxt = step(spec, state, np.array([0.02, 0.0]))
+print(f"robot  {robot_pos(state)} -> {robot_pos(nxt)}")
+print(f"object {object_pos(state)} -> {object_pos(nxt)}  (pushed 0.02)")
 
 # %% [markdown]
 # ## The scripted supervisor
@@ -88,7 +87,7 @@ print("\n".join("".join(row) for row in grid))
 # environment, the platform drift).
 
 # %%
-starts = np.stack([reset(spec, s).vec for s in range(200)])
+starts = np.stack([reset(spec, s) for s in range(200)])
 print("object start x range:", starts[:, 2].min().round(3), "-", starts[:, 2].max().round(3))
 print("object start y range:", starts[:, 3].min().round(3), "-", starts[:, 3].max().round(3))
 print("robot start fixed at:", starts[0, :2])

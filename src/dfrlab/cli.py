@@ -10,7 +10,6 @@ flags only fill fields the file omits.
 """
 
 import argparse
-import os
 import sys
 
 from .controllers import (
@@ -50,6 +49,14 @@ def _parse_projection(text):
     if not indices:
         raise InvalidInputError("projection must name at least one coordinate")
     return indices
+
+
+def _jobs(text):
+    """--jobs value: a worker count of at least 1."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
 
 
 def _cmd_demos(args):
@@ -145,10 +152,9 @@ def _add_experiment_parser(sub, command, runner, help_text):
     )
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1,
-        help="rollout worker processes",
-    )
+    # Serial by default: on a two-core machine the shipped learning curve ran
+    # 1.3-1.6x slower at --jobs 2 than at --jobs 1, with identical records.
+    p.add_argument("--jobs", type=_jobs, default=1, help="rollout worker processes")
     p.add_argument(
         "--trials", type=int, default=None,
         help="trial count when the config omits it (the config file wins)",

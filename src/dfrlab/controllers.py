@@ -5,9 +5,11 @@ demonstrated control, with a bias feature, output clipped to the largest
 control norm seen in the demos.
 
 The controllers share one interface, step(handle, support, policy, t, state,
-rng, g=None), where g is g_t(state) when the caller already holds it (the
-controllers that need it evaluate it otherwise; the others ignore it).
-CONTROLLERS maps each kind to its class:
+rng, g=None), where state is the state vector and g is g_t(state) when the
+caller already holds it (the controllers that need it evaluate it otherwise;
+the others ignore it).  step returns the StepRecord of the horizon step; the
+next state is its last applied record's state.  CONTROLLERS maps each kind
+to its class:
 
 * baseline: always apply the learned policy.
 * es (early stop): apply the policy until the switching rule first trips,
@@ -36,7 +38,7 @@ import warnings
 
 import numpy as np
 
-from .envs import dynamics_constant
+from . import envs
 from .errors import InvalidInputError, OutsideSupportError
 from .supervisor import supervisor_action
 from .util import atomic_write_text, dump_json, float_list, load_json, malformed, vector_norm
@@ -236,13 +238,11 @@ def effective_lambda(cfg, support, t, spec):
     """The threshold scale for time t: manual lam, or per-slice L_t * K."""
     if cfg.lambda_mode == "manual":
         return cfg.lam
-    return support.lipschitz_at(t) * dynamics_constant(spec)
+    return support.lipschitz_at(t) * envs.dynamics_constant(spec)
 
 
-def should_recover(g_value, u_hat, cfg, lam=None):
+def should_recover(g_value, u_hat, lam):
     """True iff g <= lambda * ||u_hat|| (zero control at positive g is safe)."""
-    if lam is None:
-        lam = cfg.lam
     return bool(g_value <= lam * vector_norm(np.asarray(u_hat, dtype=float)))
 
 
@@ -269,8 +269,23 @@ class AppliedRecord:
     reached: bool
 
 
-def _applied(u, res, tag):
-    return AppliedRecord(u, tag, res.next_state.vec, res.collided, res.reached_goal)
+@dataclass
+class StepRecord:
+    """One horizon step: its controls, decision value, and recovery iterations."""
+
+    t: int
+    g: float  # decision value at step start; None when no support was consulted
+    applied: list  # AppliedRecord per applied control, in order
+    recovery: list = field(default_factory=list)  # RecoveryStep per iteration
+    halted: bool = False
+
+
+def _applied(spec, u, state, tag):
+    """The record of control u, which moved the episode to state.  The
+    predicates are looked up on envs at each call, so a wrapper installed
+    there (perfbench's tracer) sees them."""
+    return AppliedRecord(u, tag, state, not envs.check_constraint(spec, state),
+                         envs.reached_goal(spec, state))
 
 
 def _recovery_magnitudes(cfg, g_before, lam):
@@ -280,24 +295,22 @@ def _recovery_magnitudes(cfg, g_before, lam):
     return radius, eta_mag
 
 
-def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam=None, g_before=None):
+def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before):
     """One derivative-free ascent iteration at frozen time index t.
 
     Probe a random direction with magnitude epsilon * g / lambda; if the
     decision value did not improve, flip the direction; then take the
     recovery step of magnitude min(eta, (1 - epsilon) * g / lambda).  The
     two commanded magnitudes sum to at most g / lambda, which in certified
-    mode bounds the worst-case decision drop by g itself.  g_before is the
-    decision value at state, evaluated here when the caller does not pass it.
+    mode bounds the worst-case decision drop by g itself.  lam is the
+    threshold scale at t and g_before the decision value at state.
 
     Both motions are applied for real through micro_step: they commit state,
     but being recovery-rate actions they happen between horizon ticks, so an
-    attached disturbance stream does not advance.
+    attached disturbance stream does not advance.  Returns the RecoveryStep
+    and the two AppliedRecords; the second one's state is where the
+    iteration ends.
     """
-    if lam is None:
-        lam = cfg.lam
-    if g_before is None:
-        g_before = support.g_at(t, state.vec)
     if g_before <= 0.0:
         raise OutsideSupportError(
             f"recovery requested outside the estimated support (g={g_before:.3g} at t={t})",
@@ -313,14 +326,14 @@ def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam=None, g_befo
     radius, eta_mag = _recovery_magnitudes(cfg, g_before, lam)
 
     u_delta = radius * direction
-    res_probe = handle.micro_step(state, u_delta)
-    g_probe = support.g_at(t, res_probe.next_state.vec)
+    x_probe = handle.micro_step(state, u_delta)
+    g_probe = support.g_at(t, x_probe)
     flipped = g_probe <= g_before
     if flipped:
         direction = -direction
     u_rec = eta_mag * direction
-    res_rec = handle.micro_step(res_probe.next_state, u_rec)
-    g_after = support.g_at(t, res_rec.next_state.vec)
+    x_rec = handle.micro_step(x_probe, u_rec)
+    g_after = support.g_at(t, x_rec)
     rec = RecoveryStep(
         u_delta=u_delta,
         u_recovery=u_rec,
@@ -329,65 +342,54 @@ def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam=None, g_befo
         g_after=float(g_after),
         flipped=bool(flipped),
     )
-    applied = [_applied(u_delta, res_probe, "probe"), _applied(u_rec, res_rec, "recovery")]
-    return rec, res_rec.next_state, applied
+    spec = handle.spec
+    return rec, [_applied(spec, u_delta, x_probe, "probe"),
+                 _applied(spec, u_rec, x_rec, "recovery")]
 
 
-def finite_difference_oracle_step(handle, support, t, state, cfg, lam=None, g_before=None):
+def finite_difference_oracle_step(handle, support, t, state, cfg, lam, g_before):
     """Recovery control from central differences over simulated probe steps.
 
     Estimates d g / d u per control axis from simulated micro_steps of
-    +-FD_DELTA (their results are discarded, so the episode does not
+    +-FD_DELTA (their states are discarded, so the episode does not
     advance), then steps eta along the normalized gradient.  A zero gradient
-    yields a zero control.  g_before is the decision value at state,
-    evaluated here when the caller does not pass it.
+    yields a zero control.  lam is the threshold scale at t and g_before the
+    decision value at state.
     """
-    if lam is None:
-        lam = cfg.lam
-    g0 = support.g_at(t, state.vec) if g_before is None else g_before
-    if g0 <= 0.0:
+    if g_before <= 0.0:
         raise OutsideSupportError(
-            f"recovery requested outside the estimated support (g={g0:.3g} at t={t})",
+            f"recovery requested outside the estimated support (g={g_before:.3g} at t={t})",
             t=t,
-            g_value=g0,
+            g_value=g_before,
         )
     grad = np.zeros(2)
     for axis in range(2):
         probe = np.zeros(2)
         probe[axis] = FD_DELTA
-        g_plus = support.g_at(t, handle.micro_step(state, probe).next_state.vec)
-        g_minus = support.g_at(t, handle.micro_step(state, -probe).next_state.vec)
+        g_plus = support.g_at(t, handle.micro_step(state, probe))
+        g_minus = support.g_at(t, handle.micro_step(state, -probe))
         grad[axis] = (g_plus - g_minus) / (2.0 * FD_DELTA)
     norm = vector_norm(grad)
     if norm < 1e-12:
         return np.zeros(2)
-    _, eta_mag = _recovery_magnitudes(cfg, g0, lam)
+    _, eta_mag = _recovery_magnitudes(cfg, g_before, lam)
     return eta_mag * grad / norm
 
 
 def _oracle_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before):
     """One oracle iteration, shaped like dfr_recovery_iteration: the finite-
     difference control applied once through micro_step.  rng is unused."""
-    u_rec = finite_difference_oracle_step(handle, support, t, state, cfg, lam=lam,
-                                          g_before=g_before)
-    res = handle.micro_step(state, u_rec)
+    u_rec = finite_difference_oracle_step(handle, support, t, state, cfg, lam, g_before)
+    x_rec = handle.micro_step(state, u_rec)
     rec = RecoveryStep(
         u_delta=np.zeros(2),
         u_recovery=u_rec,
         g_before=float(g_before),
         g_probe=float(g_before),
-        g_after=float(support.g_at(t, res.next_state.vec)),
+        g_after=float(support.g_at(t, x_rec)),
         flipped=False,
     )
-    return rec, res.next_state, [_applied(u_rec, res, "recovery")]
-
-
-@dataclass
-class CtrlStep:
-    applied: list  # AppliedRecord per applied control, in order
-    state: object  # EnvState
-    halted: bool = False
-    recovery_steps: list = field(default_factory=list)  # RecoveryStep per iteration
+    return rec, [_applied(handle.spec, u_rec, x_rec, "recovery")]
 
 
 class Controller:
@@ -409,9 +411,8 @@ class BaselineController(Controller):
     uses_support = False
 
     def step(self, handle, support, policy, t, state, rng, g=None):
-        u = policy.action(state.vec)
-        res = handle.step(state, u)
-        return CtrlStep(applied=[_applied(u, res, "policy")], state=res.next_state)
+        u = policy.action(state)
+        return StepRecord(t, g, [_applied(handle.spec, u, handle.step(state, u), "policy")])
 
 
 class EarlyStopController(Controller):
@@ -425,18 +426,17 @@ class EarlyStopController(Controller):
 
     def step(self, handle, support, policy, t, state, rng, g=None):
         if not self.triggered:
-            u_hat = policy.action(state.vec)
+            u_hat = policy.action(state)
             lam = effective_lambda(self.cfg, support, t, handle.spec)
             if g is None:
-                g = support.g_at(t, state.vec)
-            if should_recover(g, u_hat, self.cfg, lam=lam):
+                g = support.g_at(t, state)
+            if should_recover(g, u_hat, lam):
                 self.triggered = True
         if self.triggered:
-            u = np.zeros(2)
-            res = handle.step(state, u)
-            return CtrlStep(applied=[_applied(u, res, "zero")], state=res.next_state)
-        res = handle.step(state, u_hat)
-        return CtrlStep(applied=[_applied(u_hat, res, "policy")], state=res.next_state)
+            u, tag = np.zeros(2), "zero"
+        else:
+            u, tag = u_hat, "policy"
+        return StepRecord(t, g, [_applied(handle.spec, u, handle.step(state, u), tag)])
 
 
 class RecoveryController(Controller):
@@ -447,35 +447,30 @@ class RecoveryController(Controller):
     def recover(self, iteration, handle, support, policy, t, state, rng, g=None):
         cfg = self.cfg
         lam = effective_lambda(cfg, support, t, handle.spec)
-        applied = []
-        recovery_steps = []
         if g is None:
-            g = support.g_at(t, state.vec)
+            g = support.g_at(t, state)
         if g < 0.0:
             raise OutsideSupportError(
                 f"state outside the estimated support (g={g:.3g} at t={t})",
                 t=t,
                 g_value=g,
             )
-        u_hat = policy.action(state.vec)
-        while should_recover(g, u_hat, cfg, lam=lam):
-            if len(recovery_steps) >= cfg.max_recovery_iters:
-                return CtrlStep(applied=applied, state=state, halted=True,
-                                recovery_steps=recovery_steps)
-            rec, state, motions = iteration(
-                handle, support, t, state, cfg, rng, lam=lam, g_before=g
-            )
-            recovery_steps.append(rec)
-            applied.extend(motions)
+        out = StepRecord(t, g, [])
+        u_hat = policy.action(state)
+        while should_recover(g, u_hat, lam):
+            if len(out.recovery) >= cfg.max_recovery_iters:
+                out.halted = True
+                return out
+            rec, motions = iteration(handle, support, t, state, cfg, rng, lam, g)
+            out.recovery.append(rec)
+            out.applied.extend(motions)
             if any(a.collided or a.reached for a in motions):
-                return CtrlStep(applied=applied, state=state,
-                                recovery_steps=recovery_steps)
+                return out
+            state = motions[-1].state
             g = rec.g_after
-            u_hat = policy.action(state.vec)
-        res = handle.step(state, u_hat)
-        applied.append(_applied(u_hat, res, "policy"))
-        return CtrlStep(applied=applied, state=res.next_state,
-                        recovery_steps=recovery_steps)
+            u_hat = policy.action(state)
+        out.applied.append(_applied(handle.spec, u_hat, handle.step(state, u_hat), "policy"))
+        return out
 
 
 class DfrController(RecoveryController):
@@ -505,8 +500,7 @@ class SupervisorController(Controller):
 
     def step(self, handle, support, policy, t, state, rng, g=None):
         u = supervisor_action(handle.spec, state)
-        res = handle.step(state, u)
-        return CtrlStep(applied=[_applied(u, res, "policy")], state=res.next_state)
+        return StepRecord(t, g, [_applied(handle.spec, u, handle.step(state, u), "policy")])
 
 
 CONTROLLERS = {

@@ -1,6 +1,7 @@
 """Two 2D quasi-static environments: disc pushing and line tracking.
 
-Both expose the same surface: reset, a pure step function (state in, state
+A state is a float vector (np.ndarray).  Both environments expose the same
+surface: reset, a pure step function (state vector in, next state vector
 out), a constraint predicate, and a dynamics constant K such that a single
 applied control u moves the state vector by at most K * ||u|| (plus the
 disturbance amplitude where a disturbance is enabled).
@@ -119,24 +120,6 @@ class PushGeometry:
     goal: tuple  # (gx, gy, goal_radius)
 
 
-@dataclass(frozen=True)
-class EnvState:
-    """State vector plus, for LineTrack, the platform offset of the disturbance."""
-
-    vec: np.ndarray
-    offset: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "vec", np.asarray(self.vec, dtype=float))
-
-
-@dataclass(frozen=True)
-class StepResult:
-    next_state: EnvState
-    collided: bool
-    reached_goal: bool
-
-
 class DisturbanceStream:
     """Seeded reflected-random-walk generator for the platform offset."""
 
@@ -161,15 +144,15 @@ class DisturbanceStream:
 
 
 def robot_pos(state):
-    return state.vec[0:2]
+    return state[0:2]
 
 
 def object_pos(state):
-    return state.vec[2:4]
+    return state[2:4]
 
 
 def goal_pos(state):
-    return state.vec[4:6]
+    return state[4:6]
 
 
 def _dist(dx, dy):
@@ -181,22 +164,22 @@ def _dist(dx, dy):
 def check_constraint(spec, state):
     """True iff the state violates no constraint (boundary counts as violating)."""
     if spec.kind == POINT_PUSH:
-        rx, ry, ox, oy = state.vec[:4].tolist()
+        rx, ry, ox, oy = state[:4].tolist()
         for cx, cy, robot_reach, object_reach in spec.push.keep_out:
             if _dist(rx - cx, ry - cy) <= robot_reach:
                 return False
             if _dist(ox - cx, oy - cy) <= object_reach:
                 return False
         return True
-    return abs(state.vec[1]) < spec.deviation_limit
+    return abs(state[1]) < spec.deviation_limit
 
 
 def reached_goal(spec, state):
     if spec.kind == POINT_PUSH:
         gx, gy, radius = spec.push.goal
-        ox, oy = state.vec[2:4].tolist()
+        ox, oy = state[2:4].tolist()
         return _dist(ox - gx, oy - gy) <= radius
-    return bool(state.vec[0] >= spec.goal_progress)
+    return bool(state[0] >= spec.goal_progress)
 
 
 def dynamics_constant(spec):
@@ -210,16 +193,15 @@ def reset(spec, seed):
         rng = np.random.default_rng(seed)
         (lo_x, lo_y), (hi_x, hi_y) = spec.object_start_box
         obj = np.array([rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y)])
-        vec = np.concatenate([np.asarray(spec.robot_start, dtype=float), obj,
-                              np.asarray(spec.goal_center, dtype=float)])
-        state = EnvState(vec=vec)
+        state = np.concatenate([np.asarray(spec.robot_start, dtype=float), obj,
+                                np.asarray(spec.goal_center, dtype=float)])
         if not check_constraint(spec, state):
             raise InvalidInputError("point_push start geometry violates a constraint region")
         gap = np.linalg.norm(obj - robot_pos(state)) - (spec.robot_radius + spec.object_radius)
         if gap <= 0.0:
             raise InvalidInputError("point_push start has robot and object overlapping")
         return state
-    return EnvState(vec=np.zeros(2), offset=0.0)
+    return np.zeros(2)
 
 
 def _clip_control(spec, u):
@@ -233,17 +215,18 @@ def _clip_control(spec, u):
 
 
 def step(spec, state, u, stream=None):
-    """Apply one control; pure given the stream argument.
+    """Apply one control and return the next state; pure given the stream.
 
     With stream=None the step is disturbance-free and deterministic, which is
-    also how simulated probe steps are computed.
+    also how simulated probe steps are computed.  The stream, not the state,
+    keeps the platform offset.
     """
     u = _clip_control(spec, u)
     if spec.kind == POINT_PUSH:
         geo = spec.push
         lo_x, lo_y, hi_x, hi_y = geo.box
         ux, uy = u.tolist()
-        rx, ry, ox, oy, gx, gy = state.vec.tolist()
+        rx, ry, ox, oy, gx, gy = state.tolist()
         # np.clip's comparisons, in its order, so signed zeros agree too
         rx += ux
         ry += uy
@@ -263,16 +246,9 @@ def step(spec, state, u, stream=None):
                 nx, ny = (ux / un, uy / un) if un > 0 else (1.0, 0.0)
             ox += depth * nx
             oy += depth * ny
-        nxt = EnvState(vec=np.array((rx, ry, ox, oy, gx, gy)))
-    else:
-        delta = stream.increment() if stream is not None else 0.0
-        vec = np.array([state.vec[0] + u[0], state.vec[1] + u[1] - delta])
-        nxt = EnvState(vec=vec, offset=state.offset + delta)
-    return StepResult(
-        next_state=nxt,
-        collided=not check_constraint(spec, nxt),
-        reached_goal=reached_goal(spec, nxt),
-    )
+        return np.array((rx, ry, ox, oy, gx, gy))
+    delta = stream.increment() if stream is not None else 0.0
+    return np.array([state[0] + u[0], state[1] + u[1] - delta])
 
 
 def random_state(spec, rng):
@@ -282,8 +258,7 @@ def random_state(spec, rng):
         for _ in range(10_000):
             r = rng.uniform(lo, hi)
             o = rng.uniform(lo, hi)
-            vec = np.concatenate([r, o, np.asarray(spec.goal_center, dtype=float)])
-            state = EnvState(vec=vec)
+            state = np.concatenate([r, o, np.asarray(spec.goal_center, dtype=float)])
             if not check_constraint(spec, state):
                 continue
             if np.linalg.norm(o - r) <= spec.robot_radius + spec.object_radius:
@@ -292,14 +267,14 @@ def random_state(spec, rng):
         raise RuntimeError("rejection sampling failed to find a valid state")
     x = rng.uniform(0.0, spec.goal_progress)
     y = rng.uniform(-spec.deviation_limit, spec.deviation_limit)
-    return EnvState(vec=np.array([x, y]), offset=0.0)
+    return np.array([x, y])
 
 
 class EnvHandle:
     """An environment plus its (optional) disturbance stream.
 
     step advances the real episode and ticks the stream; micro_step applies
-    a control with the stream held still.
+    a control with the stream held still.  Both return the next state.
     """
 
     def __init__(self, spec, stream=None):

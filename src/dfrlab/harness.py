@@ -37,6 +37,7 @@ from .controllers import (
     CONTROLLERS,
     AppliedRecord,
     RecoveryStep,
+    StepRecord,
     SwitchConfig,
     PolicyConfig,
     effective_lambda,
@@ -46,7 +47,6 @@ from .controllers import (
 from .envs import (
     DisturbanceStream,
     EnvHandle,
-    EnvState,
     check_constraint,
     load_env_spec,
     reached_goal,
@@ -115,17 +115,6 @@ def proportion_margin_test(k_hi, n_hi, k_lo, n_lo, margin, z=Z_ONE_SIDED_95):
 
 
 @dataclass
-class StepRecord:
-    """One horizon step: its controls, decision value, and recovery iterations."""
-
-    t: int
-    g: float  # decision value at step start; None when no support was consulted
-    applied: list
-    recovery: list
-    halted: bool = False
-
-
-@dataclass
 class RolloutRecord:
     """Full audit trail of one episode.
 
@@ -158,11 +147,11 @@ class RolloutRecord:
 def classify_outcome(record, spec):
     """Recompute the outcome from the stored state sequence alone."""
     states = record.state_sequence()
-    for vec in states:
-        if not check_constraint(spec, EnvState(vec=vec)):
+    for state in states:
+        if not check_constraint(spec, state):
             return COLLIDED
-    for vec in states:
-        if reached_goal(spec, EnvState(vec=vec)):
+    for state in states:
+        if reached_goal(spec, state):
             return COMPLETED
     return HALTED
 
@@ -302,7 +291,7 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
 
     t_start = time.perf_counter()
     state = reset(spec, reset_ss)
-    start_state = state.vec.copy()
+    start_state = state.copy()
     steps = []
     g_seen = []
     n_recovery = 0
@@ -312,7 +301,7 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
 
     gate_g = None
     if support is not None:
-        gate_g = support.g_at(0, state.vec)
+        gate_g = support.g_at(0, state)
         g_seen.append(gate_g)
     if ctrl.uses_support and gate_g < 0.0:
         outcome = HALTED
@@ -321,11 +310,11 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
     if outcome is None:
         for t in range(spec.horizon):
             t_end = t
-            g_start = support.g_at(t, state.vec) if support is not None else None
+            g_start = support.g_at(t, state) if support is not None else None
             if g_start is not None:
                 g_seen.append(g_start)
             try:
-                cs = ctrl.step(handle, support, policy, t, state, rng, g=g_start)
+                step = ctrl.step(handle, support, policy, t, state, rng, g=g_start)
             except OutsideSupportError as exc:
                 # Escape without contact: no constraint was violated, so the
                 # episode halts.  The offending decision value still counts
@@ -335,13 +324,12 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
                 outcome = HALTED
                 halt_reason = "outside-support"
                 break
-            for r in cs.recovery_steps:
+            for r in step.recovery:
                 g_seen.extend((r.g_before, r.g_probe, r.g_after))
-            n_recovery += len(cs.recovery_steps)
-            steps.append(StepRecord(t=t, g=g_start, applied=cs.applied,
-                                    recovery=cs.recovery_steps, halted=cs.halted))
-            state = cs.state
-            for a in cs.applied:
+            n_recovery += len(step.recovery)
+            steps.append(step)
+            state = step.applied[-1].state
+            for a in step.applied:
                 if a.collided:
                     outcome = COLLIDED
                     break
@@ -350,7 +338,7 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
                     break
             if outcome is not None:
                 break
-            if cs.halted:
+            if step.halted:
                 outcome = HALTED
                 halt_reason = "recovery-cap"
                 break
@@ -364,7 +352,7 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
     # estimator, a pair the episode never occupied.
     g_final = None
     if support is not None:
-        g_final = support.g_at(t_end + 1, state.vec) if steps else gate_g
+        g_final = support.g_at(t_end + 1, state) if steps else gate_g
     wall = time.perf_counter() - t_start
 
     record = RolloutRecord(

@@ -18,6 +18,7 @@ import json
 
 import numpy as np
 
+from . import envs
 from .envs import (
     LINE_TRACK,
     POINT_PUSH,
@@ -130,7 +131,7 @@ def _point_push_action(spec, state):
 
 
 def _line_track_action(spec, state):
-    if state.vec[0] >= spec.goal_progress:
+    if state[0] >= spec.goal_progress:
         return np.zeros(2)
     return np.array([spec.nominal_step, 0.0])
 
@@ -161,22 +162,23 @@ def generate_demos(spec, n, seed, jitter_sigma=0.0):
         reset_seq, jitter_seq = np.random.SeedSequence(tseed).spawn(2)
         state = reset(spec, reset_seq)
         jitter_rng = np.random.default_rng(jitter_seq)
-        states = [state.vec.copy()]
+        states = [state]
         controls = []
         reached = False
         for t in range(spec.horizon):
             u = supervisor_action(spec, state)
             if jitter_sigma > 0.0:
                 u = _clip_control(spec, u + jitter_rng.normal(0.0, jitter_sigma, size=2))
-            res = step(spec, state, u, stream=None)
-            if res.collided:
+            state = step(spec, state, u, stream=None)
+            # looked up on envs, as in controllers._applied
+            if not envs.check_constraint(spec, state):
                 raise RuntimeError(
                     f"supervisor rollout {k} (seed {tseed}) touched a constraint "
                     f"region at step {t}; fix the supervisor or the geometry"
                 )
-            reached = reached or res.reached_goal
-            state = res.next_state
-            states.append(state.vec.copy())
+            if envs.reached_goal(spec, state):
+                reached = True
+            states.append(state)
             controls.append(np.asarray(u, dtype=float))
         if not reached:
             raise RuntimeError(

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from dfrlab.cli import build_parser
 from dfrlab.harness import (
     ExperimentConfig,
     experiment_config_to_document,
@@ -270,6 +271,23 @@ def test_flags_fill_omitted_config_fields(tmp_path):
     assert proc.returncode == 4
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["eval_samples"] == 3
+
+
+@pytest.mark.parametrize("command", ("exp-learning-curve", "exp-ascent", "exp-disturbance"))
+def test_jobs_defaults_to_serial(command):
+    args = build_parser().parse_args([command, "--config", "c.json", "--out", "run"])
+    assert args.jobs == 1
+
+
+def test_jobs_below_one_exits_2(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    _null_disturbance_config(cfg_path)
+    out = tmp_path / "run"
+    proc = run_cli("exp-disturbance", "--config", str(cfg_path), "--out", str(out),
+                   "--jobs", "0")
+    assert proc.returncode == 2
+    assert "--jobs: must be at least 1" in proc.stderr
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dfrlab.controllers import (
     save_policy,
     should_recover,
 )
-from dfrlab.envs import EnvHandle, EnvState, builtin_env_spec
+from dfrlab.envs import EnvHandle, builtin_env_spec
 from dfrlab.errors import InvalidInputError, OutsideSupportError
 from dfrlab.kernel_ocsvm import KernelParams, OcsvmModel
 from dfrlab.support import DemoSet, TimeVaryingSupport, Trajectory
@@ -175,12 +175,11 @@ def test_switch_config_validation():
 
 
 def test_should_recover_boundary():
-    cfg = SwitchConfig(lam=0.5)
     u = np.array([1.0, 0.0])
-    assert should_recover(0.5, u, cfg)  # boundary triggers
-    assert not should_recover(0.5 + 1e-12, u, cfg)
+    assert should_recover(0.5, u, 0.5)  # boundary triggers
+    assert not should_recover(0.5 + 1e-12, u, 0.5)
     # a zero commanded control is always safe at positive g
-    assert not should_recover(1e-9, np.zeros(2), cfg)
+    assert not should_recover(1e-9, np.zeros(2), 0.5)
 
 
 def test_effective_lambda_modes(line_track_spec):
@@ -214,17 +213,17 @@ def test_recovery_iteration_magnitudes_and_audit(lt_handle):
     cfg = SwitchConfig(lam=1.0, epsilon=0.1)
     x0 = np.array([1.0, 0.0])
     g0 = _g(support, x0)
-    state = EnvState(vec=x0.copy(), offset=0.0)
-    rec, nxt, applied = dfr_recovery_iteration(
-        lt_handle, support, 0, state, cfg, np.random.default_rng(0)
+    rec, applied = dfr_recovery_iteration(
+        lt_handle, support, 0, x0.copy(), cfg, np.random.default_rng(0), 1.0, g0
     )
+    nxt = applied[-1].state
     assert rec.g_before == pytest.approx(g0, abs=1e-15)
     assert np.linalg.norm(rec.u_delta) == pytest.approx(0.1 * g0, abs=1e-12)
     assert np.linalg.norm(rec.u_recovery) == pytest.approx(0.45 * g0, abs=1e-12)
     # the two motions commute through micro_step into plain vector addition
-    assert np.allclose(nxt.vec, x0 + rec.u_delta + rec.u_recovery, atol=1e-15)
+    assert np.allclose(nxt, x0 + rec.u_delta + rec.u_recovery, atol=1e-15)
     assert rec.g_probe == pytest.approx(_g(support, x0 + rec.u_delta), abs=1e-15)
-    assert rec.g_after == pytest.approx(_g(support, nxt.vec), abs=1e-15)
+    assert rec.g_after == pytest.approx(_g(support, nxt), abs=1e-15)
     assert [a.tag for a in applied] == ["probe", "recovery"]
 
 
@@ -232,11 +231,11 @@ def test_recovery_iteration_flip_semantics(lt_handle):
     support = _radial_support()
     cfg = SwitchConfig(lam=1.0, epsilon=0.1)
     x0 = np.array([1.0, 0.0])
+    g0 = _g(support, x0)
     saw_flip = saw_keep = False
     for seed in range(40):
-        state = EnvState(vec=x0.copy(), offset=0.0)
-        rec, _, _ = dfr_recovery_iteration(
-            lt_handle, support, 0, state, cfg, np.random.default_rng(seed)
+        rec, _ = dfr_recovery_iteration(
+            lt_handle, support, 0, x0.copy(), cfg, np.random.default_rng(seed), 1.0, g0
         )
         dot = float(rec.u_delta @ rec.u_recovery)
         if rec.flipped:
@@ -250,25 +249,27 @@ def test_recovery_iteration_flip_semantics(lt_handle):
     assert saw_flip and saw_keep
 
 
-def test_recovery_budget_never_exceeds_g_over_lambda(lt_handle):
+def test_recovery_budget_never_exceeds_g_over_lambda(lt_handle, line_track_spec):
     support = _radial_support()
     x0 = np.array([1.0, 0.0])
     g0 = _g(support, x0)
-    for cfg in (SwitchConfig(lam=1.0), SwitchConfig(lam=1.0, eta=99.0)):
-        state = EnvState(vec=x0.copy(), offset=0.0)
-        rec, _, _ = dfr_recovery_iteration(
-            lt_handle, support, 0, state, cfg, np.random.default_rng(1)
+    for cfg in (SwitchConfig(lam=1.0), SwitchConfig(lam=1.0, eta=99.0),
+                SwitchConfig(lam=None, lambda_mode="certified")):
+        lam = effective_lambda(cfg, support, 0, line_track_spec)
+        rec, _ = dfr_recovery_iteration(
+            lt_handle, support, 0, x0.copy(), cfg, np.random.default_rng(1), lam, g0
         )
         total = np.linalg.norm(rec.u_delta) + np.linalg.norm(rec.u_recovery)
-        assert total <= g0 / cfg.lam * (1.0 + 1e-12)
+        assert total <= g0 / lam * (1.0 + 1e-12)
 
 
 def test_recovery_refuses_outside_support(lt_handle):
     support = _radial_support(rho=0.9)
-    state = EnvState(vec=np.array([3.0, 0.0]), offset=0.0)  # g well below 0
+    state = np.array([3.0, 0.0])  # g well below 0
     with pytest.raises(OutsideSupportError) as exc:
         dfr_recovery_iteration(
-            lt_handle, support, 0, state, SwitchConfig(), np.random.default_rng(0)
+            lt_handle, support, 0, state, SwitchConfig(), np.random.default_rng(0),
+            1.0, _g(support, state),
         )
     assert exc.value.g_value < 0.0
     assert exc.value.t == 0
@@ -282,17 +283,18 @@ def test_oracle_step_points_up_the_gradient(lt_handle):
     support = _radial_support()
     cfg = SwitchConfig(lam=1.0)
     x0 = np.array([1.0, 0.0])
-    state = EnvState(vec=x0.copy(), offset=0.0)
-    u = finite_difference_oracle_step(lt_handle, support, 0, state, cfg)
     g0 = _g(support, x0)
+    u = finite_difference_oracle_step(lt_handle, support, 0, x0.copy(), cfg, 1.0, g0)
     expected = 0.45 * g0 * np.array([-1.0, 0.0])  # toward the center
     assert np.allclose(u, expected, atol=1e-6)
 
 
 def test_oracle_step_zero_gradient_yields_zero(lt_handle):
     support = _radial_support(rho=0.1)
-    state = EnvState(vec=np.zeros(2), offset=0.0)  # at the peak, grad = 0
-    u = finite_difference_oracle_step(lt_handle, support, 0, state, SwitchConfig())
+    state = np.zeros(2)  # at the peak, grad = 0
+    u = finite_difference_oracle_step(
+        lt_handle, support, 0, state, SwitchConfig(), 1.0, _g(support, state)
+    )
     assert np.array_equal(u, np.zeros(2))
 
 
@@ -309,13 +311,13 @@ def test_estimator_controllers_match_baseline_until_trigger(lt_handle):
     states = {}
     for kind in ("baseline", "es", "dfr"):
         ctrl = make_controller(kind, cfg)
-        state = EnvState(vec=np.zeros(2), offset=0.0)
+        state = np.zeros(2)
         seq = []
         for t in range(10):
             out = ctrl.step(lt_handle, support, policy, t, state, np.random.default_rng(t))
             assert [a.tag for a in out.applied] == ["policy"]
-            state = out.state
-            seq.append(state.vec.copy())
+            state = out.applied[-1].state
+            seq.append(state)
         states[kind] = np.stack(seq)
     assert np.array_equal(states["baseline"], states["es"])
     assert np.array_equal(states["baseline"], states["dfr"])
@@ -327,12 +329,12 @@ def test_early_stop_latches_zeros(lt_handle):
     support = _radial_support(rho=0.9)
     policy = _constant_policy((0.5, 0.0))
     ctrl = make_controller("es", SwitchConfig(lam=0.01))
-    state = EnvState(vec=np.array([1.5, 0.0]), offset=0.0)
+    state = np.array([1.5, 0.0])
     for t in range(5):
         out = ctrl.step(lt_handle, support, policy, t, state, np.random.default_rng(0))
         assert [a.tag for a in out.applied] == ["zero"]
-        assert np.array_equal(out.state.vec, state.vec)  # zero control, no motion
-        state = out.state
+        assert np.array_equal(out.applied[-1].state, state)  # zero control, no motion
+        state = out.applied[-1].state
     assert ctrl.triggered
 
 
@@ -342,13 +344,13 @@ def test_dfr_recovers_and_resumes_policy(lt_handle):
     support = _radial_support()
     policy = _constant_policy((0.5, 0.0))
     ctrl = make_controller("dfr", SwitchConfig(lam=0.01))
-    state = EnvState(vec=np.array([2.125, 0.0]), offset=0.0)
-    assert _g(support, state.vec) <= 0.01 * 0.5
+    state = np.array([2.125, 0.0])
+    assert _g(support, state) <= 0.01 * 0.5
     out = ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(3))
     assert not out.halted
-    assert len(out.recovery_steps) >= 1
+    assert len(out.recovery) >= 1
     assert out.applied[-1].tag == "policy"
-    assert out.recovery_steps[-1].g_after > 0.01 * 0.5
+    assert out.recovery[-1].g_after > 0.01 * 0.5
 
 
 @pytest.mark.parametrize(
@@ -361,10 +363,10 @@ def test_dfr_halts_at_iteration_cap(lt_handle, kind, n_applied, tags):
     support = _radial_support()
     policy = _constant_policy((0.5, 0.0))
     ctrl = make_controller(kind, SwitchConfig(lam=10.0, max_recovery_iters=3))
-    state = EnvState(vec=np.array([1.0, 0.0]), offset=0.0)
+    state = np.array([1.0, 0.0])
     out = ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(0))
     assert out.halted
-    assert len(out.recovery_steps) == 3
+    assert len(out.recovery) == 3
     # dfr applies a probe and a recovery motion per iteration, oracle one
     assert len(out.applied) == n_applied
     assert {a.tag for a in out.applied} == tags
@@ -387,20 +389,18 @@ def test_recovery_stops_when_a_motion_collides_or_reaches(lt_handle, kind, cente
     support = _radial_support(center=center)
     policy = _constant_policy((0.5, 0.0))
     ctrl = make_controller(kind, SwitchConfig(lam=2.0))
-    state = EnvState(vec=np.array(start), offset=0.0)
+    state = np.array(start)
     out = ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(0))
     assert not out.halted
-    assert out.recovery_steps
+    assert out.recovery
     assert all(a.tag != "policy" for a in out.applied)
     per_iteration = {"dfr": 2, "oracle": 1}[kind]
-    assert len(out.applied) == per_iteration * len(out.recovery_steps)
-    last = out.applied[-1]
-    assert getattr(last, flag)
-    assert np.array_equal(out.state.vec, last.state)
+    assert len(out.applied) == per_iteration * len(out.recovery)
+    assert getattr(out.applied[-1], flag)
     # only the final iteration touched the constraint or the goal
     assert not any(a.collided or a.reached for a in out.applied[:-per_iteration])
     if kind == "oracle":
-        for rec in out.recovery_steps:
+        for rec in out.recovery:
             assert np.array_equal(rec.u_delta, np.zeros(2))
             assert rec.g_probe == rec.g_before
             assert rec.flipped is False
@@ -410,7 +410,7 @@ def test_dfr_raises_outside_support_at_step_start(lt_handle):
     support = _radial_support(rho=0.9)
     policy = _constant_policy((0.5, 0.0))
     ctrl = make_controller("dfr", SwitchConfig(lam=0.01))
-    state = EnvState(vec=np.array([2.5, 0.0]), offset=0.0)
+    state = np.array([2.5, 0.0])
     with pytest.raises(OutsideSupportError):
         ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(0))
 
@@ -419,13 +419,13 @@ def test_oracle_controller_recovers_with_preview(lt_handle):
     support = _radial_support()
     policy = _constant_policy((0.5, 0.0))
     ctrl = make_controller("oracle", SwitchConfig(lam=0.01))
-    state = EnvState(vec=np.array([2.125, 0.0]), offset=0.0)
+    state = np.array([2.125, 0.0])
     out = ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(0))
     assert not out.halted
-    assert len(out.recovery_steps) >= 1
+    assert len(out.recovery) >= 1
     assert out.applied[-1].tag == "policy"
     # oracle moves straight toward the center: strictly increasing g
-    gs = [r.g_after for r in out.recovery_steps]
+    gs = [r.g_after for r in out.recovery]
     assert all(b > a for a, b in zip(gs, gs[1:])) or len(gs) == 1
 
 

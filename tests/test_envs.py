@@ -10,7 +10,6 @@ import pytest
 from dfrlab.envs import (
     DisturbanceStream,
     EnvHandle,
-    EnvState,
     builtin_env_spec,
     check_constraint,
     dynamics_constant,
@@ -27,7 +26,7 @@ from dfrlab.errors import InvalidInputError
 
 
 def _pp_state(robot, obj, goal=(0.8, 0.5)):
-    return EnvState(vec=np.array([*robot, *obj, *goal], dtype=float))
+    return np.array([*robot, *obj, *goal], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -38,17 +37,17 @@ def test_contact_push_closed_form(point_push_spec):
     # robot at 0.42 moves to 0.44; gap to the object center is 0.06, the
     # contact distance is 0.08, so the object is pushed out by exactly 0.02
     state = _pp_state((0.42, 0.5), (0.5, 0.5))
-    res = step(point_push_spec, state, np.array([0.02, 0.0]))
-    assert np.allclose(robot_pos(res.next_state), [0.44, 0.5], atol=1e-15)
-    assert np.allclose(object_pos(res.next_state), [0.52, 0.5], atol=1e-12)
-    assert not res.collided
+    nxt = step(point_push_spec, state, np.array([0.02, 0.0]))
+    assert np.allclose(robot_pos(nxt), [0.44, 0.5], atol=1e-15)
+    assert np.allclose(object_pos(nxt), [0.52, 0.5], atol=1e-12)
+    assert check_constraint(point_push_spec, nxt)
 
 
 def test_no_contact_means_no_object_motion(point_push_spec):
     state = _pp_state((0.2, 0.2), (0.6, 0.6))
-    res = step(point_push_spec, state, np.array([0.01, 0.0]))
-    assert np.array_equal(object_pos(res.next_state), [0.6, 0.6])
-    assert np.allclose(robot_pos(res.next_state), [0.21, 0.2], atol=1e-15)
+    nxt = step(point_push_spec, state, np.array([0.01, 0.0]))
+    assert np.array_equal(object_pos(nxt), [0.6, 0.6])
+    assert np.allclose(robot_pos(nxt), [0.21, 0.2], atol=1e-15)
 
 
 def test_touching_push_displacement_is_sqrt2(point_push_spec):
@@ -56,23 +55,20 @@ def test_touching_push_displacement_is_sqrt2(point_push_spec):
     # discs by s, so the state moves by s * sqrt(2)
     s = 0.01
     state = _pp_state((0.42, 0.5), (0.5, 0.5))
-    res = step(point_push_spec, state, np.array([s, 0.0]))
-    moved = np.linalg.norm(res.next_state.vec - state.vec)
+    moved = np.linalg.norm(step(point_push_spec, state, np.array([s, 0.0])) - state)
     assert moved == pytest.approx(s * math.sqrt(2.0), abs=1e-12)
 
 
 def test_control_clipped_to_u_max(point_push_spec):
     state = _pp_state((0.2, 0.2), (0.6, 0.6))
-    res = step(point_push_spec, state, np.array([1.0, 0.0]))
-    assert np.allclose(
-        robot_pos(res.next_state), [0.2 + point_push_spec.u_max, 0.2], atol=1e-15
-    )
+    nxt = step(point_push_spec, state, np.array([1.0, 0.0]))
+    assert np.allclose(robot_pos(nxt), [0.2 + point_push_spec.u_max, 0.2], atol=1e-15)
 
 
 def test_robot_clipped_to_workspace(point_push_spec):
     state = _pp_state((0.99, 0.5), (0.5, 0.2))
-    res = step(point_push_spec, state, np.array([0.05, 0.0]))
-    assert robot_pos(res.next_state)[0] == 1.0
+    nxt = step(point_push_spec, state, np.array([0.05, 0.0]))
+    assert robot_pos(nxt)[0] == 1.0
 
 
 def test_control_shape_and_finiteness_validated(point_push_spec):
@@ -92,8 +88,7 @@ def test_displacement_bound_monte_carlo(point_push_spec, line_track_spec):
             state = random_state(spec, rng)
             raw = rng.normal(size=2)
             u = raw / np.linalg.norm(raw) * rng.uniform(0.0, spec.u_max)
-            res = step(spec, state, u)
-            moved = np.linalg.norm(res.next_state.vec - state.vec)
+            moved = np.linalg.norm(step(spec, state, u) - state)
             assert moved <= K * np.linalg.norm(u) + 1e-12
 
 
@@ -129,10 +124,10 @@ def test_goal_is_object_position_only(point_push_spec):
 
 def test_line_track_limits(line_track_spec):
     lim = line_track_spec.deviation_limit
-    assert check_constraint(line_track_spec, EnvState(vec=np.array([0.0, lim - 1e-9])))
-    assert not check_constraint(line_track_spec, EnvState(vec=np.array([0.0, lim])))
-    assert reached_goal(line_track_spec, EnvState(vec=np.array([40.0, 0.0])))
-    assert not reached_goal(line_track_spec, EnvState(vec=np.array([39.9, 0.0])))
+    assert check_constraint(line_track_spec, np.array([0.0, lim - 1e-9]))
+    assert not check_constraint(line_track_spec, np.array([0.0, lim]))
+    assert reached_goal(line_track_spec, np.array([40.0, 0.0]))
+    assert not reached_goal(line_track_spec, np.array([39.9, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -140,20 +135,17 @@ def test_line_track_limits(line_track_spec):
 
 
 def test_line_track_step_without_stream(line_track_spec):
-    state = EnvState(vec=np.array([1.0, 0.5]), offset=0.0)
-    res = step(line_track_spec, state, np.array([0.5, -0.2]))
-    assert np.allclose(res.next_state.vec, [1.5, 0.3], atol=1e-15)
-    assert res.next_state.offset == 0.0
+    nxt = step(line_track_spec, np.array([1.0, 0.5]), np.array([0.5, -0.2]))
+    assert np.allclose(nxt, [1.5, 0.3], atol=1e-15)
 
 
 def test_line_track_step_subtracts_stream_delta(line_track_spec):
     stream = DisturbanceStream(line_track_spec, seed=0)
     probe = DisturbanceStream(line_track_spec, seed=0)
     expected_delta = probe.increment()
-    state = EnvState(vec=np.array([0.0, 0.0]), offset=0.0)
-    res = step(line_track_spec, state, np.array([0.5, 0.0]), stream=stream)
-    assert res.next_state.vec[1] == pytest.approx(-expected_delta, abs=1e-15)
-    assert res.next_state.offset == pytest.approx(expected_delta, abs=1e-15)
+    nxt = step(line_track_spec, np.array([0.0, 0.0]), np.array([0.5, 0.0]), stream=stream)
+    assert nxt[1] == pytest.approx(-expected_delta, abs=1e-15)
+    assert stream.offset == pytest.approx(expected_delta, abs=1e-15)
 
 
 def test_stream_increments_bounded_and_reflected(line_track_spec):
@@ -185,8 +177,8 @@ def test_reset_deterministic_and_valid(point_push_spec):
     a = reset(point_push_spec, 4)
     b = reset(point_push_spec, 4)
     c = reset(point_push_spec, 5)
-    assert np.array_equal(a.vec, b.vec)
-    assert not np.array_equal(a.vec, c.vec)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
     assert check_constraint(point_push_spec, a)
     (lo, _), (hi, _) = point_push_spec.object_start_box
     assert lo <= object_pos(a)[0] <= hi
@@ -194,9 +186,7 @@ def test_reset_deterministic_and_valid(point_push_spec):
 
 
 def test_reset_line_track_is_origin(line_track_spec):
-    state = reset(line_track_spec, 123)
-    assert np.array_equal(state.vec, [0.0, 0.0])
-    assert state.offset == 0.0
+    assert np.array_equal(reset(line_track_spec, 123), [0.0, 0.0])
 
 
 def test_random_state_is_always_valid(point_push_spec, rng):
@@ -214,7 +204,7 @@ def test_random_state_is_always_valid(point_push_spec, rng):
 def test_handle_step_ticks_stream_micro_step_does_not(line_track_spec):
     stream = DisturbanceStream(line_track_spec, seed=1)
     handle = EnvHandle(line_track_spec, stream=stream)
-    state = EnvState(vec=np.zeros(2), offset=0.0)
+    state = np.zeros(2)
     before = stream.offset
     handle.micro_step(state, np.array([0.1, 0.0]))
     assert stream.offset == before

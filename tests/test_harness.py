@@ -1,6 +1,7 @@
 """Rollout bookkeeping, outcome statistics, and the experiment runners at
 miniature sizes."""
 
+import dataclasses
 from importlib.resources import files
 
 import numpy as np
@@ -26,6 +27,7 @@ from dfrlab.harness import (
     resample_trace,
     rollout,
     run_disturbance_eval,
+    run_experiment,
     run_learning_curve,
     summarize,
     wilson_interval,
@@ -430,13 +432,31 @@ def test_learning_curve_mini_rows_and_sanity():
     assert len(out["records"]) == 10
 
 
-def test_parallel_rollouts_match_serial():
-    cfg = _mini_config()
-    a = run_learning_curve(cfg, jobs=1)
-    b = run_learning_curve(cfg, jobs=2)
+def _shipped_config(name, **kw):
+    return dataclasses.replace(
+        load_experiment_config(str(files("dfrlab").joinpath("data", name))), **kw
+    )
+
+
+# The ascent and disturbance cells recover hundreds of times, the
+# disturbance one under the stream.
+@pytest.mark.parametrize(
+    "experiment, cfg",
+    [
+        ("learning-curve", _mini_config()),
+        ("ascent", _shipped_config(
+            "exp_point_push_ascent.json", eval_samples=12, ascent_cells=((5, 30),))),
+        ("disturbance", _shipped_config("exp_line_track_disturbance.json", eval_samples=12)),
+    ],
+    ids=["learning-curve", "ascent", "disturbance"],
+)
+def test_parallel_rollouts_match_serial(experiment, cfg):
+    a = run_experiment(experiment, cfg, jobs=1)
+    b = run_experiment(experiment, cfg, jobs=2)
     docs_a = [record_to_document(r) for r in a["records"]]
     docs_b = [record_to_document(r) for r in b["records"]]
     assert docs_a == docs_b
+    assert a["rows"] == b["rows"]
 
 
 def test_disturbance_eval_off_is_a_clean_null(line_track_spec):

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from dfrlab.controllers import _applied
 from dfrlab.envs import (
-    EnvState,
     check_constraint,
     env_spec_to_document,
     reached_goal,
@@ -44,8 +44,8 @@ def ref_push_vec(spec, state, u):
     """point_push next state vector."""
     u = ref_clip_control(spec, u)
     lo, hi = np.asarray(spec.workspace[0]), np.asarray(spec.workspace[1])
-    r = state.vec[0:2]
-    o = state.vec[2:4].copy()
+    r = state[0:2]
+    o = state[2:4].copy()
     r_new = np.clip(r + u, lo, hi)
     d = o - r_new
     dist = float(np.linalg.norm(d))
@@ -57,7 +57,7 @@ def ref_push_vec(spec, state, u):
             un = float(np.linalg.norm(u))
             normal = u / un if un > 0 else np.array([1.0, 0.0])
         o = o + depth * normal
-    return np.concatenate([r_new, o, state.vec[4:6]])
+    return np.concatenate([r_new, o, state[4:6]])
 
 
 def ref_decision_value(model, x):
@@ -67,7 +67,7 @@ def ref_decision_value(model, x):
 
 
 def ref_check_constraint(spec, state):
-    r, o = state.vec[0:2], state.vec[2:4]
+    r, o = state[0:2], state[2:4]
     for (cx, cy), radius in spec.constraint_regions:
         c = np.array([cx, cy])
         if np.linalg.norm(r - c) <= radius + spec.robot_radius:
@@ -78,7 +78,7 @@ def ref_check_constraint(spec, state):
 
 
 def ref_reached_goal(spec, state):
-    return bool(np.linalg.norm(state.vec[2:4] - np.asarray(spec.goal_center)) <= spec.goal_radius)
+    return bool(np.linalg.norm(state[2:4] - np.asarray(spec.goal_center)) <= spec.goal_radius)
 
 
 def _bits(a):
@@ -86,16 +86,19 @@ def _bits(a):
 
 
 def _pp(robot, obj, goal=(0.8, 0.5)):
-    return EnvState(vec=np.array([*robot, *obj, *goal], dtype=float))
+    return np.array([*robot, *obj, *goal], dtype=float)
 
 
 def _assert_step_matches(spec, state, u):
-    res = step(spec, state, np.asarray(u, dtype=float))
-    expected = ref_push_vec(spec, state, u)
-    assert _bits(res.next_state.vec) == _bits(expected)
-    assert res.collided == (not ref_check_constraint(spec, res.next_state))
-    assert res.reached_goal == ref_reached_goal(spec, res.next_state)
-    return res
+    """The next state, and the flags a controller records for the motion."""
+    u = np.asarray(u, dtype=float)
+    nxt = step(spec, state, u)
+    assert _bits(nxt) == _bits(ref_push_vec(spec, state, u))
+    record = _applied(spec, u, nxt, "policy")
+    assert record.state is nxt
+    assert record.collided == (not ref_check_constraint(spec, nxt))
+    assert record.reached == ref_reached_goal(spec, nxt)
+    return nxt
 
 
 coord = st.floats(0.0, 1.0)
@@ -111,8 +114,8 @@ def test_step_free_motion(point_push_spec, rx, ry, ux, uy):
     # the object sits far from the robot: no contact, no clipping
     obj = (rx + 0.5 if rx < 0.5 else rx - 0.5, ry)
     state = _pp((rx, ry), obj)
-    res = _assert_step_matches(point_push_spec, state, (ux, uy))
-    assert _bits(res.next_state.vec[2:4]) == _bits(obj)
+    nxt = _assert_step_matches(point_push_spec, state, (ux, uy))
+    assert _bits(nxt[2:4]) == _bits(obj)
 
 
 @given(st.sampled_from([-0.0, 0.0, 1.0]), coord, st.floats(0.0, 0.05), st.floats(-0.03, 0.03))
@@ -121,8 +124,8 @@ def test_step_clips_to_workspace(point_push_spec, edge, ry, push, uy):
     # the robot starts on the left or right workspace edge and pushes outward
     ux = -push if edge == 0.0 else push
     state = _pp((edge, ry), (0.5, 0.5))
-    res = _assert_step_matches(point_push_spec, state, (ux, uy))
-    assert res.next_state.vec[0] == edge
+    nxt = _assert_step_matches(point_push_spec, state, (ux, uy))
+    assert nxt[0] == edge
 
 
 @given(coord, coord, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
@@ -142,8 +145,8 @@ def test_step_coincident_centres(point_push_spec, u):
     # control, or along +x with no control
     robot = (0.4, 0.6)
     landing = np.clip(np.asarray(robot) + ref_clip_control(point_push_spec, u), 0.0, 1.0)
-    res = _assert_step_matches(point_push_spec, _pp(robot, tuple(landing)), u)
-    assert not np.array_equal(res.next_state.vec[2:4], landing)
+    nxt = _assert_step_matches(point_push_spec, _pp(robot, tuple(landing)), u)
+    assert not np.array_equal(nxt[2:4], landing)
 
 
 def test_predicates_on_random_states(point_push_spec, rng):

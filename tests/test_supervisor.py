@@ -4,7 +4,7 @@ jitter, and the JSONL on-disk format."""
 import numpy as np
 import pytest
 
-from dfrlab.envs import check_constraint, EnvState, reached_goal
+from dfrlab.envs import check_constraint, reached_goal
 from dfrlab.errors import InvalidInputError
 from dfrlab.supervisor import generate_demos, load_demos, save_demos, supervisor_action
 
@@ -15,8 +15,8 @@ def test_point_push_demos_complete_and_safe(point_push_spec, pp_demos):
         assert traj.outcome == "completed"
         assert len(traj.states) <= point_push_spec.horizon + 1
         for vec in traj.states:
-            assert check_constraint(point_push_spec, EnvState(vec=vec))
-        assert reached_goal(point_push_spec, EnvState(vec=traj.states[-1]))
+            assert check_constraint(point_push_spec, vec)
+        assert reached_goal(point_push_spec, traj.states[-1])
 
 
 def test_point_push_demo_controls_respect_cap(point_push_spec, pp_demos):
