@@ -5,11 +5,11 @@ demonstrated control, with a bias feature, output clipped to the largest
 control norm seen in the demos.
 
 The controllers share one interface, step(handle, support, policy, t, state,
-rng, g=None), where state is the state vector and g is g_t(state) when the
-caller already holds it (the controllers that need it evaluate it otherwise;
-the others ignore it).  step returns the StepRecord of the horizon step; the
-next state is its last applied record's state.  CONTROLLERS maps each kind
-to its class:
+rng, g), where state is the state vector and g is g_t(state), evaluated once
+by the caller (None when no support is consulted; the controllers that
+ignore the support ignore it too).  step returns the StepRecord of the
+horizon step; the next state is its last applied record's state.
+CONTROLLERS maps each kind to its class:
 
 * baseline: always apply the learned policy.
 * es (early stop): apply the policy until the switching rule first trips,
@@ -19,6 +19,8 @@ to its class:
   resumes the policy once clear of the threshold.  dfr climbs by probe/step
   pairs that need no gradient access; oracle steps along finite-difference
   probes on simulated steps, as an upper reference for the ascent rate.
+  Their loop holds the one support-exit check: an iteration due at g <= 0
+  raises OutsideSupportError, unless the iteration cap comes first.
 * supervisor: the scripted demonstrator.
 
 The switching rule trips at state x and time t when
@@ -220,18 +222,17 @@ class SwitchConfig:
     lambda_mode: str = "manual"
 
     def __post_init__(self):
-        if self.lambda_mode != "certified" and not (self.lam is not None and self.lam > 0.0):
-            raise InvalidInputError("lam must be positive")
-        if self.lam is not None and not self.lam > 0.0:
-            raise InvalidInputError("lam must be positive when given")
+        if self.lambda_mode not in ("manual", "certified"):
+            raise InvalidInputError(f"unknown lambda_mode {self.lambda_mode!r}")
+        lam_ok = self.lambda_mode == "certified" if self.lam is None else self.lam > 0.0
+        if not lam_ok:
+            raise InvalidInputError("lam must be positive (None only in certified mode)")
         if self.eta is not None and not self.eta > 0.0:
             raise InvalidInputError("eta must be positive (or None for adaptive)")
         if not 0.0 < self.epsilon < 1.0:
             raise InvalidInputError("epsilon must lie strictly between 0 and 1")
         if self.max_recovery_iters < 1:
             raise InvalidInputError("max_recovery_iters must be >= 1")
-        if self.lambda_mode not in ("manual", "certified"):
-            raise InvalidInputError(f"unknown lambda_mode {self.lambda_mode!r}")
 
 
 def effective_lambda(cfg, support, t, spec):
@@ -303,7 +304,8 @@ def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before):
     recovery step of magnitude min(eta, (1 - epsilon) * g / lambda).  The
     two commanded magnitudes sum to at most g / lambda, which in certified
     mode bounds the worst-case decision drop by g itself.  lam is the
-    threshold scale at t and g_before the decision value at state.
+    threshold scale at t and g_before > 0 the decision value at state
+    (RecoveryController.recover checks it).
 
     Both motions are applied for real through micro_step: they commit state,
     but being recovery-rate actions they happen between horizon ticks, so an
@@ -311,12 +313,6 @@ def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before):
     and the two AppliedRecords; the second one's state is where the
     iteration ends.
     """
-    if g_before <= 0.0:
-        raise OutsideSupportError(
-            f"recovery requested outside the estimated support (g={g_before:.3g} at t={t})",
-            t=t,
-            g_value=g_before,
-        )
     direction = rng.normal(size=2)
     norm = vector_norm(direction)
     while norm < 1e-12:
@@ -353,15 +349,9 @@ def finite_difference_oracle_step(handle, support, t, state, cfg, lam, g_before)
     Estimates d g / d u per control axis from simulated micro_steps of
     +-FD_DELTA (their states are discarded, so the episode does not
     advance), then steps eta along the normalized gradient.  A zero gradient
-    yields a zero control.  lam is the threshold scale at t and g_before the
-    decision value at state.
+    yields a zero control.  lam is the threshold scale at t and g_before > 0
+    the decision value at state (RecoveryController.recover checks it).
     """
-    if g_before <= 0.0:
-        raise OutsideSupportError(
-            f"recovery requested outside the estimated support (g={g_before:.3g} at t={t})",
-            t=t,
-            g_value=g_before,
-        )
     grad = np.zeros(2)
     for axis in range(2):
         probe = np.zeros(2)
@@ -410,7 +400,7 @@ class BaselineController(Controller):
     kind = "baseline"
     uses_support = False
 
-    def step(self, handle, support, policy, t, state, rng, g=None):
+    def step(self, handle, support, policy, t, state, rng, g):
         u = policy.action(state)
         return StepRecord(t, g, [_applied(handle.spec, u, handle.step(state, u), "policy")])
 
@@ -424,12 +414,10 @@ class EarlyStopController(Controller):
         super().__init__(cfg)
         self.triggered = False
 
-    def step(self, handle, support, policy, t, state, rng, g=None):
+    def step(self, handle, support, policy, t, state, rng, g):
         if not self.triggered:
             u_hat = policy.action(state)
             lam = effective_lambda(self.cfg, support, t, handle.spec)
-            if g is None:
-                g = support.g_at(t, state)
             if should_recover(g, u_hat, lam):
                 self.triggered = True
         if self.triggered:
@@ -444,23 +432,21 @@ class RecoveryController(Controller):
     step; a colliding or goal-reaching motion ends the step without it.
     Subclasses differ only in the iteration they pass to recover."""
 
-    def recover(self, iteration, handle, support, policy, t, state, rng, g=None):
+    def recover(self, iteration, handle, support, policy, t, state, rng, g):
         cfg = self.cfg
         lam = effective_lambda(cfg, support, t, handle.spec)
-        if g is None:
-            g = support.g_at(t, state)
-        if g < 0.0:
-            raise OutsideSupportError(
-                f"state outside the estimated support (g={g:.3g} at t={t})",
-                t=t,
-                g_value=g,
-            )
         out = StepRecord(t, g, [])
         u_hat = policy.action(state)
         while should_recover(g, u_hat, lam):
             if len(out.recovery) >= cfg.max_recovery_iters:
                 out.halted = True
                 return out
+            if g <= 0.0:
+                raise OutsideSupportError(
+                    f"state outside the estimated support (g={g:.3g} at t={t})",
+                    t=t,
+                    g_value=g,
+                )
             rec, motions = iteration(handle, support, t, state, cfg, rng, lam, g)
             out.recovery.append(rec)
             out.applied.extend(motions)
@@ -478,7 +464,7 @@ class DfrController(RecoveryController):
 
     kind = "dfr"
 
-    def step(self, handle, support, policy, t, state, rng, g=None):
+    def step(self, handle, support, policy, t, state, rng, g):
         return self.recover(dfr_recovery_iteration, handle, support, policy, t, state, rng, g)
 
 
@@ -487,7 +473,7 @@ class OracleController(RecoveryController):
 
     kind = "oracle"
 
-    def step(self, handle, support, policy, t, state, rng, g=None):
+    def step(self, handle, support, policy, t, state, rng, g):
         return self.recover(_oracle_recovery_iteration, handle, support, policy, t, state, rng, g)
 
 
@@ -498,7 +484,7 @@ class SupervisorController(Controller):
     uses_support = False
     uses_policy = False
 
-    def step(self, handle, support, policy, t, state, rng, g=None):
+    def step(self, handle, support, policy, t, state, rng, g):
         u = supervisor_action(handle.spec, state)
         return StepRecord(t, g, [_applied(handle.spec, u, handle.step(state, u), "policy")])
 

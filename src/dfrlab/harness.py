@@ -140,9 +140,6 @@ class RolloutRecord:
             states.extend(a.state for a in step.applied)
         return states
 
-    def n_states(self):
-        return 1 + sum(len(step.applied) for step in self.steps)
-
 
 def classify_outcome(record, spec):
     """Recompute the outcome from the stored state sequence alone."""
@@ -270,8 +267,11 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
     controller is a kind name; every episode gets a fresh instance, which
     matters for the stateful early-stop controller.  disturbance=None uses
     the environment's own default; True/False forces the stream on or off.
-    The record's outcome always equals classify_outcome re-applied to its
-    stored states.
+    g_t(state) is evaluated once per step start (the start gate's value
+    serves t = 0) and handed to the controller.  The outcome is decided from
+    the applied records' flags as the episode runs, with classify_outcome's
+    precedence: a step with a colliding motion ends the episode collided,
+    else one with a goal-reaching motion ends it completed.
     """
     ss, seed_key = _seed_sequence(seed)
     reset_ss, probe_ss, stream_ss = ss.spawn(3)
@@ -299,22 +299,22 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
     halt_reason = None
     t_end = 0
 
-    gate_g = None
+    g = None
     if support is not None:
-        gate_g = support.g_at(0, state)
-        g_seen.append(gate_g)
-    if ctrl.uses_support and gate_g < 0.0:
+        g = support.g_at(0, state)
+        g_seen.append(g)
+    if ctrl.uses_support and g < 0.0:
         outcome = HALTED
         halt_reason = "start-gate"
 
     if outcome is None:
         for t in range(spec.horizon):
             t_end = t
-            g_start = support.g_at(t, state) if support is not None else None
-            if g_start is not None:
-                g_seen.append(g_start)
+            if t and support is not None:
+                g = support.g_at(t, state)
+                g_seen.append(g)
             try:
-                step = ctrl.step(handle, support, policy, t, state, rng, g=g_start)
+                step = ctrl.step(handle, support, policy, t, state, rng, g)
             except OutsideSupportError as exc:
                 # Escape without contact: no constraint was violated, so the
                 # episode halts.  The offending decision value still counts
@@ -329,19 +329,16 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
             n_recovery += len(step.recovery)
             steps.append(step)
             state = step.applied[-1].state
-            for a in step.applied:
-                if a.collided:
-                    outcome = COLLIDED
-                    break
-                if a.reached:
-                    outcome = COMPLETED
-                    break
-            if outcome is not None:
-                break
-            if step.halted:
+            if any(a.collided for a in step.applied):
+                outcome = COLLIDED
+            elif any(a.reached for a in step.applied):
+                outcome = COMPLETED
+            elif step.halted:
                 outcome = HALTED
                 halt_reason = "recovery-cap"
-                break
+            else:
+                continue
+            break
         else:
             outcome = HALTED
             halt_reason = "horizon"
@@ -349,13 +346,14 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
     # g_min covers every (t, x) pair the episode occupied: the start gate,
     # each step-start value, and every probe/recovery evaluation.  g_final is
     # a diagnostic only: it rates the terminal state under the next slice's
-    # estimator, a pair the episode never occupied.
+    # estimator, a pair the episode never occupied.  With no step stored, g
+    # is still the start gate's value.
     g_final = None
     if support is not None:
-        g_final = support.g_at(t_end + 1, state) if steps else gate_g
+        g_final = support.g_at(t_end + 1, state) if steps else g
     wall = time.perf_counter() - t_start
 
-    record = RolloutRecord(
+    return RolloutRecord(
         seed=seed_key,
         controller=kind,
         outcome=outcome,
@@ -367,13 +365,6 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
         g_final=g_final,
         wall_clock_s=wall,
     )
-    reclassified = classify_outcome(record, spec)
-    if reclassified != outcome:
-        raise RuntimeError(
-            f"outcome bookkeeping disagrees with reclassification "
-            f"({outcome} vs {reclassified})"
-        )
-    return record
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +514,13 @@ class ExperimentConfig:
             raise InvalidInputError("trace_points must be >= 2")
         if self.certified_rollouts < 1:
             raise InvalidInputError("certified_rollouts must be >= 1")
+        # Build every derived config now, so a bad field fails at load, not
+        # after the demos are generated and fitted.
+        self.ocsvm_params()
+        self.policy_config()
+        self.switch_config()
+        if self.oracle_eta is not None:
+            self.switch_config(eta=self.oracle_eta)
 
     def ocsvm_params(self):
         return OcsvmParams(
@@ -657,10 +655,6 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
             pol = policy if CONTROLLERS[kind].uses_policy else None
             recs = _run_rollouts(spec, kind, sup, pol, seeds, scfg, disturbance, jobs)
             yield cell, kind, scfg, sup, pol, recs
-
-
-def gates_all_passed(gates):
-    return all(v["passed"] for v in gates.values() if v["passed"] is not None)
 
 
 def _require_gates(gates):

@@ -78,14 +78,6 @@ class OcsvmModel:
         return self.support_vectors.shape[1]
 
 
-def kernel_eval(x, y, params):
-    """Evaluate the Gaussian kernel at a single pair of points."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = x - y
-    return float(np.exp(-params.gamma * float(d @ d)))
-
-
 def kernel_matrix(X, Y, params):
     """Pairwise Gaussian kernel matrix, shape (len(X), len(Y))."""
     X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -19,6 +19,7 @@ from dfrlab.envs import builtin_env_spec, dynamics_constant, random_state, step
 from dfrlab.harness import (
     ExperimentConfig,
     _strip_nondeterministic,
+    classify_outcome,
     load_experiment_config,
     run_ascent_traces,
     run_certified,
@@ -49,6 +50,15 @@ def _report(label, passed, detail, elapsed, budget):
     print(f"{label}: {'PASS' if ok else 'FAIL'} - {detail} ({elapsed:.1f}s of {budget:.0f}s)")
     assert passed, f"{label}: {detail}"
     assert elapsed < budget, f"{label}: took {elapsed:.1f}s, budget {budget:.0f}s"
+
+
+def _reclassified(config, records, expected):
+    """(ok, detail) of re-deriving every record's outcome from its states:
+    rollout decides outcomes as it runs and leaves the check to here."""
+    spec = builtin_env_spec(config.env)
+    bad = sum(classify_outcome(r, spec) != r.outcome for r in records)
+    ok = len(records) == expected and bad == 0
+    return ok, f"{len(records) - bad}/{len(records)} records reclassify (expected {expected})"
 
 
 def test_ac1_training_fractions_track_nu():
@@ -166,7 +176,8 @@ def test_ac6_learning_curve_protocol():
     n = out["aggregates"]["per_controller"]["dfr"]["n"]
     names = ("collision_halving", "completion_ratio", "es_collisions_not_above_dfr",
              "supervisor_sanity")
-    ok = n >= 600 and all(gates[k]["passed"] for k in names)
+    same, same_detail = _reclassified(config, out["records"], n * len(config.controllers))
+    ok = n >= 600 and all(gates[k]["passed"] for k in names) and same
     halv = gates["collision_halving"]["detail"]
     comp = gates["completion_ratio"]["detail"]
     _report(
@@ -175,7 +186,8 @@ def test_ac6_learning_curve_protocol():
         f"n={n}/controller; dfr collision upper {halv['dfr_upper']:.4f} <= "
         f"half of baseline lower {halv['baseline_lower']:.4f}; dfr completion "
         f"{comp['dfr']:.3f} >= {comp['needed']:.3f}; "
-        + ", ".join(f"{k}={'pass' if gates[k]['passed'] else 'FAIL'}" for k in names),
+        + ", ".join(f"{k}={'pass' if gates[k]['passed'] else 'FAIL'}" for k in names)
+        + f"; {same_detail}",
         elapsed,
         1200.0,
     )
@@ -190,7 +202,9 @@ def test_ac7_recovery_ascent_traces():
     agg = out["aggregates"]
     names = ("enough_activations", "nearly_monotone", "reaches_threshold",
              "oracle_dominates")
-    ok = all(gates[k]["passed"] for k in names) and agg["dfr_max_start_value"] < 1.0
+    episodes = len(config.ascent_cells) * len(config.controllers) * config.eval_samples
+    same, same_detail = _reclassified(config, out["records"], episodes)
+    ok = all(gates[k]["passed"] for k in names) and agg["dfr_max_start_value"] < 1.0 and same
     _report(
         "AC7 normalized ascent quality",
         ok,
@@ -198,7 +212,7 @@ def test_ac7_recovery_ascent_traces():
         f"activations; max curve decrease {agg['dfr_max_decrease']:.4f} <= 0.02; "
         f"fraction reaching 0.9: {agg['dfr_fraction_reaching_0.9']:.3f} >= 0.8; "
         f"oracle-dfr min margin {agg['oracle_minus_dfr_min']:.4f} >= -0.02; "
-        f"max start value {agg['dfr_max_start_value']:.4f} < 1",
+        f"max start value {agg['dfr_max_start_value']:.4f} < 1; {same_detail}",
         elapsed,
         600.0,
     )
@@ -212,10 +226,12 @@ def test_ac8_disturbance_robustness():
     gates = out["gates"]
     by_kind = {row["controller"]: row for row in out["rows"]}
     n = by_kind["dfr"]["n"]
+    same, same_detail = _reclassified(config, out["records"], n * len(config.controllers))
     ok = (
         n >= 300
         and gates["collision_third"]["passed"]
         and gates["completion_margin"]["passed"]
+        and same
     )
     third = gates["collision_third"]["detail"]
     margin = gates["completion_margin"]["detail"]
@@ -226,7 +242,7 @@ def test_ac8_disturbance_robustness():
         f"{third['threshold']:.4f} (third of baseline lower); completion diff "
         f"{margin['diff']:.3f} needs {margin['needed']:.3f}; baseline "
         f"{by_kind['baseline']['completed']}C/{by_kind['baseline']['collided']}X vs "
-        f"dfr {by_kind['dfr']['completed']}C/{by_kind['dfr']['collided']}X",
+        f"dfr {by_kind['dfr']['completed']}C/{by_kind['dfr']['collided']}X; {same_detail}",
         elapsed,
         600.0,
     )

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from dfrlab import controllers
 from dfrlab.controllers import (
     PolicyConfig,
     Policy,
@@ -172,6 +173,9 @@ def test_switch_config_validation():
         SwitchConfig(max_recovery_iters=0)
     with pytest.raises(InvalidInputError):
         SwitchConfig(lambda_mode="auto")
+    # the unknown mode is named, whatever lam holds
+    with pytest.raises(InvalidInputError, match="unknown lambda_mode 'Certified'"):
+        SwitchConfig(lam=None, lambda_mode="Certified")
 
 
 def test_should_recover_boundary():
@@ -266,13 +270,64 @@ def test_recovery_budget_never_exceeds_g_over_lambda(lt_handle, line_track_spec)
 def test_recovery_refuses_outside_support(lt_handle):
     support = _radial_support(rho=0.9)
     state = np.array([3.0, 0.0])  # g well below 0
+    policy = _constant_policy((0.5, 0.0))
+    for kind in ("dfr", "oracle"):
+        for g in (_g(support, state), 0.0):
+            ctrl = make_controller(kind, SwitchConfig())
+            with pytest.raises(OutsideSupportError) as exc:
+                ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(0), g)
+            assert exc.value.g_value == g <= 0.0
+            assert exc.value.t == 0
+
+
+class _CliffSupport:
+    """g = 0.01 at the start state and x[0] - start[0] - 1 anywhere else, so
+    the first recovery iteration of either kind ends outside the support.
+    The last value it returned is that iteration's g_after."""
+
+    def __init__(self, start):
+        self.start = start
+        self.returned = []
+
+    def g_at(self, t, x):
+        g = 0.01 if np.array_equal(x, self.start) else float(x[0] - self.start[0]) - 1.0
+        self.returned.append(g)
+        return g
+
+
+@pytest.mark.parametrize(
+    "kind, work", [("dfr", "dfr_recovery_iteration"), ("oracle", "finite_difference_oracle_step")]
+)
+def test_iteration_ending_outside_support_raises_on_next_pass(lt_handle, monkeypatch, kind, work):
+    calls = []
+    original = getattr(controllers, work)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(controllers, work, counted)
+    start = np.zeros(2)
+    support = _CliffSupport(start)
+    ctrl = make_controller(kind, SwitchConfig(lam=1.0))
     with pytest.raises(OutsideSupportError) as exc:
-        dfr_recovery_iteration(
-            lt_handle, support, 0, state, SwitchConfig(), np.random.default_rng(0),
-            1.0, _g(support, state),
-        )
-    assert exc.value.g_value < 0.0
+        ctrl.step(lt_handle, support, _constant_policy((0.5, 0.0)), 0, start,
+                  np.random.default_rng(0), 0.01)
+    # the loop refuses before a second iteration starts, not inside it
+    assert len(calls) == 1
+    assert exc.value.g_value == support.returned[-1] <= 0.0
     assert exc.value.t == 0
+
+
+@pytest.mark.parametrize("kind", ["dfr", "oracle"])
+def test_iteration_ending_outside_support_at_the_cap_halts(lt_handle, kind):
+    start = np.zeros(2)
+    ctrl = make_controller(kind, SwitchConfig(lam=1.0, max_recovery_iters=1))
+    out = ctrl.step(lt_handle, _CliffSupport(start), _constant_policy((0.5, 0.0)), 0, start,
+                    np.random.default_rng(0), 0.01)
+    assert out.halted
+    assert len(out.recovery) == 1
+    assert out.recovery[0].g_after <= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +369,8 @@ def test_estimator_controllers_match_baseline_until_trigger(lt_handle):
         state = np.zeros(2)
         seq = []
         for t in range(10):
-            out = ctrl.step(lt_handle, support, policy, t, state, np.random.default_rng(t))
+            out = ctrl.step(lt_handle, support, policy, t, state, np.random.default_rng(t),
+                            support.g_at(t, state))
             assert [a.tag for a in out.applied] == ["policy"]
             state = out.applied[-1].state
             seq.append(state)
@@ -331,7 +387,8 @@ def test_early_stop_latches_zeros(lt_handle):
     ctrl = make_controller("es", SwitchConfig(lam=0.01))
     state = np.array([1.5, 0.0])
     for t in range(5):
-        out = ctrl.step(lt_handle, support, policy, t, state, np.random.default_rng(0))
+        out = ctrl.step(lt_handle, support, policy, t, state, np.random.default_rng(0),
+                        _g(support, state))
         assert [a.tag for a in out.applied] == ["zero"]
         assert np.array_equal(out.applied[-1].state, state)  # zero control, no motion
         state = out.applied[-1].state
@@ -346,7 +403,8 @@ def test_dfr_recovers_and_resumes_policy(lt_handle):
     ctrl = make_controller("dfr", SwitchConfig(lam=0.01))
     state = np.array([2.125, 0.0])
     assert _g(support, state) <= 0.01 * 0.5
-    out = ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(3))
+    out = ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(3),
+                    _g(support, state))
     assert not out.halted
     assert len(out.recovery) >= 1
     assert out.applied[-1].tag == "policy"
@@ -364,7 +422,9 @@ def test_dfr_halts_at_iteration_cap(lt_handle, kind, n_applied, tags):
     policy = _constant_policy((0.5, 0.0))
     ctrl = make_controller(kind, SwitchConfig(lam=10.0, max_recovery_iters=3))
     state = np.array([1.0, 0.0])
-    out = ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(0))
+    out = ctrl.step(
+        lt_handle, support, policy, 0, state, np.random.default_rng(0), _g(support, state)
+    )
     assert out.halted
     assert len(out.recovery) == 3
     # dfr applies a probe and a recovery motion per iteration, oracle one
@@ -390,7 +450,9 @@ def test_recovery_stops_when_a_motion_collides_or_reaches(lt_handle, kind, cente
     policy = _constant_policy((0.5, 0.0))
     ctrl = make_controller(kind, SwitchConfig(lam=2.0))
     state = np.array(start)
-    out = ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(0))
+    out = ctrl.step(
+        lt_handle, support, policy, 0, state, np.random.default_rng(0), _g(support, state)
+    )
     assert not out.halted
     assert out.recovery
     assert all(a.tag != "policy" for a in out.applied)
@@ -412,7 +474,9 @@ def test_dfr_raises_outside_support_at_step_start(lt_handle):
     ctrl = make_controller("dfr", SwitchConfig(lam=0.01))
     state = np.array([2.5, 0.0])
     with pytest.raises(OutsideSupportError):
-        ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(0))
+        ctrl.step(
+            lt_handle, support, policy, 0, state, np.random.default_rng(0), _g(support, state)
+        )
 
 
 def test_oracle_controller_recovers_with_preview(lt_handle):
@@ -420,7 +484,9 @@ def test_oracle_controller_recovers_with_preview(lt_handle):
     policy = _constant_policy((0.5, 0.0))
     ctrl = make_controller("oracle", SwitchConfig(lam=0.01))
     state = np.array([2.125, 0.0])
-    out = ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(0))
+    out = ctrl.step(
+        lt_handle, support, policy, 0, state, np.random.default_rng(0), _g(support, state)
+    )
     assert not out.halted
     assert len(out.recovery) >= 1
     assert out.applied[-1].tag == "policy"

@@ -16,7 +16,6 @@ from dfrlab.kernel_ocsvm import (
     _project_capped_simplex,
     decision_value,
     decision_values,
-    kernel_eval,
     kernel_matrix,
     lipschitz_bound,
     load_model,
@@ -39,8 +38,9 @@ def test_kernel_eval_closed_form():
     p = KernelParams(gamma=2.0)
     x = np.array([0.0, 0.0])
     y = np.array([1.0, 1.0])
-    assert kernel_eval(x, y, p) == pytest.approx(math.exp(-4.0), abs=1e-15)
-    assert kernel_eval(x, x, p) == 1.0
+    K = kernel_matrix(np.stack([x, y]), np.stack([x, y]), p)
+    assert K[0, 1] == pytest.approx(math.exp(-4.0), abs=1e-15)
+    assert K[0, 0] == 1.0
 
 
 def test_kernel_matrix_symmetry_and_diagonal(rng):
