@@ -55,20 +55,21 @@ for s in rec.steps:
     print(f"step t={s.t}, g at step start {s.g:.4f}")
     for k, ev in enumerate(s.recovery):
         arrow = "flip" if ev.flipped else "keep"
-        print(f"   iter {k}: g {ev.g_before:.4f} -> probe {ev.g_probe:.4f} ({arrow}) "
-              f"-> after step {ev.g_after:.4f}")
+        print(f"   iter {k}: g {ev.g_before:.4f} (threshold {ev.threshold:.4f}) "
+              f"-> probe {ev.g_probe:.4f} ({arrow}) -> after step {ev.g_after:.4f}")
     tail = s.applied[-1].tag
     print(f"   exit: last applied control tagged '{tail}'")
 
 # %% [markdown]
 # ## The normalized view
 #
-# Dividing g_before by the exit threshold lambda * ||u_hat|| maps every
-# activation onto [0, 1]: it starts below 1 and hands control back at 1.
-# Resampling onto a common axis is what the ascent experiment averages.
+# Dividing g_before by the exit threshold lambda * ||u_hat||, which each
+# iteration records, maps every activation onto [0, 1]: it starts below 1
+# and hands control back at 1.  The record alone is enough.  Resampling onto
+# a common axis is what the ascent experiment averages.
 
 # %%
-traces = activation_traces(rec, support, policy, cfg, spec)
+traces = activation_traces(rec)
 for i, tr in enumerate(traces):
     resampled = resample_trace(tr, 11)
     bar = " ".join(f"{v:.2f}" for v in resampled)

@@ -242,9 +242,9 @@ def effective_lambda(cfg, support, t, spec):
     return support.lipschitz_at(t) * envs.dynamics_constant(spec)
 
 
-def should_recover(g_value, u_hat, lam):
-    """True iff g <= lambda * ||u_hat|| (zero control at positive g is safe)."""
-    return bool(g_value <= lam * vector_norm(np.asarray(u_hat, dtype=float)))
+def switch_threshold(u_hat, lam):
+    """lambda * ||u_hat||; the switching rule trips at g <= it, never at g > 0 and u_hat = 0."""
+    return lam * vector_norm(u_hat)
 
 
 @dataclass(frozen=True)
@@ -257,6 +257,7 @@ class RecoveryStep:
     g_probe: float
     g_after: float
     flipped: bool
+    threshold: float  # lambda * ||u_hat|| at the state the iteration started from
 
 
 @dataclass
@@ -296,7 +297,7 @@ def _recovery_magnitudes(cfg, g_before, lam):
     return radius, eta_mag
 
 
-def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before):
+def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before, threshold):
     """One derivative-free ascent iteration at frozen time index t.
 
     Probe a random direction with magnitude epsilon * g / lambda; if the
@@ -304,8 +305,8 @@ def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before):
     recovery step of magnitude min(eta, (1 - epsilon) * g / lambda).  The
     two commanded magnitudes sum to at most g / lambda, which in certified
     mode bounds the worst-case decision drop by g itself.  lam is the
-    threshold scale at t and g_before > 0 the decision value at state
-    (RecoveryController.recover checks it).
+    threshold scale at t; g_before > 0 (recover checks it) and threshold,
+    which the RecoveryStep records, are g and lambda * ||u_hat|| at state.
 
     Both motions are applied for real through micro_step: they commit state,
     but being recovery-rate actions they happen between horizon ticks, so an
@@ -337,6 +338,7 @@ def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before):
         g_probe=float(g_probe),
         g_after=float(g_after),
         flipped=bool(flipped),
+        threshold=float(threshold),
     )
     spec = handle.spec
     return rec, [_applied(spec, u_delta, x_probe, "probe"),
@@ -366,7 +368,7 @@ def finite_difference_oracle_step(handle, support, t, state, cfg, lam, g_before)
     return eta_mag * grad / norm
 
 
-def _oracle_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before):
+def _oracle_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before, threshold):
     """One oracle iteration, shaped like dfr_recovery_iteration: the finite-
     difference control applied once through micro_step.  rng is unused."""
     u_rec = finite_difference_oracle_step(handle, support, t, state, cfg, lam, g_before)
@@ -378,6 +380,7 @@ def _oracle_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_befor
         g_probe=float(g_before),
         g_after=float(support.g_at(t, x_rec)),
         flipped=False,
+        threshold=float(threshold),
     )
     return rec, [_applied(handle.spec, u_rec, x_rec, "recovery")]
 
@@ -418,7 +421,7 @@ class EarlyStopController(Controller):
         if not self.triggered:
             u_hat = policy.action(state)
             lam = effective_lambda(self.cfg, support, t, handle.spec)
-            if should_recover(g, u_hat, lam):
+            if g <= switch_threshold(u_hat, lam):
                 self.triggered = True
         if self.triggered:
             u, tag = np.zeros(2), "zero"
@@ -437,7 +440,8 @@ class RecoveryController(Controller):
         lam = effective_lambda(cfg, support, t, handle.spec)
         out = StepRecord(t, g, [])
         u_hat = policy.action(state)
-        while should_recover(g, u_hat, lam):
+        threshold = switch_threshold(u_hat, lam)
+        while g <= threshold:
             if len(out.recovery) >= cfg.max_recovery_iters:
                 out.halted = True
                 return out
@@ -447,7 +451,7 @@ class RecoveryController(Controller):
                     t=t,
                     g_value=g,
                 )
-            rec, motions = iteration(handle, support, t, state, cfg, rng, lam, g)
+            rec, motions = iteration(handle, support, t, state, cfg, rng, lam, g, threshold)
             out.recovery.append(rec)
             out.applied.extend(motions)
             if any(a.collided or a.reached for a in motions):
@@ -455,6 +459,7 @@ class RecoveryController(Controller):
             state = motions[-1].state
             g = rec.g_after
             u_hat = policy.action(state)
+            threshold = switch_threshold(u_hat, lam)
         out.applied.append(_applied(handle.spec, u_hat, handle.step(state, u_hat), "policy"))
         return out
 

@@ -154,12 +154,14 @@ def classify_outcome(record, spec):
 
 
 RECORD_FORMAT = "rollout-record"
+# Version 2 stores each recovery iteration's switching threshold.
+RECORD_VERSION = 2
 
 
 def record_to_document(record):
     return {
         "format": RECORD_FORMAT,
-        "version": 1,
+        "version": RECORD_VERSION,
         "seed": record.seed,
         "controller": record.controller,
         "outcome": record.outcome,
@@ -191,6 +193,7 @@ def record_to_document(record):
                         "g_probe": float(e.g_probe),
                         "g_after": float(e.g_after),
                         "flipped": bool(e.flipped),
+                        "threshold": float(e.threshold),
                     }
                     for e in s.recovery
                 ],
@@ -204,6 +207,10 @@ def record_from_document(doc):
     with malformed("malformed rollout record"):
         if doc["format"] != RECORD_FORMAT:
             raise InvalidInputError(f"not a rollout record: format={doc['format']!r}")
+        if doc.get("version") != RECORD_VERSION:
+            raise InvalidInputError(
+                f"rollout record version {doc.get('version')!r}; expected {RECORD_VERSION}"
+            )
         steps = [
             StepRecord(
                 t=int(s["t"]),
@@ -227,6 +234,7 @@ def record_from_document(doc):
                         g_probe=float(e["g_probe"]),
                         g_after=float(e["g_after"]),
                         flipped=bool(e["flipped"]),
+                        threshold=float(e["threshold"]),
                     )
                     for e in s["recovery"]
                 ],
@@ -252,13 +260,16 @@ def record_from_document(doc):
 
 def _seed_sequence(seed):
     if isinstance(seed, (int, np.integer)):
-        return np.random.SeedSequence(int(seed)), int(seed)
-    if isinstance(seed, (list, tuple)) and seed and all(
+        key = int(seed)
+    elif isinstance(seed, (list, tuple)) and seed and all(
         isinstance(v, (int, np.integer)) for v in seed
     ):
         key = [int(v) for v in seed]
-        return np.random.SeedSequence(key), key
-    raise InvalidInputError(f"rollout seed must be an int or a list of ints, got {seed!r}")
+    else:
+        raise InvalidInputError(f"rollout seed must be an int or a list of ints, got {seed!r}")
+    if min(key if isinstance(key, list) else [key]) < 0:
+        raise InvalidInputError(f"rollout seed entries must be non-negative, got {seed!r}")
+    return np.random.SeedSequence(key), key
 
 
 def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None):
@@ -510,6 +521,14 @@ class ExperimentConfig:
         if self.ascent_cells is not None:
             cells = tuple((int(s), int(n)) for s, n in self.ascent_cells)
             object.__setattr__(self, "ascent_cells", cells)
+        ascent_seeds = [s for s, _ in self.ascent_cells or ()]
+        if min([self.seed, *self.demo_seeds, *ascent_seeds]) < 0:
+            raise InvalidInputError(
+                f"seeds must be non-negative: seed={self.seed}, "
+                f"demo_seeds={list(self.demo_seeds)}, ascent cell seeds={ascent_seeds}"
+            )
+        if not 0.0 <= self.demo_jitter < math.inf:
+            raise InvalidInputError(f"demo_jitter must be finite and >= 0, got {self.demo_jitter}")
         if self.trace_points < 2:
             raise InvalidInputError("trace_points must be >= 2")
         if self.certified_rollouts < 1:
@@ -641,9 +660,8 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
 
     Each cell (seed key, demo seed, demo count) is fitted once; every arm in
     kinds then rolls out on the cell's paired seeds [master seed, *seed key,
-    episode].  Yields (cell, kind, switch config, support, policy, records)
-    per arm, with support or policy None where the controller does not
-    consult it.  The oracle arm steps with oracle_eta when it is set.
+    episode].  Yields (cell, kind, records) per arm.  The oracle arm steps
+    with oracle_eta when it is set.
     """
     for cell in cells:
         key, demo_seed, n = cell
@@ -654,7 +672,7 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
             sup = support if CONTROLLERS[kind].uses_support else None
             pol = policy if CONTROLLERS[kind].uses_policy else None
             recs = _run_rollouts(spec, kind, sup, pol, seeds, scfg, disturbance, jobs)
-            yield cell, kind, scfg, sup, pol, recs
+            yield cell, kind, recs
 
 
 def _require_gates(gates):
@@ -682,7 +700,7 @@ def run_learning_curve(config, jobs=1):
     ]
     rows = []
     records = []
-    for ((trial, _), demo_seed, n), kind, _, _, _, recs in _arm_runs(
+    for ((trial, _), demo_seed, n), kind, recs in _arm_runs(
         spec, config, cells, config.controllers, config.disturbance, jobs
     ):
         base = {"controller": kind, "demo_count": n, "trial": trial, "demo_seed": demo_seed}
@@ -758,31 +776,20 @@ def run_learning_curve(config, jobs=1):
 # experiment: normalized ascent traces
 
 
-def activation_traces(record, support, policy, cfg, spec):
+def activation_traces(record):
     """Normalized ascent traces, one per recovery activation in the record.
 
-    The value of iteration k is min(1, g_before / (lambda * ||u_hat(x_k)||))
-    with u_hat recomputed at the state x_k the iteration started from: the
-    step's start state for k = 0, else where the k-th recovery-tagged motion
-    of the step ended (dfr and oracle alike).  1.0 is the switching
-    threshold.  An activation that hands control back to the policy gets a
-    terminal 1.0 anchor: the exit test g > lambda*||u_hat|| passed, the
-    trace just has no sample of its own there.
+    The value of each iteration is min(1, g_before / threshold), both as the
+    recovery loop recorded them at the state the iteration started from, so
+    1.0 is the switching threshold.  An activation that hands control back
+    to the policy gets a terminal 1.0 anchor: the exit test g > threshold
+    passed, the trace just has no sample of its own there.
     """
     traces = []
-    cur = record.start_state
     for step in record.steps:
-        step_start = cur
-        if step.applied:
-            cur = step.applied[-1].state
         if not step.recovery:
             continue
-        lam = effective_lambda(cfg, support, step.t, spec)
-        starts = [step_start] + [a.state for a in step.applied if a.tag == "recovery"]
-        vals = []
-        for ev, pre in zip(step.recovery, starts):
-            threshold = lam * float(np.linalg.norm(policy.action(pre)))
-            vals.append(min(1.0, ev.g_before / threshold))
+        vals = [min(1.0, ev.g_before / ev.threshold) for ev in step.recovery]
         if step.applied and step.applied[-1].tag == "policy":
             vals.append(1.0)
         traces.append(vals)
@@ -822,11 +829,9 @@ def run_ascent_traces(config, jobs=1):
     cells = [((ci, 0), demo_seed, n) for ci, (demo_seed, n) in enumerate(pairs)]
     traces = {arm: [] for arm in arms}
     records = []
-    for _, arm, scfg, support, policy, recs in _arm_runs(
-        spec, config, cells, arms, config.disturbance, jobs
-    ):
+    for _, arm, recs in _arm_runs(spec, config, cells, arms, config.disturbance, jobs):
         for rec in recs:
-            traces[arm].extend(activation_traces(rec, support, policy, scfg, spec))
+            traces[arm].extend(activation_traces(rec))
         records.extend(recs)
 
     curves = {}
@@ -913,7 +918,7 @@ def run_disturbance_eval(config, jobs=1):
     disturbance = True if config.disturbance is None else config.disturbance
     rows = []
     records = []
-    for _, kind, _, _, _, recs in _arm_runs(
+    for _, kind, recs in _arm_runs(
         spec, config, [((0, 0), demo_seed, n)], config.controllers, disturbance, jobs
     ):
         base = {"controller": kind, "demo_count": n, "demo_seed": demo_seed}

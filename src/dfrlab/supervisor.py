@@ -15,6 +15,7 @@ append-only: extending a file with more lines yields a valid larger set.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -149,12 +150,17 @@ def generate_demos(spec, n, seed, jitter_sigma=0.0):
     """Roll out the supervisor n times (disturbance off) and collect demos.
 
     Every rollout must reach the goal within the horizon without touching a
-    constraint region; anything else aborts with a diagnostic rather than
-    silently dropping the trajectory.  jitter_sigma > 0 adds Gaussian control
-    noise, widening the demonstrated support.
+    constraint region; anything else is an input error (of the jitter or the
+    environment spec) rather than a silently dropped trajectory.
+    jitter_sigma > 0 adds Gaussian control noise, widening the demonstrated
+    support.
     """
     if n < 1:
         raise InvalidInputError(f"need at least one demonstration, got n={n}")
+    if seed < 0:
+        raise InvalidInputError(f"demo seed must be non-negative, got {seed}")
+    if not 0.0 <= jitter_sigma < math.inf:
+        raise InvalidInputError(f"jitter sigma must be finite and >= 0, got {jitter_sigma}")
     root = np.random.default_rng(seed)
     traj_seeds = [int(s) for s in root.integers(0, 2**62, size=n)]
     trajectories = []
@@ -172,18 +178,19 @@ def generate_demos(spec, n, seed, jitter_sigma=0.0):
             state = step(spec, state, u, stream=None)
             # looked up on envs, as in controllers._applied
             if not envs.check_constraint(spec, state):
-                raise RuntimeError(
+                raise InvalidInputError(
                     f"supervisor rollout {k} (seed {tseed}) touched a constraint "
-                    f"region at step {t}; fix the supervisor or the geometry"
+                    f"region at step {t} with jitter sigma={jitter_sigma:g}; lower "
+                    "the jitter or fix the environment spec"
                 )
             if envs.reached_goal(spec, state):
                 reached = True
             states.append(state)
             controls.append(np.asarray(u, dtype=float))
         if not reached:
-            raise RuntimeError(
+            raise InvalidInputError(
                 f"supervisor rollout {k} (seed {tseed}) did not reach the goal "
-                f"within horizon {spec.horizon}"
+                f"within horizon {spec.horizon} with jitter sigma={jitter_sigma:g}"
             )
         trajectories.append(
             Trajectory(
@@ -197,9 +204,10 @@ def generate_demos(spec, n, seed, jitter_sigma=0.0):
     if spec.kind == POINT_PUSH:
         for t in range(demos.horizon):
             if np.var(demos.states_at(t), axis=0).max() <= 0.0:
-                raise RuntimeError(
+                raise InvalidInputError(
                     f"demonstration time slice {t} has zero variance in every "
-                    "coordinate; the start distribution gives no diversity"
+                    f"coordinate at jitter sigma={jitter_sigma:g}; the start "
+                    "distribution gives no diversity"
                 )
     return demos
 

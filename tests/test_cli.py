@@ -230,6 +230,43 @@ def _null_disturbance_config(path):
     return cfg
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("demos", "--env", "point_push", "--n", "3", "--seed", "-1"), "demo seed"),
+        (("rollout", "--env", "point_push", "--controller", "supervisor", "--seed", "-1"),
+         "rollout seed"),
+        (("demos", "--env", "point_push", "--n", "3", "--jitter", "-1"), "jitter sigma"),
+        (("demos", "--env", "point_push", "--n", "5", "--seed", "0", "--jitter", "0.3"),
+         "sigma=0.3"),
+    ],
+    ids=["demos-negative-seed", "rollout-negative-seed", "demos-negative-jitter",
+         "demos-jitter-too-wide"],
+)
+def test_bad_seed_or_jitter_exits_2(tmp_path, args, message):
+    out = tmp_path / "out.json"
+    proc = run_cli(*args, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, bad", [("seed", -1), ("demo_seeds", [-3]), ("demo_jitter", -0.5)])
+def test_bad_config_seed_or_jitter_exits_2_at_load(tmp_path, field, bad):
+    cfg_path = tmp_path / "cfg.json"
+    _null_disturbance_config(cfg_path)  # seed 0, demo_seeds [5]
+    doc = json.loads(cfg_path.read_text())
+    doc[field] = bad
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    proc = run_cli("exp-disturbance", "--config", str(cfg_path), "--out", str(out),
+                   "--jobs", "1")
+    assert proc.returncode == 2, proc.stderr
+    assert field in proc.stderr
+    assert not out.exists()
+
+
 def test_gate_failure_exits_4_but_writes_outputs(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     _null_disturbance_config(cfg_path)

@@ -25,7 +25,7 @@ from dfrlab.controllers import (
     load_policy,
     make_controller,
     save_policy,
-    should_recover,
+    switch_threshold,
 )
 from dfrlab.envs import EnvHandle, builtin_env_spec
 from dfrlab.errors import InvalidInputError, OutsideSupportError
@@ -178,12 +178,14 @@ def test_switch_config_validation():
         SwitchConfig(lam=None, lambda_mode="Certified")
 
 
-def test_should_recover_boundary():
+def test_switch_threshold_boundary():
+    # the switching rule trips at g <= switch_threshold(u_hat, lam)
     u = np.array([1.0, 0.0])
-    assert should_recover(0.5, u, 0.5)  # boundary triggers
-    assert not should_recover(0.5 + 1e-12, u, 0.5)
+    assert switch_threshold(u, 0.5) == 0.5
+    assert 0.5 <= switch_threshold(u, 0.5)  # boundary triggers
+    assert not 0.5 + 1e-12 <= switch_threshold(u, 0.5)
     # a zero commanded control is always safe at positive g
-    assert not should_recover(1e-9, np.zeros(2), 0.5)
+    assert not 1e-9 <= switch_threshold(np.zeros(2), 0.5)
 
 
 def test_effective_lambda_modes(line_track_spec):
@@ -218,10 +220,11 @@ def test_recovery_iteration_magnitudes_and_audit(lt_handle):
     x0 = np.array([1.0, 0.0])
     g0 = _g(support, x0)
     rec, applied = dfr_recovery_iteration(
-        lt_handle, support, 0, x0.copy(), cfg, np.random.default_rng(0), 1.0, g0
+        lt_handle, support, 0, x0.copy(), cfg, np.random.default_rng(0), 1.0, g0, 0.7
     )
     nxt = applied[-1].state
     assert rec.g_before == pytest.approx(g0, abs=1e-15)
+    assert rec.threshold == 0.7  # recorded as given
     assert np.linalg.norm(rec.u_delta) == pytest.approx(0.1 * g0, abs=1e-12)
     assert np.linalg.norm(rec.u_recovery) == pytest.approx(0.45 * g0, abs=1e-12)
     # the two motions commute through micro_step into plain vector addition
@@ -239,7 +242,7 @@ def test_recovery_iteration_flip_semantics(lt_handle):
     saw_flip = saw_keep = False
     for seed in range(40):
         rec, _ = dfr_recovery_iteration(
-            lt_handle, support, 0, x0.copy(), cfg, np.random.default_rng(seed), 1.0, g0
+            lt_handle, support, 0, x0.copy(), cfg, np.random.default_rng(seed), 1.0, g0, 1.0
         )
         dot = float(rec.u_delta @ rec.u_recovery)
         if rec.flipped:
@@ -261,7 +264,7 @@ def test_recovery_budget_never_exceeds_g_over_lambda(lt_handle, line_track_spec)
                 SwitchConfig(lam=None, lambda_mode="certified")):
         lam = effective_lambda(cfg, support, 0, line_track_spec)
         rec, _ = dfr_recovery_iteration(
-            lt_handle, support, 0, x0.copy(), cfg, np.random.default_rng(1), lam, g0
+            lt_handle, support, 0, x0.copy(), cfg, np.random.default_rng(1), lam, g0, lam
         )
         total = np.linalg.norm(rec.u_delta) + np.linalg.norm(rec.u_recovery)
         assert total <= g0 / lam * (1.0 + 1e-12)

@@ -2,6 +2,8 @@
 miniature sizes."""
 
 import dataclasses
+import json
+import math
 from importlib.resources import files
 
 import numpy as np
@@ -211,6 +213,12 @@ def test_rollout_validates_required_inputs(point_push_spec, pp_policy):
         rollout(point_push_spec, "baseline", None, None, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, [0, -1], (0, 0, -3)], ids=["int", "list", "tuple"])
+def test_rollout_rejects_negative_seed_entries(point_push_spec, seed):
+    with pytest.raises(InvalidInputError, match="non-negative"):
+        rollout(point_push_spec, "supervisor", None, None, seed=seed)
+
+
 def test_start_gate_halts_before_any_step(point_push_spec, pp_support, pp_policy):
     cfg = SwitchConfig(lam=0.05)
     gated = None
@@ -309,6 +317,18 @@ def test_record_document_round_trip(point_push_spec, pp_support, pp_policy):
     assert record_to_document(back) == doc
     assert classify_outcome(back, point_push_spec) == rec.outcome
     assert "wall_clock_s" not in doc
+    assert doc["version"] == 2
+
+
+@pytest.mark.parametrize("version", [1, 3, "2", None])
+def test_record_from_document_rejects_other_versions(version):
+    doc = record_to_document(_synthetic_record([[0, 0], [1, 1]]))
+    if version is None:
+        del doc["version"]
+    else:
+        doc["version"] = version
+    with pytest.raises(InvalidInputError, match=f"record version {version!r}"):
+        record_from_document(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +344,21 @@ def test_activation_traces_values_and_anchor(point_push_spec, pp_support, pp_pol
             rec = cand
             break
     assert rec is not None, "no recovering completed episode among the first 60 seeds"
-    traces = activation_traces(rec, pp_support, pp_policy, cfg, point_push_spec)
+    traces = activation_traces(rec)
     triggering = [s for s in rec.steps if s.recovery]
     assert len(traces) == len(triggering)
     for step, vals in zip(triggering, traces):
         assert all(v <= 1.0 + 1e-12 for v in vals)
         if step.applied and step.applied[-1].tag == "policy":
             assert vals[-1] == 1.0  # exit anchor
-    # recompute the first value by hand from the stored record
+    # the first iteration's threshold is lambda * ||u_hat|| at the step's
+    # start state, recomputed by hand from the stored record
     first = triggering[0]
     idx = rec.steps.index(first)
     pre = rec.start_state if idx == 0 else rec.steps[idx - 1].applied[-1].state
-    u_hat = pp_policy.action(pre)
-    expected = min(1.0, first.recovery[0].g_before / (0.05 * float(np.linalg.norm(u_hat))))
-    assert traces[0][0] == pytest.approx(expected, abs=1e-12)
+    ev = first.recovery[0]
+    assert ev.threshold == 0.05 * float(np.linalg.norm(pp_policy.action(pre)))
+    assert traces[0][0] == min(1.0, ev.g_before / ev.threshold)
 
 
 @pytest.mark.parametrize("kind, motions_per_iteration", [("dfr", 2), ("oracle", 1)])
@@ -355,7 +376,7 @@ def test_activation_traces_later_iterations(
             rec = cand
             break
     assert rec is not None, f"no {kind} step with two iterations among the first 60 seeds"
-    traces = activation_traces(rec, pp_support, pp_policy, cfg, point_push_spec)
+    traces = activation_traces(rec)
     checked = 0
     for step, vals in zip([s for s in rec.steps if s.recovery], traces):
         for k in range(1, len(step.recovery)):
@@ -364,9 +385,25 @@ def test_activation_traces_later_iterations(
             ev = step.recovery[k]
             assert pp_support.g_at(step.t, motion.state) == ev.g_before
             u_hat = pp_policy.action(motion.state)
-            assert vals[k] == min(1.0, ev.g_before / (0.05 * float(np.linalg.norm(u_hat))))
+            assert ev.threshold == 0.05 * float(np.linalg.norm(u_hat))
+            assert vals[k] == min(1.0, ev.g_before / ev.threshold)
             checked += 1
     assert checked >= 1
+
+
+@pytest.mark.parametrize("kind", ["dfr", "oracle"])
+def test_activation_traces_survive_the_record_format(point_push_spec, pp_support, pp_policy,
+                                                     kind):
+    cfg = SwitchConfig(lam=0.05)
+    recs = [rollout(point_push_spec, kind, pp_support, pp_policy, seed=seed, cfg=cfg)
+            for seed in range(10)]
+    assert sum(len(activation_traces(r)) for r in recs) > 0
+    for rec in recs:
+        doc = record_to_document(rec)
+        for e in (e for s in doc["steps"] for e in s["recovery"]):
+            assert list(e)[-2:] == ["flipped", "threshold"]
+        back = record_from_document(json.loads(json.dumps(doc)))
+        assert activation_traces(back) == activation_traces(rec)
 
 
 def test_resample_trace_linear_interpolation():
@@ -405,6 +442,19 @@ def test_experiment_config_checks_derived_configs_at_load(field, bad):
     doc[field] = bad
     with pytest.raises(InvalidInputError):
         experiment_config_from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"seed": -1, "demo_seeds": (5,)}, {"seed": -1}, {"trials": 2, "demo_seeds": (4, -3)},
+     {"ascent_cells": ((-2, 20),)}, {"demo_jitter": -0.5}, {"demo_jitter": math.inf},
+     {"demo_jitter": math.nan}],
+    ids=["seed", "derived-demo-seed", "demo-seed", "ascent-cell-seed", "negative-jitter",
+         "infinite-jitter", "nan-jitter"],
+)
+def test_experiment_config_rejects_negative_seeds_and_bad_jitter(fields):
+    with pytest.raises(InvalidInputError, match="seed|demo_jitter"):
+        ExperimentConfig(**fields)
 
 
 def test_experiment_config_seed_defaults():

@@ -1,6 +1,9 @@
 """Scripted demonstration generation: success guarantees, determinism,
 jitter, and the JSONL on-disk format."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,32 @@ def test_jitter_changes_point_push_trajectories(point_push_spec):
         for a, b in zip(clean.trajectories, noisy.trajectories)
     )
     assert not same
+
+
+@pytest.mark.parametrize(
+    "seed, sigma, message",
+    [(-1, 0.0, "demo seed must be non-negative"), (0, -1.0, "jitter sigma"),
+     (0, math.inf, "jitter sigma"), (0, math.nan, "jitter sigma")],
+    ids=["negative-seed", "negative-jitter", "infinite-jitter", "nan-jitter"],
+)
+def test_generate_demos_rejects_bad_seed_and_jitter(point_push_spec, seed, sigma, message):
+    with pytest.raises(InvalidInputError, match=message):
+        generate_demos(point_push_spec, 2, seed=seed, jitter_sigma=sigma)
+
+
+def test_failed_demos_are_input_errors_naming_sigma(point_push_spec):
+    # too much jitter drives the supervisor into a constraint region
+    with pytest.raises(InvalidInputError, match="constraint region .* sigma=0.3"):
+        generate_demos(point_push_spec, 5, seed=0, jitter_sigma=0.3)
+    # a horizon too short to reach the goal
+    short = dataclasses.replace(point_push_spec, horizon=1)
+    with pytest.raises(InvalidInputError, match="did not reach the goal .* sigma=0"):
+        generate_demos(short, 2, seed=0)
+    # a start box of one point gives every demo the same states
+    (lo_x, lo_y), _ = point_push_spec.object_start_box
+    fixed = dataclasses.replace(point_push_spec, object_start_box=((lo_x, lo_y), (lo_x, lo_y)))
+    with pytest.raises(InvalidInputError, match="zero variance .* sigma=0"):
+        generate_demos(fixed, 2, seed=0)
 
 
 def test_supervisor_action_is_finite_and_capped(point_push_spec, rng):
