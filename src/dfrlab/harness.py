@@ -23,6 +23,7 @@ metrics into an output directory.
 from dataclasses import dataclass, fields, replace
 from concurrent.futures import ProcessPoolExecutor
 import hashlib
+from itertools import chain, islice
 import json
 import math
 import os
@@ -642,27 +643,37 @@ def _fit_cell(spec, config, demo_seed, n):
 
 
 def _rollout_task(args):
-    spec, kind, support, policy, seed, cfg, disturbance = args
-    return rollout(spec, kind, support, policy, seed, cfg=cfg, disturbance=disturbance)
+    spec, kind, support, policy, seeds, cfg, disturbance = args
+    return [rollout(spec, kind, support, policy, s, cfg=cfg, disturbance=disturbance)
+            for s in seeds]
 
 
-def _run_rollouts(spec, kind, support, policy, seeds, cfg, disturbance, jobs):
-    """Map rollouts over a process pool; results keep the seed order."""
-    tasks = [(spec, kind, support, policy, s, cfg, disturbance) for s in seeds]
-    if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_rollout_task, tasks))
-    return [_rollout_task(t) for t in tasks]
+def _contiguous_chunks(items, n):
+    """items split into min(n, len(items)) contiguous runs, sizes within one."""
+    n = min(n, len(items))
+    q, r = divmod(len(items), n)
+    bounds = [i * q + min(i, r) for i in range(n + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
     """The experiment loop shared by every runner but the certified audit.
 
-    Each cell (seed key, demo seed, demo count) is fitted once; every arm in
-    kinds then rolls out on the cell's paired seeds [master seed, *seed key,
-    episode].  Yields (cell, kind, records) per arm.  The oracle arm steps
-    with oracle_eta when it is set.
+    Each cell (seed key, demo seed, demo count) is fitted once, all of them
+    in this process before any rollout; every arm in kinds then rolls out on
+    the cell's paired seeds [master seed, *seed key, episode].  Returns
+    (cell, kind, records) per arm, cell by cell.  The oracle arm steps with
+    oracle_eta when it is set.
+
+    Each arm's seeds go out as jobs contiguous chunks, and every chunk of
+    the experiment runs on one pool of jobs worker processes (in this
+    process at jobs=1).  Set-up stays here so that it is timed and traced
+    where it runs.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
+        raise InvalidInputError(f"jobs must be an int >= 1, got {jobs!r}")
+    arms = []
+    tasks = []
     for cell in cells:
         key, demo_seed, n = cell
         support, policy = _fit_cell(spec, config, demo_seed, n)
@@ -671,8 +682,17 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
             scfg = config.switch_config(eta=config.oracle_eta if kind == "oracle" else None)
             sup = support if CONTROLLERS[kind].uses_support else None
             pol = policy if CONTROLLERS[kind].uses_policy else None
-            recs = _run_rollouts(spec, kind, sup, pol, seeds, scfg, disturbance, jobs)
-            yield cell, kind, recs
+            chunks = _contiguous_chunks(seeds, jobs)
+            arms.append((cell, kind, len(chunks)))
+            tasks.extend((spec, kind, sup, pol, c, scfg, disturbance) for c in chunks)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_rollout_task, tasks))
+    else:
+        results = [_rollout_task(t) for t in tasks]
+    done = iter(results)
+    return [(cell, kind, list(chain.from_iterable(islice(done, n_chunks))))
+            for cell, kind, n_chunks in arms]
 
 
 def _require_gates(gates):

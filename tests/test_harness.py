@@ -4,13 +4,15 @@ miniature sizes."""
 import dataclasses
 import json
 import math
+import pickle
+import re
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
 from dfrlab import harness
-from dfrlab.controllers import Policy, SwitchConfig
+from dfrlab.controllers import Policy, RecoveryStep, SwitchConfig
 from dfrlab.envs import builtin_env_spec
 from dfrlab.errors import InvalidInputError
 from dfrlab.harness import (
@@ -320,6 +322,37 @@ def test_record_document_round_trip(point_push_spec, pp_support, pp_policy):
     assert doc["version"] == 2
 
 
+def _assert_same_fields(a, b):
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (y.dtype, y.shape, y.tobytes()) == (x.dtype, x.shape, x.tobytes()), f.name
+        else:
+            assert type(y) is type(x) and repr(y) == repr(x), f.name  # repr tells -0.0 apart
+
+
+def test_records_pickle_exactly(point_push_spec, pp_support, pp_policy):
+    applied = AppliedRecord(u=np.array([-0.0, 1e-300]), tag="probe",
+                            state=np.array([0.1, -0.0, 3.0, -4.5, 5.0, 6.0]),
+                            collided=False, reached=True)
+    step = RecoveryStep(u_delta=np.array([-0.0, 0.5]), u_recovery=np.array([0.1, -0.0]),
+                        g_before=0.1, g_probe=-0.0, g_after=0.2, flipped=True, threshold=0.3)
+    for obj in (applied, step):
+        _assert_same_fields(obj, pickle.loads(pickle.dumps(obj)))
+
+    rec = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=17,
+                  cfg=SwitchConfig(lam=0.05))
+    back = pickle.loads(pickle.dumps(rec))
+    assert record_to_document(back) == record_to_document(rec)
+    assert back.wall_clock_s == rec.wall_clock_s
+    assert (back.start_state.tobytes(), back.seed) == (rec.start_state.tobytes(), rec.seed)
+    assert any(s.recovery for s in rec.steps)
+    for s, t in zip(rec.steps, back.steps):
+        for a, b in zip(s.applied + s.recovery, t.applied + t.recovery):
+            _assert_same_fields(a, b)
+
+
 @pytest.mark.parametrize("version", [1, 3, "2", None])
 def test_record_from_document_rejects_other_versions(version):
     doc = record_to_document(_synthetic_record([[0, 0], [1, 1]]))
@@ -536,24 +569,48 @@ def _shipped_config(name, **kw):
 
 
 # The ascent and disturbance cells recover hundreds of times, the
-# disturbance one under the stream.
+# disturbance one under the stream.  At jobs=3 the 7 episodes of each arm
+# split into chunks of 3, 2 and 2, which must merge back in seed order.
 @pytest.mark.parametrize(
-    "experiment, cfg",
+    "experiment, cfg, jobs",
     [
-        ("learning-curve", _mini_config()),
+        ("learning-curve", _mini_config(), 2),
         ("ascent", _shipped_config(
-            "exp_point_push_ascent.json", eval_samples=12, ascent_cells=((5, 30),))),
-        ("disturbance", _shipped_config("exp_line_track_disturbance.json", eval_samples=12)),
+            "exp_point_push_ascent.json", eval_samples=12, ascent_cells=((5, 30),)), 2),
+        ("disturbance", _shipped_config("exp_line_track_disturbance.json", eval_samples=12), 2),
+        ("learning-curve", _mini_config(eval_samples=7), 3),
     ],
-    ids=["learning-curve", "ascent", "disturbance"],
+    ids=["learning-curve", "ascent", "disturbance", "learning-curve-jobs3"],
 )
-def test_parallel_rollouts_match_serial(experiment, cfg):
+def test_parallel_rollouts_match_serial(experiment, cfg, jobs):
     a = run_experiment(experiment, cfg, jobs=1)
-    b = run_experiment(experiment, cfg, jobs=2)
+    b = run_experiment(experiment, cfg, jobs=jobs)
     docs_a = [record_to_document(r) for r in a["records"]]
     docs_b = [record_to_document(r) for r in b["records"]]
     assert docs_a == docs_b
     assert a["rows"] == b["rows"]
+    assert all(r.wall_clock_s is not None for r in a["records"] + b["records"])
+
+
+@pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
+def test_one_pool_per_experiment(monkeypatch, jobs, pools):
+    created = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            created.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    run_experiment("learning-curve", _mini_config(), jobs=jobs)
+    assert created == [jobs] * pools
+
+
+@pytest.mark.parametrize("jobs", [0, -2, 2.5])
+def test_run_experiment_rejects_bad_jobs(jobs):
+    message = f"jobs must be an int >= 1, got {jobs!r}"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        run_experiment("learning-curve", _mini_config(), jobs=jobs)
 
 
 def test_disturbance_eval_off_is_a_clean_null(line_track_spec):
