@@ -152,11 +152,12 @@ def _add_experiment_parser(sub, command, runner, help_text):
     )
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    # One pool per experiment runs the rollouts; set-up stays in this process.
+    # One pool per arm runs the rollouts; set-up stays in this process.
     # Serial by default: on a two-core machine, median experiment times were
-    # 12.4 s serially and 11.2 s at --jobs 2 for the learning curve, 9.8 s and
-    # 7.9 s for ascent, and 6.1 s and 6.0 s for disturbance (no clear win),
-    # at about 2.6x the serial peak memory; the records are identical.
+    # 12.2 s serially and 10.4 s at --jobs 2 for the learning curve (10.6 s
+    # and 11.4 s in a second set of pairs), 8.4 s and 8.0 s for ascent, and
+    # 6.6 s and 6.9 s for disturbance, at 2.2-3x the serial peak memory; the
+    # records are identical.
     p.add_argument("--jobs", type=_jobs, default=1, help="rollout worker processes")
     p.add_argument(
         "--trials", type=int, default=None,

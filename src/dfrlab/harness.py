@@ -665,15 +665,15 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
     (cell, kind, records) per arm, cell by cell.  The oracle arm steps with
     oracle_eta when it is set.
 
-    Each arm's seeds go out as jobs contiguous chunks, and every chunk of
-    the experiment runs on one pool of jobs worker processes (in this
-    process at jobs=1).  Set-up stays here so that it is timed and traced
-    where it runs.
+    Each arm's seeds go out as jobs contiguous chunks per cell, and the
+    chunks of one arm, over every cell, run on one pool of jobs worker
+    processes (in this process at jobs=1).  Set-up stays here so that it is
+    timed and traced where it runs.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
         raise InvalidInputError(f"jobs must be an int >= 1, got {jobs!r}")
     arms = []
-    tasks = []
+    tasks = {kind: [] for kind in kinds}
     for cell in cells:
         key, demo_seed, n = cell
         support, policy = _fit_cell(spec, config, demo_seed, n)
@@ -684,14 +684,15 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
             pol = policy if CONTROLLERS[kind].uses_policy else None
             chunks = _contiguous_chunks(seeds, jobs)
             arms.append((cell, kind, len(chunks)))
-            tasks.extend((spec, kind, sup, pol, c, scfg, disturbance) for c in chunks)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_rollout_task, tasks))
-    else:
-        results = [_rollout_task(t) for t in tasks]
-    done = iter(results)
-    return [(cell, kind, list(chain.from_iterable(islice(done, n_chunks))))
+            tasks[kind].extend((spec, kind, sup, pol, c, scfg, disturbance) for c in chunks)
+    done = {}
+    for kind, arm_tasks in tasks.items():
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                done[kind] = iter(list(pool.map(_rollout_task, arm_tasks)))
+        else:
+            done[kind] = iter([_rollout_task(t) for t in arm_tasks])
+    return [(cell, kind, list(chain.from_iterable(islice(done[kind], n_chunks))))
             for cell, kind, n_chunks in arms]
 
 

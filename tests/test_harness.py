@@ -592,8 +592,9 @@ def test_parallel_rollouts_match_serial(experiment, cfg, jobs):
     assert all(r.wall_clock_s is not None for r in a["records"] + b["records"])
 
 
-@pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 1)])
-def test_one_pool_per_experiment(monkeypatch, jobs, pools):
+# Two cells and two arms: one pool per arm, not per (cell, arm).
+@pytest.mark.parametrize("jobs, pools", [(1, 0), (2, 2)])
+def test_one_pool_per_arm(monkeypatch, jobs, pools):
     created = []
 
     class CountingPool(harness.ProcessPoolExecutor):
@@ -602,7 +603,7 @@ def test_one_pool_per_experiment(monkeypatch, jobs, pools):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-    run_experiment("learning-curve", _mini_config(), jobs=jobs)
+    run_experiment("learning-curve", _mini_config(demo_grid=(20, 30), eval_samples=4), jobs=jobs)
     assert created == [jobs] * pools
 
 
