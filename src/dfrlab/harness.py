@@ -22,6 +22,7 @@ metrics into an output directory.
 
 from dataclasses import dataclass, fields, replace
 from concurrent.futures import ProcessPoolExecutor
+import contextlib
 import hashlib
 from itertools import chain, islice
 import json
@@ -55,7 +56,7 @@ from .envs import (
 )
 from .errors import GateFailureError, InvalidInputError, OutsideSupportError
 from .kernel_ocsvm import KernelParams, OcsvmParams
-from .supervisor import generate_demos
+from .supervisor import demo_prefix, generate_demos
 from .support import TimeVaryingSupport, fit_pooled, fit_time_varying
 from .util import atomic_write_text, dump_json, float_list, load_json, malformed
 
@@ -634,11 +635,20 @@ def fit_support(demos, params, projection=None, pooled=False):
     return TimeVaryingSupport(estimators=[model], projection=proj)
 
 
-def _fit_cell(spec, config, demo_seed, n):
-    """Support estimator and policy for one (seed, count) cell."""
-    demos = generate_demos(spec, n, seed=demo_seed, jitter_sigma=config.demo_jitter)
-    support = fit_support(demos, config.ocsvm_params(), config.projection, config.pooled)
-    policy = fit_policy(demos, config.policy_config())
+@contextlib.contextmanager
+def _stage(timing, name):
+    """Add the wall time of the with block to timing[name]."""
+    t0 = time.perf_counter()
+    yield
+    timing[name] = timing.get(name, 0.0) + (time.perf_counter() - t0)
+
+
+def _fit_cell(config, demos, timing):
+    """Support estimator and policy for one cell's demo set."""
+    with _stage(timing, "support_fit_s"):
+        support = fit_support(demos, config.ocsvm_params(), config.projection, config.pooled)
+    with _stage(timing, "policy_fit_s"):
+        policy = fit_policy(demos, config.policy_config())
     return support, policy
 
 
@@ -662,8 +672,11 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
     Each cell (seed key, demo seed, demo count) is fitted once, all of them
     in this process before any rollout; every arm in kinds then rolls out on
     the cell's paired seeds [master seed, *seed key, episode].  Returns
-    (cell, kind, records) per arm, cell by cell.  The oracle arm steps with
-    oracle_eta when it is set.
+    ((cell, kind, records) per arm, cell by cell; the stage wall times).
+    The oracle arm steps with oracle_eta when it is set.
+
+    Demo sets are nested, so each demo seed's set is generated once, at the
+    largest count its cells need, and each cell fits on a prefix of it.
 
     Each arm's seeds go out as jobs contiguous chunks per cell, and the
     chunks of one arm, over every cell, run on one pool of jobs worker
@@ -672,11 +685,22 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
     """
     if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
         raise InvalidInputError(f"jobs must be an int >= 1, got {jobs!r}")
+    largest = {}
+    for _, demo_seed, n in cells:
+        largest[demo_seed] = max(n, largest.get(demo_seed, 0))
+    timing = {"demos_s": 0.0, "support_fit_s": 0.0, "policy_fit_s": 0.0, "rollouts_s": {}}
+    demo_sets = {}
     arms = []
     tasks = {kind: [] for kind in kinds}
     for cell in cells:
         key, demo_seed, n = cell
-        support, policy = _fit_cell(spec, config, demo_seed, n)
+        if demo_seed not in demo_sets:
+            with _stage(timing, "demos_s"):
+                demo_sets[demo_seed] = generate_demos(
+                    spec, largest[demo_seed], seed=demo_seed, jitter_sigma=config.demo_jitter
+                )
+        demos = demo_prefix(spec, demo_sets[demo_seed], n, config.demo_jitter)
+        support, policy = _fit_cell(config, demos, timing)
         seeds = [[config.seed, *key, i] for i in range(config.eval_samples)]
         for kind in kinds:
             scfg = config.switch_config(eta=config.oracle_eta if kind == "oracle" else None)
@@ -687,13 +711,15 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
             tasks[kind].extend((spec, kind, sup, pol, c, scfg, disturbance) for c in chunks)
     done = {}
     for kind, arm_tasks in tasks.items():
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                done[kind] = iter(list(pool.map(_rollout_task, arm_tasks)))
-        else:
-            done[kind] = iter([_rollout_task(t) for t in arm_tasks])
-    return [(cell, kind, list(chain.from_iterable(islice(done[kind], n_chunks))))
+        with _stage(timing["rollouts_s"], kind):
+            if jobs > 1:
+                with ProcessPoolExecutor(max_workers=jobs) as pool:
+                    done[kind] = iter(list(pool.map(_rollout_task, arm_tasks)))
+            else:
+                done[kind] = iter([_rollout_task(t) for t in arm_tasks])
+    runs = [(cell, kind, list(chain.from_iterable(islice(done[kind], n_chunks))))
             for cell, kind, n_chunks in arms]
+    return runs, timing
 
 
 def _require_gates(gates):
@@ -721,9 +747,8 @@ def run_learning_curve(config, jobs=1):
     ]
     rows = []
     records = []
-    for ((trial, _), demo_seed, n), kind, recs in _arm_runs(
-        spec, config, cells, config.controllers, config.disturbance, jobs
-    ):
+    runs, timing = _arm_runs(spec, config, cells, config.controllers, config.disturbance, jobs)
+    for ((trial, _), demo_seed, n), kind, recs in runs:
         base = {"controller": kind, "demo_count": n, "trial": trial, "demo_seed": demo_seed}
         rows.append(_outcome_row(base, [r.outcome for r in recs]))
         records.extend(recs)
@@ -790,6 +815,7 @@ def run_learning_curve(config, jobs=1):
         "aggregates": aggregates,
         "summary": summary,
         "records": records,
+        "timing": timing,
     }
 
 
@@ -850,7 +876,8 @@ def run_ascent_traces(config, jobs=1):
     cells = [((ci, 0), demo_seed, n) for ci, (demo_seed, n) in enumerate(pairs)]
     traces = {arm: [] for arm in arms}
     records = []
-    for _, arm, recs in _arm_runs(spec, config, cells, arms, config.disturbance, jobs):
+    runs, timing = _arm_runs(spec, config, cells, arms, config.disturbance, jobs)
+    for _, arm, recs in runs:
         for rec in recs:
             traces[arm].extend(activation_traces(rec))
         records.extend(recs)
@@ -916,6 +943,7 @@ def run_ascent_traces(config, jobs=1):
         "aggregates": aggregates,
         "summary": summarize(records),
         "records": records,
+        "timing": timing,
         "curves": curves,
         "traces": traces,
     }
@@ -939,9 +967,10 @@ def run_disturbance_eval(config, jobs=1):
     disturbance = True if config.disturbance is None else config.disturbance
     rows = []
     records = []
-    for _, kind, recs in _arm_runs(
+    runs, timing = _arm_runs(
         spec, config, [((0, 0), demo_seed, n)], config.controllers, disturbance, jobs
-    ):
+    )
+    for _, kind, recs in runs:
         base = {"controller": kind, "demo_count": n, "demo_seed": demo_seed}
         rows.append(_outcome_row(base, [r.outcome for r in recs]))
         records.extend(recs)
@@ -973,6 +1002,7 @@ def run_disturbance_eval(config, jobs=1):
         "aggregates": aggregates,
         "summary": summarize(records),
         "records": records,
+        "timing": timing,
     }
 
 
@@ -992,7 +1022,8 @@ def run_certified(config):
     """
     spec = load_env_spec(config.env)
     n = config.demo_grid[-1]
-    support, policy = _fit_cell(spec, config, config.demo_seeds[0], n)
+    demos = generate_demos(spec, n, seed=config.demo_seeds[0], jitter_sigma=config.demo_jitter)
+    support, policy = _fit_cell(config, demos, {})
     scfg = replace(config.switch_config(), lam=None, lambda_mode="certified")
     outcomes = []
     skipped = 0
@@ -1084,7 +1115,8 @@ def write_experiment_outputs(out_dir, config, result):
     """Write manifest.json, records.jsonl, metrics.csv (+ traces.csv), summary.json.
 
     Every file is byte-stable across re-runs except the manifest's "created"
-    field and the summary's "timing" block.
+    field and summary.json's two "timing" blocks: the stage wall times at
+    the top and the per-controller episode times in "summary".
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
@@ -1114,6 +1146,8 @@ def write_experiment_outputs(out_dir, config, result):
     }
     if result.get("summary") is not None:
         summary_doc["summary"] = result["summary"]
+    if result.get("timing") is not None:
+        summary_doc["timing"] = result["timing"]
     atomic_write_text(os.path.join(out_dir, "summary.json"), dump_json(_json_safe(summary_doc)))
     return manifest
 

@@ -254,23 +254,31 @@ def train_ocsvm(points, params):
     for j in np.flatnonzero(alpha):
         grad += alpha[j] * rows.row(j)
 
+    # The alphas are Python floats.  pen_up is 0 where alpha may grow and
+    # +inf where it may not, pen_down 0 where it may shrink and -inf where
+    # not, so grad + pen is np.where over the bound masks; a step moves only
+    # i and j, so only they are updated.  Pair rule and arithmetic are those
+    # of masks rebuilt every step, bit for bit (tests/test_setup_bits.py).
     bound_slack = C * 1e-12
+    up_cap = C - bound_slack
+    pen_up = np.where(alpha < up_cap, 0.0, np.inf)
+    pen_down = np.where(alpha > bound_slack, 0.0, -np.inf)
+    alpha = alpha.tolist()
+    tol = params.solver_tol
     converged = False
     for _ in range(params.max_solver_iters):
-        up = alpha < C - bound_slack
-        down = alpha > bound_slack
-        gi = np.where(up, grad, np.inf)
-        gj = np.where(down, grad, -np.inf)
-        i = int(np.argmin(gi))
-        j = int(np.argmax(gj))
-        gap = grad[j] - grad[i]
-        if gap <= params.solver_tol:
+        i = int((grad + pen_up).argmin())
+        j = int((grad + pen_down).argmax())
+        gap = grad.item(j) - grad.item(i)
+        if gap <= tol:
             converged = True
             break
         row_i = rows.row(i)
         row_j = rows.row(j)
-        denom = row_i[i] + row_j[j] - 2.0 * row_i[j]
-        t_max = min(C - alpha[i], alpha[j])
+        denom = row_i.item(i) + row_j.item(j) - 2.0 * row_i.item(j)
+        a_i = alpha[i]
+        a_j = alpha[j]
+        t_max = min(C - a_i, a_j)
         if denom > 1e-15:
             t = min(gap / denom, t_max)
         else:
@@ -278,17 +286,24 @@ def train_ocsvm(points, params):
         if t >= t_max:
             t = t_max
             # hit the box: assign the bounds exactly so masks stay clean
-            if C - alpha[i] <= alpha[j]:
-                alpha[i] = C
-                alpha[j] = max(alpha[j] - t_max, 0.0)
+            if C - a_i <= a_j:
+                a_i = C
+                a_j = max(a_j - t_max, 0.0)
             else:
-                alpha[i] = alpha[i] + t_max
-                alpha[j] = 0.0
+                a_i = a_i + t_max
+                a_j = 0.0
         else:
-            alpha[i] += t
-            alpha[j] -= t
+            a_i += t
+            a_j -= t
+        alpha[i] = a_i
+        alpha[j] = a_j
+        pen_up[i] = 0.0 if a_i < up_cap else np.inf
+        pen_down[i] = 0.0 if a_i > bound_slack else -np.inf
+        pen_up[j] = 0.0 if a_j < up_cap else np.inf
+        pen_down[j] = 0.0 if a_j > bound_slack else -np.inf
         grad += t * (row_i - row_j)
 
+    alpha = np.array(alpha)
     model = _finalize_model(X, alpha, grad, C, params)
     if not converged:
         raise SolverNonConvergenceError(

@@ -20,19 +20,10 @@ import math
 import numpy as np
 
 from . import envs
-from .envs import (
-    LINE_TRACK,
-    POINT_PUSH,
-    _clip_control,
-    goal_pos,
-    object_pos,
-    reset,
-    robot_pos,
-    step,
-)
+from .envs import LINE_TRACK, POINT_PUSH, _clip_control, _dist, reset, step
 from .errors import InvalidInputError
 from .support import DemoSet, Trajectory
-from .util import atomic_write_text, float_list, malformed
+from .util import atomic_write_text, float_list, malformed, vector_norm
 
 # PointPush waypoint tuning
 _STANDOFF = 0.02          # extra gap between robot and object at the approach waypoint
@@ -43,12 +34,28 @@ _PUSH_CLEARANCE = 0.055   # object-path margin beyond the collision distance
 _DEFLECT_GAIN = 2.5       # strength of the push deflection away from a blocking region
 
 
-def _unit(v):
-    n = float(np.linalg.norm(v))
-    return v / n if n > 1e-12 else np.array([1.0, 0.0])
+def _norm(x, y):
+    """np.linalg.norm of the vector (x, y), bit for bit (see util.vector_norm).
+    Wherever a norm only meets a threshold, envs._dist stands in for it."""
+    return vector_norm(np.array((x, y)))
 
 
-def _push_direction(spec, o, goal):
+def _dot(ax, ay, bx, by):
+    """float(np.array((ax, ay)) @ np.array((bx, by))), for a dot product whose
+    value feeds the control; a BLAS dot may fuse multiply and add."""
+    return float(np.array((ax, ay)) @ np.array((bx, by)))
+
+
+def _over(x, y, n):
+    """(x, y) divided by its norm n, or (1, 0) when n is too small."""
+    return (x / n, y / n) if n > 1e-12 else (1.0, 0.0)
+
+
+def _unit(x, y):
+    return _over(x, y, _norm(x, y))
+
+
+def _push_direction(spec, ox, oy, gx, gy):
     """Unit direction to push the object: at the goal, or bent around a region.
 
     When the straight object-to-goal segment passes within the collision
@@ -57,78 +64,81 @@ def _push_direction(spec, o, goal):
     deficit.  The deflection side is fixed per region rather than chosen by
     approach angle, so every demonstration rounds a given region on the same
     side; supports fitted to the demos then leave the region itself empty."""
-    d0 = _unit(goal - o)
-    dist_goal = float(np.linalg.norm(goal - o))
-    d = d0.copy()
-    for (cx, cy), radius in spec.constraint_regions:
-        c = np.array([cx, cy])
-        cleared = radius + spec.object_radius + _PUSH_CLEARANCE
-        along = float((c - o) @ d0)
+    dist_goal = _norm(gx - ox, gy - oy)
+    d0x, d0y = _over(gx - ox, gy - oy, dist_goal)
+    dx, dy = d0x, d0y
+    for cx, cy, _, object_reach in spec.push.keep_out:
+        cleared = object_reach + _PUSH_CLEARANCE
+        along = _dot(cx - ox, cy - oy, d0x, d0y)
         if along <= 0.0 or along >= dist_goal + cleared:
             continue
-        closest = o + min(along, dist_goal) * d0
-        perp = float(np.linalg.norm(closest - c))
+        s = min(along, dist_goal)
+        perp = _norm(ox + s * d0x - cx, oy + s * d0y - cy)
         if perp >= cleared:
             continue
         deficit = (cleared - perp) / cleared
-        side = np.array([0.5, 0.5]) - c
-        d = d + _DEFLECT_GAIN * deficit * _unit(side)
-    return _unit(d)
+        sx, sy = _unit(0.5 - cx, 0.5 - cy)
+        k = _DEFLECT_GAIN * deficit
+        dx, dy = dx + k * sx, dy + k * sy
+    return _unit(dx, dy)
 
 
 def _point_push_action(spec, state):
-    r = robot_pos(state)
-    o = object_pos(state)
-    goal = goal_pos(state)
-    if np.linalg.norm(o - goal) <= spec.goal_radius:
+    rx, ry, ox, oy, gx, gy = state.tolist()
+    if _dist(ox - gx, oy - gy) <= spec.goal_radius:
         return np.zeros(2)
-    d = _push_direction(spec, o, goal)
-    contact = spec.robot_radius + spec.object_radius
-    rel = r - o
-    dist = float(np.linalg.norm(rel))
-    behind_dist = float(rel @ (-d))
-    lateral = float(np.linalg.norm(rel - behind_dist * (-d)))
+    dx, dy = _push_direction(spec, ox, oy, gx, gy)
+    contact = spec.push.contact
+    relx, rely = rx - ox, ry - oy
+    behind_dist = _dot(relx, rely, -dx, -dy)
+    # rel's component along the push axis, behind the object
+    bx, by = behind_dist * -dx, behind_dist * -dy
     captured = (
         behind_dist > 0.0
-        and lateral <= _CAPTURE_LATERAL
-        and dist <= contact + _STANDOFF + _CAPTURE_SLACK
+        and _dist(relx - bx, rely - by) <= _CAPTURE_LATERAL
+        and _dist(relx, rely) <= contact + _STANDOFF + _CAPTURE_SLACK
     )
     if captured:
         # Press forward while sliding back onto the push axis: the lateral
         # error is cancelled exactly (no overshoot) and the rest of the
         # control budget presses into the object, which contact absorbs.
-        lat_vec = behind_dist * (-d) - rel
-        lat = float(np.linalg.norm(lat_vec))
+        lat_x, lat_y = bx - relx, by - rely
+        lat = _norm(lat_x, lat_y)
         if lat >= spec.u_max:
-            return spec.u_max * _unit(lat_vec)
-        forward = float(np.sqrt(spec.u_max**2 - lat**2))
-        return lat_vec + forward * d
+            ux, uy = _unit(lat_x, lat_y)
+            return np.array((spec.u_max * ux, spec.u_max * uy))
+        forward = math.sqrt(spec.u_max**2 - lat**2)
+        return np.array((lat_x + forward * dx, lat_y + forward * dy))
 
-    waypoint = o - d * (contact + _STANDOFF)
-    to_w = waypoint - r
-    dist_w = float(np.linalg.norm(to_w))
-    direction = _unit(to_w)
+    standoff = contact + _STANDOFF
+    to_wx, to_wy = ox - dx * standoff - rx, oy - dy * standoff - ry
+    dist_w = _norm(to_wx, to_wy)
+    dir_x, dir_y = _over(to_wx, to_wy, dist_w)
     # If the straight line to the waypoint cuts through the object, slide
     # around it tangentially instead of pushing it by accident.
-    to_o = o - r
-    dist_o = float(np.linalg.norm(to_o))
-    head_on = float(direction @ _unit(to_o))
-    if dist_o < contact + _STANDOFF + 0.01 and head_on > 0.3 and behind_dist < contact - 1e-9:
-        tangent = np.array([-to_o[1], to_o[0]]) / max(dist_o, 1e-12)
-        if float(tangent @ to_w) < 0:
-            tangent = -tangent
-        direction = _unit(0.3 * direction + tangent)
-        dist_w = spec.u_max  # keep moving at full step while circling
+    to_ox, to_oy = ox - rx, oy - ry
+    near = _dist(to_ox, to_oy)
+    if near < standoff + 0.01 and behind_dist < contact - 1e-9:
+        ux, uy = _over(to_ox, to_oy, near)
+        if dir_x * ux + dir_y * uy > 0.3:  # heading into the object
+            m = max(_norm(to_ox, to_oy), 1e-12)
+            tx, ty = -to_oy / m, to_ox / m
+            if tx * to_wx + ty * to_wy < 0:
+                tx, ty = -tx, -ty
+            dir_x, dir_y = _unit(0.3 * dir_x + tx, 0.3 * dir_y + ty)
+            dist_w = spec.u_max  # keep moving at full step while circling
     # Repulsion from keep-out regions: stay 2 robot radii clear on approach.
-    for (cx, cy), radius in spec.constraint_regions:
-        c = np.array([cx, cy])
-        away = r - c
-        gap = float(np.linalg.norm(away)) - (radius + spec.robot_radius)
-        margin = _REGION_MARGIN_FACTOR * spec.robot_radius
-        if gap < margin:
-            weight = (margin - gap) / margin
-            direction = _unit(direction + 2.0 * weight * _unit(away))
-    return min(spec.u_max, dist_w) * direction
+    margin = _REGION_MARGIN_FACTOR * spec.robot_radius
+    for cx, cy, robot_reach, _ in spec.push.keep_out:
+        ax, ay = rx - cx, ry - cy
+        if _dist(ax, ay) - robot_reach < margin:
+            dist_c = _norm(ax, ay)
+            weight = (margin - (dist_c - robot_reach)) / margin
+            ux, uy = _over(ax, ay, dist_c)
+            k = 2.0 * weight
+            dir_x, dir_y = _unit(dir_x + k * ux, dir_y + k * uy)
+    s = min(spec.u_max, dist_w)
+    return np.array((s * dir_x, s * dir_y))
 
 
 def _line_track_action(spec, state):
@@ -201,15 +211,37 @@ def generate_demos(spec, n, seed, jitter_sigma=0.0):
             )
         )
     demos = DemoSet(trajectories=trajectories)
-    if spec.kind == POINT_PUSH:
-        for t in range(demos.horizon):
-            if np.var(demos.states_at(t), axis=0).max() <= 0.0:
-                raise InvalidInputError(
-                    f"demonstration time slice {t} has zero variance in every "
-                    f"coordinate at jitter sigma={jitter_sigma:g}; the start "
-                    "distribution gives no diversity"
-                )
+    _check_slice_variance(spec, demos, jitter_sigma)
     return demos
+
+
+def demo_prefix(spec, demos, n, jitter_sigma=0.0):
+    """generate_demos(spec, n, seed, jitter_sigma), taken from the set demos
+    that generate_demos made with the same seed and jitter and at least n
+    trajectories.
+
+    Demo sets are nested: trajectory k's seed is the k-th draw of the seed's
+    generator, and its rollout depends on nothing else, so the first n
+    trajectories of a larger set are the set of n.  The prefix gets the same
+    zero-variance check that generate_demos gives a set of its own.
+    """
+    if not 1 <= n <= len(demos):
+        raise InvalidInputError(f"need 1 <= n <= {len(demos)} for a prefix, got n={n}")
+    prefix = DemoSet(trajectories=demos.trajectories[:n])
+    _check_slice_variance(spec, prefix, jitter_sigma)
+    return prefix
+
+
+def _check_slice_variance(spec, demos, jitter_sigma):
+    if spec.kind != POINT_PUSH:
+        return
+    for t in range(demos.horizon):
+        if np.var(demos.states_at(t), axis=0).max() <= 0.0:
+            raise InvalidInputError(
+                f"demonstration time slice {t} has zero variance in every "
+                f"coordinate at jitter sigma={jitter_sigma:g}; the start "
+                "distribution gives no diversity"
+            )
 
 
 def save_demos(demos, path):

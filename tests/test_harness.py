@@ -37,9 +37,11 @@ from dfrlab.harness import (
     wilson_interval,
     wilson_lower,
     wilson_upper,
+    _strip_nondeterministic,
     write_csv,
 )
 from dfrlab.kernel_ocsvm import KernelParams, OcsvmModel
+from dfrlab.supervisor import generate_demos
 from dfrlab.support import TimeVaryingSupport
 
 
@@ -612,6 +614,48 @@ def test_run_experiment_rejects_bad_jobs(jobs):
     message = f"jobs must be an int >= 1, got {jobs!r}"
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         run_experiment("learning-curve", _mini_config(), jobs=jobs)
+
+
+# Two demo seeds, three cells: one demo set per seed, at its largest count.
+def test_one_demo_set_per_demo_seed(monkeypatch):
+    calls = []
+    original = harness.generate_demos
+
+    def counting(spec, n, seed, jitter_sigma=0.0):
+        calls.append((seed, n))
+        return original(spec, n, seed, jitter_sigma)
+
+    monkeypatch.setattr(harness, "generate_demos", counting)
+    cfg = _mini_config(demo_grid=(20, 30), trials=2, demo_seeds=(5, 6), eval_samples=2)
+    out = run_experiment("learning-curve", cfg)
+    assert calls == [(5, 30), (6, 30)]
+    monkeypatch.setattr(harness, "generate_demos", original)
+    assert [record_to_document(r) for r in run_experiment("learning-curve", cfg)["records"]] \
+        == [record_to_document(r) for r in out["records"]]
+
+
+def test_every_prefix_gets_the_zero_variance_check():
+    # The one-demo cell is a prefix of the 20-demo set; alone, its demo set
+    # fails generate_demos's check, so the prefix must fail the same way.
+    with pytest.raises(InvalidInputError, match="zero variance") as alone:
+        generate_demos(builtin_env_spec("point_push"), 1, seed=5)
+    with pytest.raises(InvalidInputError, match="zero variance") as cell:
+        run_experiment("learning-curve", _mini_config(demo_grid=(1, 20)))
+    assert str(cell.value) == str(alone.value)
+
+
+def test_summary_times_each_stage(tmp_path):
+    cfg = _mini_config(eval_samples=2)
+    run_experiment("learning-curve", cfg, out_dir=tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    timing = summary["timing"]
+    assert set(timing) == {"demos_s", "support_fit_s", "policy_fit_s", "rollouts_s"}
+    assert set(timing["rollouts_s"]) == set(cfg.controllers)
+    stages = [timing[k] for k in ("demos_s", "support_fit_s", "policy_fit_s")]
+    assert all(v > 0.0 for v in stages + list(timing["rollouts_s"].values()))
+    stripped = _strip_nondeterministic(summary)
+    assert "timing" not in stripped and "timing" not in stripped["summary"]
+    assert stripped["gates"] == summary["gates"]
 
 
 def test_disturbance_eval_off_is_a_clean_null(line_track_spec):

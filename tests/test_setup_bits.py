@@ -1,0 +1,310 @@
+"""The set-up path against array forms of the same arithmetic, bit for bit.
+
+train_ocsvm's two-coordinate loop keeps its alphas as Python floats and its
+bound masks as penalty arrays updated at the two moved coordinates, and the
+point_push supervisor computes with Python floats.  The references below are
+the straightforward array forms of the same rules: full masks rebuilt with
+np.where every iteration, and numpy 2-vectors with np.linalg.norm.  Every
+model and every control must come out with identical bits, so fitted
+supports, demo sets and records hashes do not move.
+"""
+
+import dataclasses
+from importlib.resources import files
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from dfrlab import kernel_ocsvm
+from dfrlab.envs import builtin_env_spec
+from dfrlab.errors import SolverNonConvergenceError
+from dfrlab.harness import load_experiment_config
+from dfrlab.kernel_ocsvm import (
+    KernelParams,
+    OcsvmParams,
+    _alpha_init,
+    _degenerate_model,
+    _finalize_model,
+    _KernelRows,
+    _validate_training_points,
+    train_ocsvm,
+)
+from dfrlab.supervisor import (
+    _CAPTURE_LATERAL,
+    _CAPTURE_SLACK,
+    _DEFLECT_GAIN,
+    _PUSH_CLEARANCE,
+    _REGION_MARGIN_FACTOR,
+    _STANDOFF,
+    demo_prefix,
+    generate_demos,
+    supervisor_action,
+)
+
+
+# ---------------------------------------------------------------------------
+# reference dual solver
+
+
+def ref_train_ocsvm(points, params, box_hits=None):
+    """train_ocsvm with array alphas and masks rebuilt every iteration.
+
+    box_hits, when given, gets one entry per step that hit the box."""
+    X = _validate_training_points(points, params.nu)
+    m = X.shape[0]
+    if np.ptp(X, axis=0).max() == 0.0:
+        return _degenerate_model(X, params)
+    C = 1.0 / (params.nu * m)
+    rows = _KernelRows(X, params.kernel.gamma)
+    alpha = _alpha_init(m, C)
+    grad = np.zeros(m)
+    for j in np.flatnonzero(alpha):
+        grad += alpha[j] * rows.row(j)
+
+    bound_slack = C * 1e-12
+    converged = False
+    for _ in range(params.max_solver_iters):
+        up = alpha < C - bound_slack
+        down = alpha > bound_slack
+        gi = np.where(up, grad, np.inf)
+        gj = np.where(down, grad, -np.inf)
+        i = int(np.argmin(gi))
+        j = int(np.argmax(gj))
+        gap = grad[j] - grad[i]
+        if gap <= params.solver_tol:
+            converged = True
+            break
+        row_i = rows.row(i)
+        row_j = rows.row(j)
+        denom = row_i[i] + row_j[j] - 2.0 * row_i[j]
+        t_max = min(C - alpha[i], alpha[j])
+        if denom > 1e-15:
+            t = min(gap / denom, t_max)
+        else:
+            t = t_max
+        if t >= t_max:
+            t = t_max
+            if box_hits is not None:
+                box_hits.append((i, j))
+            if C - alpha[i] <= alpha[j]:
+                alpha[i] = C
+                alpha[j] = max(alpha[j] - t_max, 0.0)
+            else:
+                alpha[i] = alpha[i] + t_max
+                alpha[j] = 0.0
+        else:
+            alpha[i] += t
+            alpha[j] -= t
+        grad += t * (row_i - row_j)
+
+    model = _finalize_model(X, alpha, grad, C, params)
+    if not converged:
+        raise SolverNonConvergenceError("reference did not converge", best_model=model)
+    return model
+
+
+def assert_same_model(a, b):
+    assert a.support_vectors.shape == b.support_vectors.shape
+    assert a.support_vectors.tobytes() == b.support_vectors.tobytes()
+    assert a.alphas.dtype == b.alphas.dtype and a.alphas.tobytes() == b.alphas.tobytes()
+    assert np.float64(a.rho).tobytes() == np.float64(b.rho).tobytes()
+    assert (a.kernel, a.nu, a.train_count) == (b.kernel, b.nu, b.train_count)
+
+
+def fit_both(points, params, box_hits=None):
+    """(train_ocsvm's model, the reference's), or both best_models."""
+    models = []
+    for fit in (train_ocsvm, lambda X, p: ref_train_ocsvm(X, p, box_hits)):
+        try:
+            models.append(fit(points, params))
+        except SolverNonConvergenceError as exc:
+            models.append(("capped", exc.best_model))
+    new, ref = models
+    assert isinstance(new, tuple) == isinstance(ref, tuple)
+    if isinstance(new, tuple):
+        new, ref = new[1], ref[1]
+    return new, ref
+
+
+def _ascent_slices():
+    """Every time slice of every shipped ascent cell, with its params."""
+    cfg = load_experiment_config(str(files("dfrlab").joinpath("data", "exp_point_push_ascent.json")))
+    spec = builtin_env_spec(cfg.env)
+    largest = {}
+    for seed, n in cfg.ascent_cells:
+        largest[seed] = max(n, largest.get(seed, 0))
+    sets = {seed: generate_demos(spec, n, seed) for seed, n in largest.items()}
+    slices = []
+    for seed, n in cfg.ascent_cells:
+        demos = demo_prefix(spec, sets[seed], n)
+        slices.extend(demos.states_at(t) for t in range(demos.horizon))
+    return cfg.ocsvm_params(), slices
+
+
+@pytest.fixture(scope="module")
+def ascent_slices():
+    return _ascent_slices()
+
+
+def test_solver_matches_reference_on_every_ascent_slice(ascent_slices):
+    params, slices = ascent_slices
+    assert len(slices) == 4 * 40
+    for pts in slices:
+        new, ref = fit_both(pts, params)
+        assert_same_model(new, ref)
+
+
+def test_capped_solver_keeps_the_reference_best_model(ascent_slices):
+    params, slices = ascent_slices
+    capped = OcsvmParams(nu=params.nu, kernel=params.kernel, max_solver_iters=1)
+    for pts in slices[::10]:
+        with pytest.raises(SolverNonConvergenceError) as new:
+            train_ocsvm(pts, capped)
+        with pytest.raises(SolverNonConvergenceError) as ref:
+            ref_train_ocsvm(pts, capped)
+        assert_same_model(new.value.best_model, ref.value.best_model)
+
+
+def test_row_cache_path_matches_reference(monkeypatch, ascent_slices):
+    params, slices = ascent_slices
+    monkeypatch.setattr(kernel_ocsvm, "FULL_MATRIX_LIMIT", 8)
+    monkeypatch.setattr(kernel_ocsvm, "_ROW_CACHE_SIZE", 4)
+    assert _KernelRows(slices[0], 1.0).full is None
+    pooled = np.concatenate(slices[:40:8])
+    for pts in (slices[0], slices[-1], pooled):
+        new, ref = fit_both(pts, params)
+        assert_same_model(new, ref)
+
+
+# Small clouds with nu from 1/m up: C = 1 / (nu * m) makes steps stop at
+# the box, and duplicated points make the step's denominator vanish.  Only
+# instances whose reference fit hit the box count.
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(6, 24),
+    dim=st.integers(1, 3),
+    nu_scale=st.floats(1.0, 4.0),
+    gamma=st.floats(0.05, 60.0),
+    repeats=st.integers(0, 3),
+)
+def test_solver_matches_reference_where_it_hits_the_box(seed, m, dim, nu_scale, gamma, repeats):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(m, dim))
+    X[:repeats] = X[-1]
+    params = OcsvmParams(nu=min(1.0, nu_scale / m), kernel=KernelParams(gamma=gamma),
+                         max_solver_iters=5_000)
+    hits = []
+    new, ref = fit_both(X, params, hits)
+    assume(hits)
+    assert_same_model(new, ref)
+
+
+# ---------------------------------------------------------------------------
+# reference point_push supervisor
+
+
+def _ref_unit(v):
+    n = float(np.linalg.norm(v))
+    return v / n if n > 1e-12 else np.array([1.0, 0.0])
+
+
+def _ref_push_direction(spec, o, goal, hits):
+    d0 = _ref_unit(goal - o)
+    dist_goal = float(np.linalg.norm(goal - o))
+    d = d0.copy()
+    for (cx, cy), radius in spec.constraint_regions:
+        c = np.array([cx, cy])
+        cleared = radius + spec.object_radius + _PUSH_CLEARANCE
+        along = float((c - o) @ d0)
+        if along <= 0.0 or along >= dist_goal + cleared:
+            continue
+        closest = o + min(along, dist_goal) * d0
+        perp = float(np.linalg.norm(closest - c))
+        if perp >= cleared:
+            continue
+        hits.add("deflection")
+        deficit = (cleared - perp) / cleared
+        side = np.array([0.5, 0.5]) - c
+        d = d + _DEFLECT_GAIN * deficit * _ref_unit(side)
+    return _ref_unit(d)
+
+
+def ref_point_push_action(spec, state, hits):
+    """The numpy form of the point_push supervisor; hits names each branch taken."""
+    r, o, goal = state[0:2], state[2:4], state[4:6]
+    if np.linalg.norm(o - goal) <= spec.goal_radius:
+        hits.add("goal")
+        return np.zeros(2)
+    d = _ref_push_direction(spec, o, goal, hits)
+    contact = spec.robot_radius + spec.object_radius
+    rel = r - o
+    dist = float(np.linalg.norm(rel))
+    behind_dist = float(rel @ (-d))
+    lateral = float(np.linalg.norm(rel - behind_dist * (-d)))
+    if (behind_dist > 0.0 and lateral <= _CAPTURE_LATERAL
+            and dist <= contact + _STANDOFF + _CAPTURE_SLACK):
+        lat_vec = behind_dist * (-d) - rel
+        lat = float(np.linalg.norm(lat_vec))
+        if lat >= spec.u_max:
+            hits.add("capture-lateral")
+            return spec.u_max * _ref_unit(lat_vec)
+        hits.add("capture")
+        forward = float(np.sqrt(spec.u_max**2 - lat**2))
+        return lat_vec + forward * d
+    waypoint = o - d * (contact + _STANDOFF)
+    to_w = waypoint - r
+    dist_w = float(np.linalg.norm(to_w))
+    direction = _ref_unit(to_w)
+    to_o = o - r
+    dist_o = float(np.linalg.norm(to_o))
+    head_on = float(direction @ _ref_unit(to_o))
+    if dist_o < contact + _STANDOFF + 0.01 and head_on > 0.3 and behind_dist < contact - 1e-9:
+        hits.add("circling")
+        tangent = np.array([-to_o[1], to_o[0]]) / max(dist_o, 1e-12)
+        if float(tangent @ to_w) < 0:
+            tangent = -tangent
+        direction = _ref_unit(0.3 * direction + tangent)
+        dist_w = spec.u_max
+    for (cx, cy), radius in spec.constraint_regions:
+        c = np.array([cx, cy])
+        away = r - c
+        gap = float(np.linalg.norm(away)) - (radius + spec.robot_radius)
+        margin = _REGION_MARGIN_FACTOR * spec.robot_radius
+        if gap < margin:
+            hits.add("repulsion")
+            weight = (margin - gap) / margin
+            direction = _ref_unit(direction + 2.0 * weight * _ref_unit(away))
+    return min(spec.u_max, dist_w) * direction
+
+
+def _probe_states(spec, rng, count):
+    """Random states, half with the robot right next to the object, half with
+    it anywhere; the object anywhere in the workspace, the goal as shipped."""
+    states = []
+    for k in range(count):
+        o = rng.uniform(0.05, 0.95, size=2)
+        if k % 2:
+            r = rng.uniform(0.0, 1.0, size=2)
+        else:
+            angle = rng.uniform(0.0, 2.0 * np.pi)
+            r = o + rng.uniform(0.0, 0.15) * np.array([np.cos(angle), np.sin(angle)])
+        states.append(np.concatenate([r, o, spec.goal_center]))
+    return states
+
+
+def test_supervisor_matches_the_numpy_form():
+    spec = builtin_env_spec("point_push")
+    demos = generate_demos(spec, 120, seed=5)
+    states = [s for traj in demos.trajectories for s in traj.states]
+    states += _probe_states(spec, np.random.default_rng(0), 4000)
+    # Below _CAPTURE_LATERAL, u_max caps the lateral correction of a capture.
+    slow = dataclasses.replace(spec, u_max=0.02)
+    hits = set()
+    for env, state in [(spec, s) for s in states] + [(slow, s) for s in states[-2000:]]:
+        u = supervisor_action(env, state)
+        ref = ref_point_push_action(env, state, hits)
+        assert u.dtype == ref.dtype and u.shape == ref.shape
+        assert u.tobytes() == ref.tobytes(), state
+    assert hits == {"goal", "deflection", "capture", "capture-lateral", "circling", "repulsion"}

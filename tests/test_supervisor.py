@@ -9,7 +9,13 @@ import pytest
 
 from dfrlab.envs import check_constraint, reached_goal
 from dfrlab.errors import InvalidInputError
-from dfrlab.supervisor import generate_demos, load_demos, save_demos, supervisor_action
+from dfrlab.supervisor import (
+    demo_prefix,
+    generate_demos,
+    load_demos,
+    save_demos,
+    supervisor_action,
+)
 
 
 def test_point_push_demos_complete_and_safe(point_push_spec, pp_demos):
@@ -87,6 +93,40 @@ def test_failed_demos_are_input_errors_naming_sigma(point_push_spec):
     fixed = dataclasses.replace(point_push_spec, object_start_box=((lo_x, lo_y), (lo_x, lo_y)))
     with pytest.raises(InvalidInputError, match="zero variance .* sigma=0"):
         generate_demos(fixed, 2, seed=0)
+
+
+def _same_demos(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a.trajectories, b.trajectories):
+        assert x.seed == y.seed and x.outcome == y.outcome
+        assert x.states.tobytes() == y.states.tobytes()
+        assert x.controls.tobytes() == y.controls.tobytes()
+
+
+# Demo sets are nested: the harness generates each demo seed's set once, at
+# its largest count, and fits every smaller cell on a prefix of it.
+@pytest.mark.parametrize("env, sigma", [("point_push", 0.0), ("point_push", 0.005),
+                                        ("line_track", 0.0), ("line_track", 0.1)])
+def test_demo_sets_are_nested(point_push_spec, line_track_spec, env, sigma):
+    spec = point_push_spec if env == "point_push" else line_track_spec
+    large = generate_demos(spec, 9, seed=6, jitter_sigma=sigma)
+    for k in (2, 5, 9):
+        small = generate_demos(spec, k, seed=6, jitter_sigma=sigma)
+        _same_demos(small, demo_prefix(spec, large, k, sigma))
+        _same_demos(small, type(large)(trajectories=large.trajectories[:k]))
+
+
+def test_demo_prefix_keeps_the_zero_variance_check(point_push_spec):
+    # one point_push demo has zero variance in every slice
+    with pytest.raises(InvalidInputError, match="zero variance") as alone:
+        generate_demos(point_push_spec, 1, seed=5, jitter_sigma=0.005)
+    large = generate_demos(point_push_spec, 3, seed=5, jitter_sigma=0.005)
+    with pytest.raises(InvalidInputError, match="zero variance") as prefix:
+        demo_prefix(point_push_spec, large, 1, 0.005)
+    assert str(prefix.value) == str(alone.value)
+    for n in (0, 4):
+        with pytest.raises(InvalidInputError, match="for a prefix"):
+            demo_prefix(point_push_spec, large, n)
 
 
 def test_supervisor_action_is_finite_and_capped(point_push_spec, rng):
