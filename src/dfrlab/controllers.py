@@ -259,10 +259,6 @@ class RecoveryStep:
     flipped: bool
     threshold: float  # lambda * ||u_hat|| at the state the iteration started from
 
-    def __reduce__(self):
-        return _recovery_step, (_floats(self.u_delta), _floats(self.u_recovery), self.g_before,
-                                self.g_probe, self.g_after, self.flipped, self.threshold)
-
 
 @dataclass
 class AppliedRecord:
@@ -273,27 +269,6 @@ class AppliedRecord:
     state: np.ndarray
     collided: bool
     reached: bool
-
-    def __reduce__(self):
-        return _applied_record, (_floats(self.u), self.tag, _floats(self.state),
-                                 self.collided, self.reached)
-
-
-# Records cross the rollout pool by the hundred thousand, so their arrays are
-# pickled as tuples of Python floats: exact for float64 (-0.0 included) and
-# cheaper to dump and load than numpy's own array reduction.
-def _floats(array):
-    return tuple(array.tolist())
-
-
-def _recovery_step(u_delta, u_recovery, *scalars):
-    return RecoveryStep(np.array(u_delta, dtype=float), np.array(u_recovery, dtype=float),
-                        *scalars)
-
-
-def _applied_record(u, tag, state, collided, reached):
-    return AppliedRecord(np.array(u, dtype=float), tag, np.array(state, dtype=float),
-                         collided, reached)
 
 
 @dataclass

@@ -64,6 +64,7 @@ COMPLETED = "completed"
 COLLIDED = "collided"
 HALTED = "halted"
 OUTCOMES = (COMPLETED, COLLIDED, HALTED)
+HALT_REASONS = ("start-gate", "outside-support", "recovery-cap", "horizon")
 
 Z_ONE_SIDED_95 = 1.6448536269514722
 Z_TWO_SIDED_95 = 1.959963984540054
@@ -122,6 +123,12 @@ class RolloutRecord:
 
     wall_clock_s is measured in-process and deliberately not serialized; re-
     runs must produce byte-identical record files, and timing never is.
+
+    A record pickles as its facts (every field but start_state and steps)
+    and its records.jsonl line, so a pool worker encodes the records of the
+    episodes it ran.  The copy rebuilt in the parent decodes start_state
+    and steps from that line when they are first read, and record_line
+    returns the line as it came.
     """
 
     seed: object  # int or list of ints, as given
@@ -129,11 +136,24 @@ class RolloutRecord:
     outcome: str
     start_state: np.ndarray
     steps: list
-    halt_reason: str = None  # start-gate | outside-support | recovery-cap | horizon
+    halt_reason: str = None  # one of HALT_REASONS when halted, else None
     recovery_iterations: int = 0
     g_min: float = None
     g_final: float = None
     wall_clock_s: float = None
+
+    def __reduce__(self):
+        return _wire_record, (tuple(getattr(self, f) for f in _RECORD_FACTS), record_line(self))
+
+    def __getattr__(self, name):
+        # Called only for attributes the instance lacks: on a rebuilt record,
+        # start_state and steps until their first read.
+        line = self.__dict__.get("_line")
+        if line is None or name not in ("start_state", "steps"):
+            raise AttributeError(name)
+        decoded = record_from_document(json.loads(line))
+        self.start_state, self.steps = decoded.start_state, decoded.steps
+        return self.__dict__[name]
 
     def state_sequence(self):
         """Every visited state in order, starting from the reset state."""
@@ -203,6 +223,25 @@ def record_to_document(record):
             for s in record.steps
         ],
     }
+
+
+def record_line(record):
+    """The record's records.jsonl line, without its newline: the one encoder.
+    A record rebuilt from the pool carries the line its worker encoded."""
+    line = record.__dict__.get("_line")
+    if line is None:
+        line = json.dumps(record_to_document(record), separators=(",", ":"), allow_nan=False)
+    return line
+
+
+_RECORD_FACTS = ("seed", "controller", "outcome", "halt_reason", "recovery_iterations",
+                 "g_min", "g_final", "wall_clock_s")
+
+
+def _wire_record(facts, line):
+    record = RolloutRecord.__new__(RolloutRecord)
+    record.__dict__.update(zip(_RECORD_FACTS, facts), _line=line)
+    return record
 
 
 def record_from_document(doc):
@@ -404,10 +443,18 @@ def tally(outcomes):
     return n, counts, fractions
 
 
+def halt_reason_counts(reasons):
+    """Episodes per halt reason, plus "none" for those that did not halt."""
+    counts = {reason: 0 for reason in ("none",) + HALT_REASONS}
+    for reason in reasons:
+        counts["none" if reason is None else reason] += 1
+    return counts
+
+
 def summarize(records):
-    """Per-controller outcome counts and fractions, timing, and recovery
-    histograms.  Timing lives under its own key so deterministic consumers
-    can drop it.
+    """Per-controller outcome and halt-reason counts, fractions, timing, and
+    recovery histograms.  Timing lives under its own key so deterministic
+    consumers can drop it.
     """
     by_kind = {}
     for rec in records:
@@ -424,6 +471,7 @@ def summarize(records):
             "n": n,
             "counts": counts,
             "fractions": fractions,
+            "halt_reasons": halt_reason_counts([r.halt_reason for r in recs]),
             "recovery_iterations": {str(k): hist[k] for k in sorted(hist)},
         }
         walls = [r.wall_clock_s for r in recs if r.wall_clock_s is not None]
@@ -504,8 +552,9 @@ class ExperimentConfig:
             raise InvalidInputError("eval_samples must be >= 1")
         ctrls = tuple(self.controllers)
         bad = [c for c in ctrls if c not in CONTROLLER_KINDS]
-        if not ctrls or bad:
-            raise InvalidInputError(f"bad controller set {list(ctrls)}")
+        if not ctrls or bad or len(set(ctrls)) != len(ctrls):
+            raise InvalidInputError(f"bad controller set {list(ctrls)}: "
+                                    "each must be a known kind, listed once")
         object.__setattr__(self, "controllers", ctrls)
         if self.demo_seeds is None:
             object.__setattr__(
@@ -1018,7 +1067,8 @@ def run_certified(config):
     certified_rollouts episodes that start inside the estimated support have
     run (start-gated resets are skipped: the no-exit statement presumes the
     episode begins inside).  The gate asks for g >= -1e-9 over every visited
-    state, probe states included.
+    state, probe states included.  The halt-reason counts cover every
+    attempt, the skipped ones included.
     """
     spec = load_env_spec(config.env)
     n = config.demo_grid[-1]
@@ -1026,6 +1076,7 @@ def run_certified(config):
     support, policy = _fit_cell(config, demos, {})
     scfg = replace(config.switch_config(), lam=None, lambda_mode="certified")
     outcomes = []
+    reasons = []
     skipped = 0
     attempts = 0
     min_g = math.inf
@@ -1041,6 +1092,7 @@ def run_certified(config):
             cfg=scfg, disturbance=False,
         )
         attempts += 1
+        reasons.append(rec.halt_reason)
         if rec.halt_reason == "start-gate":
             skipped += 1
             continue
@@ -1072,6 +1124,7 @@ def run_certified(config):
             "min_g": min_g,
             "rollouts": len(outcomes),
             "start_gate_skipped": skipped,
+            "halt_reasons": halt_reason_counts(reasons),
             "lambda_certified_t0": lam0,
         },
         "summary": None,
@@ -1132,10 +1185,7 @@ def write_experiment_outputs(out_dir, config, result):
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     atomic_write_text(os.path.join(out_dir, "manifest.json"), dump_json(manifest))
-    lines = [
-        json.dumps(record_to_document(rec), separators=(",", ":"), allow_nan=False)
-        for rec in result.get("records", [])
-    ]
+    lines = [record_line(rec) for rec in result.get("records", [])]
     atomic_write_text(os.path.join(out_dir, "records.jsonl"), "".join(l + "\n" for l in lines))
     name = "traces.csv" if result["experiment"] == "ascent" else "metrics.csv"
     write_csv(os.path.join(out_dir, name), result["columns"], result["rows"])

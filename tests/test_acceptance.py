@@ -139,7 +139,8 @@ def test_ac4_certified_mode_never_exits_support():
         gate["passed"] and agg["rollouts"] >= 1000,
         f"min g {agg['min_g']:.3g} >= -1e-9 over {agg['rollouts']} rollouts "
         f"(lambda_0 {agg['lambda_certified_t0']:.3f}, "
-        f"{agg['start_gate_skipped']} start-gated resets skipped)",
+        f"{agg['start_gate_skipped']} start-gated resets skipped; "
+        f"halt reasons {agg['halt_reasons']})",
         elapsed,
         300.0,
     )

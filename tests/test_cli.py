@@ -267,6 +267,20 @@ def test_bad_config_seed_or_jitter_exits_2_at_load(tmp_path, field, bad):
     assert not out.exists()
 
 
+def test_duplicate_controller_kinds_exit_2_at_load(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    _null_disturbance_config(cfg_path)
+    doc = json.loads(cfg_path.read_text())
+    doc["controllers"] = ["baseline", "dfr", "baseline"]
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    proc = run_cli("exp-disturbance", "--config", str(cfg_path), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "listed once" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_gate_failure_exits_4_but_writes_outputs(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     _null_disturbance_config(cfg_path)

@@ -27,9 +27,11 @@ from dfrlab.harness import (
     load_experiment_config,
     proportion_margin_test,
     record_from_document,
+    record_line,
     record_to_document,
     resample_trace,
     rollout,
+    run_certified,
     run_disturbance_eval,
     run_experiment,
     run_learning_curve,
@@ -169,6 +171,21 @@ def test_summarize_hand_values():
     assert total == 1.0  # halted fraction defined by subtraction
     assert out["timing"]["baseline"]["mean_wall_clock_s"] == pytest.approx(0.2)
     assert out["timing"]["dfr"]["mean_wall_clock_s"] is None
+
+
+def test_summarize_counts_halt_reasons():
+    recs = [
+        _synthetic_record([[0, 0]], "dfr", "halted", halt_reason="start-gate"),
+        _synthetic_record([[0, 0]], "dfr", "halted", halt_reason="recovery-cap"),
+        _synthetic_record([[0, 0]], "dfr", "halted", halt_reason="recovery-cap"),
+        _synthetic_record([[0, 0]], "dfr", "completed"),
+        _synthetic_record([[0, 0]], "baseline", "halted", halt_reason="horizon"),
+    ]
+    out = summarize(recs)["controllers"]
+    assert out["dfr"]["halt_reasons"] == {
+        "none": 1, "start-gate": 1, "outside-support": 0, "recovery-cap": 2, "horizon": 0}
+    assert out["baseline"]["halt_reasons"] == {
+        "none": 0, "start-gate": 0, "outside-support": 0, "recovery-cap": 0, "horizon": 1}
 
 
 def test_fractions_sum_exactly_to_one():
@@ -330,6 +347,10 @@ def _assert_same_fields(a, b):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if isinstance(x, np.ndarray):
             assert (y.dtype, y.shape, y.tobytes()) == (x.dtype, x.shape, x.tobytes()), f.name
+        elif isinstance(x, list) and any(map(dataclasses.is_dataclass, x)):
+            assert type(y) is list and len(y) == len(x), f.name
+            for u, v in zip(x, y):
+                _assert_same_fields(u, v)
         else:
             assert type(y) is type(x) and repr(y) == repr(x), f.name  # repr tells -0.0 apart
 
@@ -353,6 +374,37 @@ def test_records_pickle_exactly(point_push_spec, pp_support, pp_policy):
     for s, t in zip(rec.steps, back.steps):
         for a, b in zip(s.applied + s.recovery, t.applied + t.recovery):
             _assert_same_fields(a, b)
+
+
+def _wire_copy(rec):
+    """The record as the parent rebuilds it from a pool worker's result."""
+    back = pickle.loads(pickle.dumps(rec))
+    assert "steps" not in vars(back) and "start_state" not in vars(back)
+    return back
+
+
+def test_wire_record_decodes_bit_identical_fields(point_push_spec, pp_support, pp_policy):
+    applied = AppliedRecord(u=np.array([-0.0, 1e-300]), tag="probe",
+                            state=np.array([0.1, -0.0, 3.0, -4.5, 5.0, 1e-300]),
+                            collided=False, reached=True)
+    step = RecoveryStep(u_delta=np.array([-0.0, 0.5]), u_recovery=np.array([1e-300, -0.0]),
+                        g_before=0.1, g_probe=-0.0, g_after=1e-300, flipped=True, threshold=0.3)
+    synthetic = _synthetic_record([[-0.0, 1e-300], [0.5, -0.0]], "dfr", "halted",
+                                  halt_reason="recovery-cap", recovery_iterations=1,
+                                  g_min=-0.0, g_final=1e-300, wall_clock_s=0.25)
+    synthetic.steps.append(StepRecord(t=1, g=0.2, applied=[applied], recovery=[step],
+                                      halted=True))
+    assert synthetic.steps[0].g is None
+    real = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=17,
+                   cfg=SwitchConfig(lam=0.05))
+    assert any(s.recovery for s in real.steps)
+    for rec in (synthetic, real):
+        back = _wire_copy(rec)
+        assert record_line(back) == record_line(rec)
+        assert "steps" not in vars(back)  # the line is written as it came
+        again = _wire_copy(back)  # a rebuilt record pickles without decoding
+        for copy in (back, again):
+            _assert_same_fields(rec, copy)
 
 
 @pytest.mark.parametrize("version", [1, 3, "2", None])
@@ -463,6 +515,16 @@ def test_experiment_config_validation():
         ExperimentConfig(controllers=("baseline", "mpc"))
     with pytest.raises(InvalidInputError, match="demo_seeds"):
         ExperimentConfig(trials=2, demo_seeds=(5,))
+
+
+def test_experiment_config_rejects_duplicate_controllers():
+    # Two baseline arms would count each other's episodes under one name.
+    with pytest.raises(InvalidInputError, match="listed once"):
+        ExperimentConfig(controllers=("supervisor", "baseline", "baseline"))
+    doc = experiment_config_to_document(ExperimentConfig())
+    doc["controllers"] = ["dfr", "baseline", "dfr"]
+    with pytest.raises(InvalidInputError, match="listed once"):
+        experiment_config_from_document(doc)
 
 
 @pytest.mark.parametrize(
@@ -592,6 +654,44 @@ def test_parallel_rollouts_match_serial(experiment, cfg, jobs):
     assert docs_a == docs_b
     assert a["rows"] == b["rows"]
     assert all(r.wall_clock_s is not None for r in a["records"] + b["records"])
+
+
+# The learning-curve and disturbance runners read only the facts a record
+# carries beside its line, so at jobs > 1 the parent neither decodes nor
+# encodes a record, and still writes the serial run's bytes.
+@pytest.mark.parametrize(
+    "experiment, cfg",
+    [("learning-curve", _mini_config(demo_grid=(20, 30), eval_samples=5)),
+     ("disturbance", _shipped_config("exp_line_track_disturbance.json", eval_samples=8))],
+    ids=["learning-curve", "disturbance"],
+)
+def test_parallel_parent_never_decodes_records(monkeypatch, tmp_path, experiment, cfg):
+    run_experiment(experiment, cfg, out_dir=tmp_path / "jobs1", jobs=1)
+    calls = []
+
+    def counting(fn):
+        def wrapped(doc):
+            calls.append(fn.__name__)
+            return fn(doc)
+        return wrapped
+
+    for fn in (harness.record_from_document, harness.record_to_document):
+        monkeypatch.setattr(harness, fn.__name__, counting(fn))
+    out = run_experiment(experiment, cfg, out_dir=tmp_path / "jobs2", jobs=2)
+    assert calls == []
+    assert all("steps" not in vars(r) for r in out["records"])
+    serial = (tmp_path / "jobs1" / "records.jsonl").read_bytes()
+    assert (tmp_path / "jobs2" / "records.jsonl").read_bytes() == serial
+    for kind, entry in out["summary"]["controllers"].items():
+        assert sum(entry["halt_reasons"].values()) == entry["n"], kind
+
+
+def test_certified_counts_the_halt_reason_of_every_attempt():
+    cfg = _shipped_config("exp_point_push_certified.json", certified_rollouts=4)
+    agg = run_certified(cfg)["aggregates"]
+    reasons = agg["halt_reasons"]
+    assert sum(reasons.values()) == agg["rollouts"] + agg["start_gate_skipped"]
+    assert reasons["start-gate"] == agg["start_gate_skipped"]
 
 
 # Two cells and two arms: one pool per arm, not per (cell, arm).
