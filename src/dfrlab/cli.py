@@ -26,14 +26,9 @@ from .errors import (
     InvalidInputError,
     SolverNonConvergenceError,
 )
-from .harness import (
-    fit_support,
-    load_experiment_config,
-    record_to_document,
-    rollout,
-    run_experiment,
-)
+from .harness import fit_support, load_experiment_config, rollout, run_experiment
 from .kernel_ocsvm import KernelParams, OcsvmParams
+from .records import record_to_document
 from .supervisor import generate_demos, load_demos, save_demos
 from .support import load_support, save_support
 from .util import atomic_write_text, dump_json
@@ -237,7 +232,7 @@ def build_parser():
     p.add_argument("--lambda-mode", choices=("manual", "certified"), default="manual",
                    help="switching threshold mode")
     p.add_argument("--lam", type=float, default=None,
-                   help="manual threshold scale (default 1.0 in manual mode; derived in certified)")
+                   help="manual threshold scale (default 1.0; refused in certified mode)")
     p.add_argument("--eta", type=float, default=None,
                    help="recovery step magnitude (default: adaptive)")
     p.add_argument("--epsilon", type=float, default=0.1, help="probe budget fraction")

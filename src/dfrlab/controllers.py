@@ -8,7 +8,9 @@ The controllers share one interface, step(handle, support, policy, t, state,
 rng, g), where state is the state vector and g is g_t(state), evaluated once
 by the caller (None when no support is consulted; the controllers that
 ignore the support ignore it too).  step returns the StepRecord of the
-horizon step; the next state is its last applied record's state.
+horizon step (records.py); the next state is its last applied record's
+state.  Every applied motion goes through _apply, which sets the step's
+end: collided or completed, a colliding motion beating a goal-reaching one.
 CONTROLLERS maps each kind to its class:
 
 * baseline: always apply the learned policy.
@@ -34,7 +36,7 @@ which makes each probe/step pair provably keep g_t >= 0; in manual mode
 lambda is a tuned scalar.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 import warnings
 
@@ -42,6 +44,7 @@ import numpy as np
 
 from . import envs
 from .errors import InvalidInputError, OutsideSupportError
+from .records import COLLIDED, COMPLETED, AppliedRecord, RecoveryStep, StepRecord
 from .supervisor import supervisor_action
 from .util import atomic_write_text, dump_json, float_list, load_json, malformed, vector_norm
 
@@ -209,7 +212,8 @@ def load_policy(path):
 class SwitchConfig:
     """Switching threshold and recovery step sizing.
 
-    lam: manual threshold scale (used when lambda_mode == "manual").
+    lam: manual threshold scale; None exactly when lambda_mode == "certified",
+         where lambda is derived per slice.
     eta: recovery step magnitude; None means the adaptive default
          0.5 * (1 - epsilon) * g / lambda, recomputed each iteration.
     epsilon: fraction of the safe budget g/lambda spent on the probe step.
@@ -224,9 +228,9 @@ class SwitchConfig:
     def __post_init__(self):
         if self.lambda_mode not in ("manual", "certified"):
             raise InvalidInputError(f"unknown lambda_mode {self.lambda_mode!r}")
-        lam_ok = self.lambda_mode == "certified" if self.lam is None else self.lam > 0.0
-        if not lam_ok:
-            raise InvalidInputError("lam must be positive (None only in certified mode)")
+        certified = self.lambda_mode == "certified"
+        if (self.lam is None) != certified or not (certified or self.lam > 0.0):
+            raise InvalidInputError("lam must be > 0 in manual mode and None in certified mode")
         if self.eta is not None and not self.eta > 0.0:
             raise InvalidInputError("eta must be positive (or None for adaptive)")
         if not 0.0 < self.epsilon < 1.0:
@@ -247,47 +251,17 @@ def switch_threshold(u_hat, lam):
     return lam * vector_norm(u_hat)
 
 
-@dataclass(frozen=True)
-class RecoveryStep:
-    """One recovery iteration with its audit values (oracle: no probe)."""
-
-    u_delta: np.ndarray
-    u_recovery: np.ndarray
-    g_before: float
-    g_probe: float
-    g_after: float
-    flipped: bool
-    threshold: float  # lambda * ||u_hat|| at the state the iteration started from
-
-
-@dataclass
-class AppliedRecord:
-    """One applied control and the state it produced."""
-
-    u: np.ndarray
-    tag: str  # policy | probe | recovery | zero
-    state: np.ndarray
-    collided: bool
-    reached: bool
-
-
-@dataclass
-class StepRecord:
-    """One horizon step: its controls, decision value, and recovery iterations."""
-
-    t: int
-    g: float  # decision value at step start; None when no support was consulted
-    applied: list  # AppliedRecord per applied control, in order
-    recovery: list = field(default_factory=list)  # RecoveryStep per iteration
-    halted: bool = False
-
-
-def _applied(spec, u, state, tag):
-    """The record of control u, which moved the episode to state.  The
-    predicates are looked up on envs at each call, so a wrapper installed
+def _apply(out, spec, motion):
+    """Append motion to the StepRecord out, set out.end if the motion collided
+    or reached the goal (a colliding motion wins in either order), return out.
+    The predicates are looked up on envs at each call, so a wrapper installed
     there (perfbench's tracer) sees them."""
-    return AppliedRecord(u, tag, state, not envs.check_constraint(spec, state),
-                         envs.reached_goal(spec, state))
+    out.applied.append(motion)
+    collided = not envs.check_constraint(spec, motion.state)
+    reached = envs.reached_goal(spec, motion.state)
+    if collided or (reached and out.end is None):
+        out.end = COLLIDED if collided else COMPLETED
+    return out
 
 
 def _recovery_magnitudes(cfg, g_before, lam):
@@ -332,17 +306,13 @@ def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before, t
     x_rec = handle.micro_step(x_probe, u_rec)
     g_after = support.g_at(t, x_rec)
     rec = RecoveryStep(
-        u_delta=u_delta,
-        u_recovery=u_rec,
         g_before=float(g_before),
         g_probe=float(g_probe),
         g_after=float(g_after),
         flipped=bool(flipped),
         threshold=float(threshold),
     )
-    spec = handle.spec
-    return rec, [_applied(spec, u_delta, x_probe, "probe"),
-                 _applied(spec, u_rec, x_rec, "recovery")]
+    return rec, [AppliedRecord(u_delta, "probe", x_probe), AppliedRecord(u_rec, "recovery", x_rec)]
 
 
 def finite_difference_oracle_step(handle, support, t, state, cfg, lam, g_before):
@@ -374,15 +344,13 @@ def _oracle_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_befor
     u_rec = finite_difference_oracle_step(handle, support, t, state, cfg, lam, g_before)
     x_rec = handle.micro_step(state, u_rec)
     rec = RecoveryStep(
-        u_delta=np.zeros(2),
-        u_recovery=u_rec,
         g_before=float(g_before),
         g_probe=float(g_before),
         g_after=float(support.g_at(t, x_rec)),
         flipped=False,
         threshold=float(threshold),
     )
-    return rec, [_applied(handle.spec, u_rec, x_rec, "recovery")]
+    return rec, [AppliedRecord(u_rec, "recovery", x_rec)]
 
 
 class Controller:
@@ -405,7 +373,8 @@ class BaselineController(Controller):
 
     def step(self, handle, support, policy, t, state, rng, g):
         u = policy.action(state)
-        return StepRecord(t, g, [_applied(handle.spec, u, handle.step(state, u), "policy")])
+        return _apply(StepRecord(t, g, []), handle.spec,
+                      AppliedRecord(u, "policy", handle.step(state, u)))
 
 
 class EarlyStopController(Controller):
@@ -427,7 +396,8 @@ class EarlyStopController(Controller):
             u, tag = np.zeros(2), "zero"
         else:
             u, tag = u_hat, "policy"
-        return StepRecord(t, g, [_applied(handle.spec, u, handle.step(state, u), tag)])
+        return _apply(StepRecord(t, g, []), handle.spec,
+                      AppliedRecord(u, tag, handle.step(state, u)))
 
 
 class RecoveryController(Controller):
@@ -453,15 +423,15 @@ class RecoveryController(Controller):
                 )
             rec, motions = iteration(handle, support, t, state, cfg, rng, lam, g, threshold)
             out.recovery.append(rec)
-            out.applied.extend(motions)
-            if any(a.collided or a.reached for a in motions):
+            for motion in motions:
+                _apply(out, handle.spec, motion)
+            if out.end is not None:
                 return out
             state = motions[-1].state
             g = rec.g_after
             u_hat = policy.action(state)
             threshold = switch_threshold(u_hat, lam)
-        out.applied.append(_applied(handle.spec, u_hat, handle.step(state, u_hat), "policy"))
-        return out
+        return _apply(out, handle.spec, AppliedRecord(u_hat, "policy", handle.step(state, u_hat)))
 
 
 class DfrController(RecoveryController):
@@ -491,7 +461,8 @@ class SupervisorController(Controller):
 
     def step(self, handle, support, policy, t, state, rng, g):
         u = supervisor_action(handle.spec, state)
-        return StepRecord(t, g, [_applied(handle.spec, u, handle.step(state, u), "policy")])
+        return _apply(StepRecord(t, g, []), handle.spec,
+                      AppliedRecord(u, "policy", handle.step(state, u)))
 
 
 CONTROLLERS = {

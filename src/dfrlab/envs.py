@@ -151,10 +151,6 @@ def object_pos(state):
     return state[2:4]
 
 
-def goal_pos(state):
-    return state[4:6]
-
-
 def _dist(dx, dy):
     # For threshold tests only: it may differ from vector_norm in the last
     # bit, which changes a test's outcome only exactly at its threshold.

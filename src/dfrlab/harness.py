@@ -37,9 +37,6 @@ from . import __version__
 from .controllers import (
     CONTROLLER_KINDS,
     CONTROLLERS,
-    AppliedRecord,
-    RecoveryStep,
-    StepRecord,
     SwitchConfig,
     PolicyConfig,
     effective_lambda,
@@ -56,15 +53,10 @@ from .envs import (
 )
 from .errors import GateFailureError, InvalidInputError, OutsideSupportError
 from .kernel_ocsvm import KernelParams, OcsvmParams
+from .records import COLLIDED, COMPLETED, HALT_REASONS, HALTED, OUTCOMES, RolloutRecord, record_line
 from .supervisor import demo_prefix, generate_demos
 from .support import TimeVaryingSupport, fit_pooled, fit_time_varying
-from .util import atomic_write_text, dump_json, float_list, load_json, malformed
-
-COMPLETED = "completed"
-COLLIDED = "collided"
-HALTED = "halted"
-OUTCOMES = (COMPLETED, COLLIDED, HALTED)
-HALT_REASONS = ("start-gate", "outside-support", "recovery-cap", "horizon")
+from .util import atomic_write_text, dump_json, load_json, malformed
 
 Z_ONE_SIDED_95 = 1.6448536269514722
 Z_TWO_SIDED_95 = 1.959963984540054
@@ -114,53 +106,7 @@ def proportion_margin_test(k_hi, n_hi, k_lo, n_lo, margin, z=Z_ONE_SIDED_95):
 
 
 # ---------------------------------------------------------------------------
-# rollout records
-
-
-@dataclass
-class RolloutRecord:
-    """Full audit trail of one episode.
-
-    wall_clock_s is measured in-process and deliberately not serialized; re-
-    runs must produce byte-identical record files, and timing never is.
-
-    A record pickles as its facts (every field but start_state and steps)
-    and its records.jsonl line, so a pool worker encodes the records of the
-    episodes it ran.  The copy rebuilt in the parent decodes start_state
-    and steps from that line when they are first read, and record_line
-    returns the line as it came.
-    """
-
-    seed: object  # int or list of ints, as given
-    controller: str
-    outcome: str
-    start_state: np.ndarray
-    steps: list
-    halt_reason: str = None  # one of HALT_REASONS when halted, else None
-    recovery_iterations: int = 0
-    g_min: float = None
-    g_final: float = None
-    wall_clock_s: float = None
-
-    def __reduce__(self):
-        return _wire_record, (tuple(getattr(self, f) for f in _RECORD_FACTS), record_line(self))
-
-    def __getattr__(self, name):
-        # Called only for attributes the instance lacks: on a rebuilt record,
-        # start_state and steps until their first read.
-        line = self.__dict__.get("_line")
-        if line is None or name not in ("start_state", "steps"):
-            raise AttributeError(name)
-        decoded = record_from_document(json.loads(line))
-        self.start_state, self.steps = decoded.start_state, decoded.steps
-        return self.__dict__[name]
-
-    def state_sequence(self):
-        """Every visited state in order, starting from the reset state."""
-        states = [self.start_state]
-        for step in self.steps:
-            states.extend(a.state for a in step.applied)
-        return states
+# outcome classification
 
 
 def classify_outcome(record, spec):
@@ -173,126 +119,6 @@ def classify_outcome(record, spec):
         if reached_goal(spec, state):
             return COMPLETED
     return HALTED
-
-
-RECORD_FORMAT = "rollout-record"
-# Version 2 stores each recovery iteration's switching threshold.
-RECORD_VERSION = 2
-
-
-def record_to_document(record):
-    return {
-        "format": RECORD_FORMAT,
-        "version": RECORD_VERSION,
-        "seed": record.seed,
-        "controller": record.controller,
-        "outcome": record.outcome,
-        "halt_reason": record.halt_reason,
-        "recovery_iterations": int(record.recovery_iterations),
-        "g_min": None if record.g_min is None else float(record.g_min),
-        "g_final": None if record.g_final is None else float(record.g_final),
-        "start_state": float_list(record.start_state),
-        "steps": [
-            {
-                "t": int(s.t),
-                "g": None if s.g is None else float(s.g),
-                "halted": bool(s.halted),
-                "applied": [
-                    {
-                        "u": float_list(a.u),
-                        "tag": a.tag,
-                        "state": float_list(a.state),
-                        "collided": bool(a.collided),
-                        "reached": bool(a.reached),
-                    }
-                    for a in s.applied
-                ],
-                "recovery": [
-                    {
-                        "u_delta": float_list(e.u_delta),
-                        "u_recovery": float_list(e.u_recovery),
-                        "g_before": float(e.g_before),
-                        "g_probe": float(e.g_probe),
-                        "g_after": float(e.g_after),
-                        "flipped": bool(e.flipped),
-                        "threshold": float(e.threshold),
-                    }
-                    for e in s.recovery
-                ],
-            }
-            for s in record.steps
-        ],
-    }
-
-
-def record_line(record):
-    """The record's records.jsonl line, without its newline: the one encoder.
-    A record rebuilt from the pool carries the line its worker encoded."""
-    line = record.__dict__.get("_line")
-    if line is None:
-        line = json.dumps(record_to_document(record), separators=(",", ":"), allow_nan=False)
-    return line
-
-
-_RECORD_FACTS = ("seed", "controller", "outcome", "halt_reason", "recovery_iterations",
-                 "g_min", "g_final", "wall_clock_s")
-
-
-def _wire_record(facts, line):
-    record = RolloutRecord.__new__(RolloutRecord)
-    record.__dict__.update(zip(_RECORD_FACTS, facts), _line=line)
-    return record
-
-
-def record_from_document(doc):
-    with malformed("malformed rollout record"):
-        if doc["format"] != RECORD_FORMAT:
-            raise InvalidInputError(f"not a rollout record: format={doc['format']!r}")
-        if doc.get("version") != RECORD_VERSION:
-            raise InvalidInputError(
-                f"rollout record version {doc.get('version')!r}; expected {RECORD_VERSION}"
-            )
-        steps = [
-            StepRecord(
-                t=int(s["t"]),
-                g=s["g"],
-                halted=bool(s["halted"]),
-                applied=[
-                    AppliedRecord(
-                        u=np.asarray(a["u"], dtype=float),
-                        tag=a["tag"],
-                        state=np.asarray(a["state"], dtype=float),
-                        collided=bool(a["collided"]),
-                        reached=bool(a["reached"]),
-                    )
-                    for a in s["applied"]
-                ],
-                recovery=[
-                    RecoveryStep(
-                        u_delta=np.asarray(e["u_delta"], dtype=float),
-                        u_recovery=np.asarray(e["u_recovery"], dtype=float),
-                        g_before=float(e["g_before"]),
-                        g_probe=float(e["g_probe"]),
-                        g_after=float(e["g_after"]),
-                        flipped=bool(e["flipped"]),
-                        threshold=float(e["threshold"]),
-                    )
-                    for e in s["recovery"]
-                ],
-            )
-            for s in doc["steps"]
-        ]
-        return RolloutRecord(
-            seed=doc["seed"],
-            controller=doc["controller"],
-            outcome=doc["outcome"],
-            start_state=np.asarray(doc["start_state"], dtype=float),
-            steps=steps,
-            halt_reason=doc["halt_reason"],
-            recovery_iterations=int(doc["recovery_iterations"]),
-            g_min=doc["g_min"],
-            g_final=doc["g_final"],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +146,10 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
     matters for the stateful early-stop controller.  disturbance=None uses
     the environment's own default; True/False forces the stream on or off.
     g_t(state) is evaluated once per step start (the start gate's value
-    serves t = 0) and handed to the controller.  The outcome is decided from
-    the applied records' flags as the episode runs, with classify_outcome's
-    precedence: a step with a colliding motion ends the episode collided,
-    else one with a goal-reaching motion ends it completed.
+    serves t = 0) and handed to the controller.  The outcome is decided as
+    the episode runs: a step with an end (collided or completed, decided as
+    its motions were applied, with classify_outcome's precedence) ends the
+    episode with that outcome.
     """
     ss, seed_key = _seed_sequence(seed)
     reset_ss, probe_ss, stream_ss = ss.spawn(3)
@@ -381,10 +207,8 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
             n_recovery += len(step.recovery)
             steps.append(step)
             state = step.applied[-1].state
-            if any(a.collided for a in step.applied):
-                outcome = COLLIDED
-            elif any(a.reached for a in step.applied):
-                outcome = COMPLETED
+            if step.end is not None:
+                outcome = step.end
             elif step.halted:
                 outcome = HALTED
                 halt_reason = "recovery-cap"

@@ -1,0 +1,210 @@
+"""Rollout records and their records.jsonl format, version 3, which stores
+each fact once.  A recovery iteration's controls are the u of its probe and
+recovery motions.  A step's end (collided or completed, set as its motions
+are applied) has no key: only an episode's last step can have one, and
+then it is the outcome, from which the decoder rebuilds it.
+"""
+
+from dataclasses import dataclass, field
+import json
+
+import numpy as np
+
+from .errors import InvalidInputError
+from .util import float_list, malformed
+
+COMPLETED = "completed"
+COLLIDED = "collided"
+HALTED = "halted"
+OUTCOMES = (COMPLETED, COLLIDED, HALTED)
+HALT_REASONS = ("start-gate", "outside-support", "recovery-cap", "horizon")
+
+RECORD_FORMAT = "rollout-record"
+RECORD_VERSION = 3
+
+
+@dataclass(frozen=True)
+class RecoveryStep:
+    """One recovery iteration's audit values (oracle: no probe)."""
+
+    g_before: float
+    g_probe: float
+    g_after: float
+    flipped: bool
+    threshold: float  # lambda * ||u_hat|| at the state the iteration started from
+
+
+@dataclass
+class AppliedRecord:
+    """One applied control and the state it produced."""
+
+    u: np.ndarray
+    tag: str  # policy | probe | recovery | zero
+    state: np.ndarray
+
+
+@dataclass
+class StepRecord:
+    """One horizon step: its controls, decision value, and recovery iterations."""
+
+    t: int
+    g: float  # decision value at step start; None when no support was consulted
+    applied: list  # AppliedRecord per applied control, in order
+    recovery: list = field(default_factory=list)  # RecoveryStep per iteration
+    halted: bool = False
+    end: str = None  # COLLIDED or COMPLETED once a motion collided or reached the goal
+
+
+@dataclass
+class RolloutRecord:
+    """Full audit trail of one episode.
+
+    wall_clock_s is measured in-process and deliberately not serialized; re-
+    runs must produce byte-identical record files, and timing never is.
+
+    A record pickles as its facts (every field but start_state and steps)
+    and its records.jsonl line, so a pool worker encodes the records of the
+    episodes it ran.  The copy rebuilt in the parent decodes start_state
+    and steps from that line when they are first read, and record_line
+    returns the line as it came.
+    """
+
+    seed: object  # int or list of ints, as given
+    controller: str
+    outcome: str
+    start_state: np.ndarray
+    steps: list
+    halt_reason: str = None  # one of HALT_REASONS when halted, else None
+    recovery_iterations: int = 0
+    g_min: float = None
+    g_final: float = None
+    wall_clock_s: float = None
+
+    def __reduce__(self):
+        return _wire_record, (tuple(getattr(self, f) for f in _RECORD_FACTS), record_line(self))
+
+    def __getattr__(self, name):
+        # Called only for attributes the instance lacks: on a rebuilt record,
+        # start_state and steps until their first read.
+        line = self.__dict__.get("_line")
+        if line is None or name not in ("start_state", "steps"):
+            raise AttributeError(name)
+        decoded = record_from_document(json.loads(line))
+        self.start_state, self.steps = decoded.start_state, decoded.steps
+        return self.__dict__[name]
+
+    def state_sequence(self):
+        """Every visited state in order, starting from the reset state."""
+        states = [self.start_state]
+        for step in self.steps:
+            states.extend(a.state for a in step.applied)
+        return states
+
+
+def record_to_document(record):
+    return {
+        "format": RECORD_FORMAT,
+        "version": RECORD_VERSION,
+        "seed": record.seed,
+        "controller": record.controller,
+        "outcome": record.outcome,
+        "halt_reason": record.halt_reason,
+        "recovery_iterations": int(record.recovery_iterations),
+        "g_min": None if record.g_min is None else float(record.g_min),
+        "g_final": None if record.g_final is None else float(record.g_final),
+        "start_state": float_list(record.start_state),
+        "steps": [
+            {
+                "t": int(s.t),
+                "g": None if s.g is None else float(s.g),
+                "halted": bool(s.halted),
+                "applied": [
+                    {
+                        "u": float_list(a.u),
+                        "tag": a.tag,
+                        "state": float_list(a.state),
+                    }
+                    for a in s.applied
+                ],
+                "recovery": [
+                    {
+                        "g_before": float(e.g_before),
+                        "g_probe": float(e.g_probe),
+                        "g_after": float(e.g_after),
+                        "flipped": bool(e.flipped),
+                        "threshold": float(e.threshold),
+                    }
+                    for e in s.recovery
+                ],
+            }
+            for s in record.steps
+        ],
+    }
+
+
+def record_line(record):
+    """The record's records.jsonl line, without its newline: the one encoder.
+    A record rebuilt from the pool carries the line its worker encoded."""
+    line = record.__dict__.get("_line")
+    if line is None:
+        line = json.dumps(record_to_document(record), separators=(",", ":"), allow_nan=False)
+    return line
+
+
+_RECORD_FACTS = ("seed", "controller", "outcome", "halt_reason", "recovery_iterations",
+                 "g_min", "g_final", "wall_clock_s")
+
+
+def _wire_record(facts, line):
+    record = RolloutRecord.__new__(RolloutRecord)
+    record.__dict__.update(zip(_RECORD_FACTS, facts), _line=line)
+    return record
+
+
+def record_from_document(doc):
+    with malformed("malformed rollout record"):
+        if doc["format"] != RECORD_FORMAT:
+            raise InvalidInputError(f"not a rollout record: format={doc['format']!r}")
+        if doc.get("version") != RECORD_VERSION:
+            raise InvalidInputError(
+                f"rollout record version {doc.get('version')!r}; expected {RECORD_VERSION}"
+            )
+        steps = [
+            StepRecord(
+                t=int(s["t"]),
+                g=s["g"],
+                halted=bool(s["halted"]),
+                applied=[
+                    AppliedRecord(
+                        u=np.asarray(a["u"], dtype=float),
+                        tag=a["tag"],
+                        state=np.asarray(a["state"], dtype=float),
+                    )
+                    for a in s["applied"]
+                ],
+                recovery=[
+                    RecoveryStep(
+                        g_before=float(e["g_before"]),
+                        g_probe=float(e["g_probe"]),
+                        g_after=float(e["g_after"]),
+                        flipped=bool(e["flipped"]),
+                        threshold=float(e["threshold"]),
+                    )
+                    for e in s["recovery"]
+                ],
+            )
+            for s in doc["steps"]
+        ]
+        if steps and doc["outcome"] in (COLLIDED, COMPLETED):
+            steps[-1].end = doc["outcome"]
+        return RolloutRecord(
+            seed=doc["seed"],
+            controller=doc["controller"],
+            outcome=doc["outcome"],
+            start_state=np.asarray(doc["start_state"], dtype=float),
+            steps=steps,
+            halt_reason=doc["halt_reason"],
+            recovery_iterations=int(doc["recovery_iterations"]),
+            g_min=doc["g_min"],
+            g_final=doc["g_final"],
+        )

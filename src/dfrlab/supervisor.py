@@ -186,7 +186,7 @@ def generate_demos(spec, n, seed, jitter_sigma=0.0):
             if jitter_sigma > 0.0:
                 u = _clip_control(spec, u + jitter_rng.normal(0.0, jitter_sigma, size=2))
             state = step(spec, state, u, stream=None)
-            # looked up on envs, as in controllers._applied
+            # looked up on envs, as in controllers._apply
             if not envs.check_constraint(spec, state):
                 raise InvalidInputError(
                     f"supervisor rollout {k} (seed {tseed}) touched a constraint "

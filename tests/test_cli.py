@@ -158,6 +158,19 @@ def test_bad_flag_value_exits_2(work, tmp_path):
     assert proc.returncode == 2
 
 
+def test_certified_rollout_refuses_lam(work, tmp_path):
+    # certified mode derives lambda per slice; a given --lam would be ignored
+    out = tmp_path / "rec.json"
+    proc = run_cli("rollout", "--env", "point_push", "--controller", "dfr",
+                   "--support", str(work["support"]), "--policy", str(work["policy"]),
+                   "--lambda-mode", "certified", "--lam", "0.5", "--seed", "11",
+                   "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "None in certified mode" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def _ragged_policy(work, d):
     doc = json.loads(work["policy"].read_text())
     doc["centers"][1] = doc["centers"][1][:3]

@@ -27,7 +27,7 @@ from dfrlab.controllers import (
     save_policy,
     switch_threshold,
 )
-from dfrlab.envs import EnvHandle, builtin_env_spec
+from dfrlab.envs import EnvHandle, builtin_env_spec, check_constraint, reached_goal
 from dfrlab.errors import InvalidInputError, OutsideSupportError
 from dfrlab.kernel_ocsvm import KernelParams, OcsvmModel
 from dfrlab.support import DemoSet, TimeVaryingSupport, Trajectory
@@ -161,6 +161,10 @@ def test_switch_config_validation():
     SwitchConfig(lam=None, lambda_mode="certified")  # allowed
     with pytest.raises(InvalidInputError):
         SwitchConfig(lam=None)
+    # certified mode derives lambda, so a given lam would be silently ignored
+    for lam in (0.5, 1.0):
+        with pytest.raises(InvalidInputError, match="None in certified mode"):
+            SwitchConfig(lam=lam, lambda_mode="certified")
     with pytest.raises(InvalidInputError):
         SwitchConfig(lam=-1.0)
     with pytest.raises(InvalidInputError):
@@ -222,14 +226,16 @@ def test_recovery_iteration_magnitudes_and_audit(lt_handle):
     rec, applied = dfr_recovery_iteration(
         lt_handle, support, 0, x0.copy(), cfg, np.random.default_rng(0), 1.0, g0, 0.7
     )
-    nxt = applied[-1].state
+    probe, recovery = applied
+    nxt = recovery.state
     assert rec.g_before == pytest.approx(g0, abs=1e-15)
     assert rec.threshold == 0.7  # recorded as given
-    assert np.linalg.norm(rec.u_delta) == pytest.approx(0.1 * g0, abs=1e-12)
-    assert np.linalg.norm(rec.u_recovery) == pytest.approx(0.45 * g0, abs=1e-12)
+    assert np.linalg.norm(probe.u) == pytest.approx(0.1 * g0, abs=1e-12)
+    assert np.linalg.norm(recovery.u) == pytest.approx(0.45 * g0, abs=1e-12)
     # the two motions commute through micro_step into plain vector addition
-    assert np.allclose(nxt, x0 + rec.u_delta + rec.u_recovery, atol=1e-15)
-    assert rec.g_probe == pytest.approx(_g(support, x0 + rec.u_delta), abs=1e-15)
+    assert np.allclose(probe.state, x0 + probe.u, atol=1e-15)
+    assert np.allclose(nxt, x0 + probe.u + recovery.u, atol=1e-15)
+    assert rec.g_probe == pytest.approx(_g(support, x0 + probe.u), abs=1e-15)
     assert rec.g_after == pytest.approx(_g(support, nxt), abs=1e-15)
     assert [a.tag for a in applied] == ["probe", "recovery"]
 
@@ -241,10 +247,10 @@ def test_recovery_iteration_flip_semantics(lt_handle):
     g0 = _g(support, x0)
     saw_flip = saw_keep = False
     for seed in range(40):
-        rec, _ = dfr_recovery_iteration(
+        rec, (probe, recovery) = dfr_recovery_iteration(
             lt_handle, support, 0, x0.copy(), cfg, np.random.default_rng(seed), 1.0, g0, 1.0
         )
-        dot = float(rec.u_delta @ rec.u_recovery)
+        dot = float(probe.u @ recovery.u)
         if rec.flipped:
             saw_flip = True
             assert rec.g_probe <= rec.g_before
@@ -263,10 +269,10 @@ def test_recovery_budget_never_exceeds_g_over_lambda(lt_handle, line_track_spec)
     for cfg in (SwitchConfig(lam=1.0), SwitchConfig(lam=1.0, eta=99.0),
                 SwitchConfig(lam=None, lambda_mode="certified")):
         lam = effective_lambda(cfg, support, 0, line_track_spec)
-        rec, _ = dfr_recovery_iteration(
+        _, (probe, recovery) = dfr_recovery_iteration(
             lt_handle, support, 0, x0.copy(), cfg, np.random.default_rng(1), lam, g0, lam
         )
-        total = np.linalg.norm(rec.u_delta) + np.linalg.norm(rec.u_recovery)
+        total = np.linalg.norm(probe.u) + np.linalg.norm(recovery.u)
         assert total <= g0 / lam * (1.0 + 1e-12)
 
 
@@ -437,16 +443,16 @@ def test_dfr_halts_at_iteration_cap(lt_handle, kind, n_applied, tags):
 
 @pytest.mark.parametrize("kind", ["dfr", "oracle"])
 @pytest.mark.parametrize(
-    "center, start, flag",
+    "center, start, end",
     [
         # the support peaks beyond the deviation limit |y| < 4: ascent collides
         ((0.0, 5.0), (0.0, 3.95), "collided"),
         # the support peaks past the goal line x >= 40: ascent reaches it
-        ((41.0, 0.0), (39.95, 0.0), "reached"),
+        ((41.0, 0.0), (39.95, 0.0), "completed"),
     ],
     ids=["collided", "reached"],
 )
-def test_recovery_stops_when_a_motion_collides_or_reaches(lt_handle, kind, center, start, flag):
+def test_recovery_stops_when_a_motion_collides_or_reaches(lt_handle, kind, center, start, end):
     # lam = 2 puts the switching threshold (1.0) above the peak g (0.9), so
     # only a colliding or goal-reaching recovery motion can end the step
     support = _radial_support(center=center)
@@ -461,12 +467,17 @@ def test_recovery_stops_when_a_motion_collides_or_reaches(lt_handle, kind, cente
     assert all(a.tag != "policy" for a in out.applied)
     per_iteration = {"dfr": 2, "oracle": 1}[kind]
     assert len(out.applied) == per_iteration * len(out.recovery)
-    assert getattr(out.applied[-1], flag)
+    assert out.end == end
+    spec = lt_handle.spec
+    last = out.applied[-1].state
+    assert not check_constraint(spec, last) if end == "collided" else reached_goal(spec, last)
     # only the final iteration touched the constraint or the goal
-    assert not any(a.collided or a.reached for a in out.applied[:-per_iteration])
+    assert all(check_constraint(spec, a.state) and not reached_goal(spec, a.state)
+               for a in out.applied[:-per_iteration])
     if kind == "oracle":
+        # an oracle iteration applies no probe motion, only its recovery motion
+        assert [a.tag for a in out.applied] == ["recovery"] * len(out.recovery)
         for rec in out.recovery:
-            assert np.array_equal(rec.u_delta, np.zeros(2))
             assert rec.g_probe == rec.g_before
             assert rec.flipped is False
 

@@ -11,24 +11,18 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from dfrlab import harness
-from dfrlab.controllers import Policy, RecoveryStep, SwitchConfig
+from dfrlab import harness, records
+from dfrlab.controllers import Policy, SwitchConfig
 from dfrlab.envs import builtin_env_spec
 from dfrlab.errors import InvalidInputError
 from dfrlab.harness import (
-    AppliedRecord,
     ExperimentConfig,
-    RolloutRecord,
-    StepRecord,
     activation_traces,
     classify_outcome,
     experiment_config_from_document,
     experiment_config_to_document,
     load_experiment_config,
     proportion_margin_test,
-    record_from_document,
-    record_line,
-    record_to_document,
     resample_trace,
     rollout,
     run_certified,
@@ -43,6 +37,15 @@ from dfrlab.harness import (
     write_csv,
 )
 from dfrlab.kernel_ocsvm import KernelParams, OcsvmModel
+from dfrlab.records import (
+    AppliedRecord,
+    RecoveryStep,
+    RolloutRecord,
+    StepRecord,
+    record_from_document,
+    record_line,
+    record_to_document,
+)
 from dfrlab.supervisor import generate_demos
 from dfrlab.support import TimeVaryingSupport
 
@@ -70,8 +73,7 @@ def _flat_model(rho):
 
 def _synthetic_record(vecs, controller="baseline", outcome="halted", **kw):
     applied = [
-        AppliedRecord(u=np.zeros(2), tag="policy", state=np.asarray(v, dtype=float),
-                      collided=False, reached=False)
+        AppliedRecord(u=np.zeros(2), tag="policy", state=np.asarray(v, dtype=float))
         for v in vecs[1:]
     ]
     steps = [StepRecord(t=0, g=None, applied=applied, recovery=[])] if applied else []
@@ -338,7 +340,18 @@ def test_record_document_round_trip(point_push_spec, pp_support, pp_policy):
     assert record_to_document(back) == doc
     assert classify_outcome(back, point_push_spec) == rec.outcome
     assert "wall_clock_s" not in doc
-    assert doc["version"] == 2
+    assert doc["version"] == 3
+    # version 3 stores each fact once: a motion's flags and an iteration's
+    # controls are not keys of their own
+    recovering = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=17,
+                         cfg=SwitchConfig(lam=0.05))
+    steps = doc["steps"] + record_to_document(recovering)["steps"]
+    assert any(s["recovery"] for s in steps)
+    for s in steps:
+        assert list(s) == ["t", "g", "halted", "applied", "recovery"]
+        assert all(list(a) == ["u", "tag", "state"] for a in s["applied"])
+        assert all(list(e) == ["g_before", "g_probe", "g_after", "flipped", "threshold"]
+                   for e in s["recovery"])
 
 
 def _assert_same_fields(a, b):
@@ -357,11 +370,10 @@ def _assert_same_fields(a, b):
 
 def test_records_pickle_exactly(point_push_spec, pp_support, pp_policy):
     applied = AppliedRecord(u=np.array([-0.0, 1e-300]), tag="probe",
-                            state=np.array([0.1, -0.0, 3.0, -4.5, 5.0, 6.0]),
-                            collided=False, reached=True)
-    step = RecoveryStep(u_delta=np.array([-0.0, 0.5]), u_recovery=np.array([0.1, -0.0]),
-                        g_before=0.1, g_probe=-0.0, g_after=0.2, flipped=True, threshold=0.3)
-    for obj in (applied, step):
+                            state=np.array([0.1, -0.0, 3.0, -4.5, 5.0, 6.0]))
+    step = RecoveryStep(g_before=0.1, g_probe=-0.0, g_after=0.2, flipped=True, threshold=0.3)
+    ended = StepRecord(t=3, g=-0.0, applied=[applied], recovery=[step], end="completed")
+    for obj in (applied, step, ended):
         _assert_same_fields(obj, pickle.loads(pickle.dumps(obj)))
 
     rec = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=17,
@@ -385,20 +397,26 @@ def _wire_copy(rec):
 
 def test_wire_record_decodes_bit_identical_fields(point_push_spec, pp_support, pp_policy):
     applied = AppliedRecord(u=np.array([-0.0, 1e-300]), tag="probe",
-                            state=np.array([0.1, -0.0, 3.0, -4.5, 5.0, 1e-300]),
-                            collided=False, reached=True)
-    step = RecoveryStep(u_delta=np.array([-0.0, 0.5]), u_recovery=np.array([1e-300, -0.0]),
-                        g_before=0.1, g_probe=-0.0, g_after=1e-300, flipped=True, threshold=0.3)
+                            state=np.array([0.1, -0.0, 3.0, -4.5, 5.0, 1e-300]))
+    step = RecoveryStep(g_before=0.1, g_probe=-0.0, g_after=1e-300, flipped=True, threshold=0.3)
     synthetic = _synthetic_record([[-0.0, 1e-300], [0.5, -0.0]], "dfr", "halted",
                                   halt_reason="recovery-cap", recovery_iterations=1,
                                   g_min=-0.0, g_final=1e-300, wall_clock_s=0.25)
     synthetic.steps.append(StepRecord(t=1, g=0.2, applied=[applied], recovery=[step],
                                       halted=True))
     assert synthetic.steps[0].g is None
-    real = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=17,
-                   cfg=SwitchConfig(lam=0.05))
-    assert any(s.recovery for s in real.steps)
-    for rec in (synthetic, real):
+    # real records that end collided, completed and halted: the decoder
+    # rebuilds each step's end from the outcome alone
+    real = [rollout(point_push_spec, kind, pp_support, pp_policy, seed=seed,
+                    cfg=SwitchConfig(lam=0.05))
+            for kind, seed in (("baseline", 11), ("baseline", 0), ("baseline", 2),
+                               ("dfr", 17), ("dfr", 2))]
+    assert [r.outcome for r in real] == ["collided", "completed", "halted", "completed", "halted"]
+    assert any(s.recovery for s in real[3].steps)
+    for rec in (synthetic, *real):
+        ends = [s.end for s in rec.steps]
+        assert ends[:-1] == [None] * (len(ends) - 1)
+        assert ends[-1] == (None if rec.outcome == "halted" else rec.outcome)
         back = _wire_copy(rec)
         assert record_line(back) == record_line(rec)
         assert "steps" not in vars(back)  # the line is written as it came
@@ -407,7 +425,7 @@ def test_wire_record_decodes_bit_identical_fields(point_push_spec, pp_support, p
             _assert_same_fields(rec, copy)
 
 
-@pytest.mark.parametrize("version", [1, 3, "2", None])
+@pytest.mark.parametrize("version", [1, 2, "3", None])
 def test_record_from_document_rejects_other_versions(version):
     doc = record_to_document(_synthetic_record([[0, 0], [1, 1]]))
     if version is None:
@@ -530,7 +548,9 @@ def test_experiment_config_rejects_duplicate_controllers():
 @pytest.mark.parametrize(
     "field, bad",
     [("epsilon", 2.0), ("nu", 0.0), ("policy_centers", 0), ("lam", -1.0),
-     ("max_recovery_iters", 0), ("lambda_mode", "auto"), ("oracle_eta", 0.0)],
+     ("max_recovery_iters", 0), ("lambda_mode", "auto"), ("oracle_eta", 0.0),
+     # certified mode with the default lam = 1.0, which it would ignore
+     ("lambda_mode", "certified")],
 )
 def test_experiment_config_checks_derived_configs_at_load(field, bad):
     with pytest.raises(InvalidInputError):
@@ -675,8 +695,8 @@ def test_parallel_parent_never_decodes_records(monkeypatch, tmp_path, experiment
             return fn(doc)
         return wrapped
 
-    for fn in (harness.record_from_document, harness.record_to_document):
-        monkeypatch.setattr(harness, fn.__name__, counting(fn))
+    for fn in (records.record_from_document, records.record_to_document):
+        monkeypatch.setattr(records, fn.__name__, counting(fn))
     out = run_experiment(experiment, cfg, out_dir=tmp_path / "jobs2", jobs=2)
     assert calls == []
     assert all("steps" not in vars(r) for r in out["records"])

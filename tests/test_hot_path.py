@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dfrlab.controllers import _applied
+from dfrlab.controllers import _apply
 from dfrlab.envs import (
     check_constraint,
     env_spec_to_document,
@@ -25,6 +25,7 @@ from dfrlab.envs import (
 )
 from dfrlab.errors import InvalidInputError
 from dfrlab.kernel_ocsvm import KernelParams, OcsvmParams, decision_value
+from dfrlab.records import AppliedRecord, StepRecord
 from dfrlab.support import TimeVaryingSupport, fit_time_varying
 
 
@@ -90,14 +91,18 @@ def _pp(robot, obj, goal=(0.8, 0.5)):
 
 
 def _assert_step_matches(spec, state, u):
-    """The next state, and the flags a controller records for the motion."""
+    """The next state, and the end a controller records for the motion."""
     u = np.asarray(u, dtype=float)
     nxt = step(spec, state, u)
     assert _bits(nxt) == _bits(ref_push_vec(spec, state, u))
-    record = _applied(spec, u, nxt, "policy")
-    assert record.state is nxt
-    assert record.collided == (not ref_check_constraint(spec, nxt))
-    assert record.reached == ref_reached_goal(spec, nxt)
+    collided = not ref_check_constraint(spec, nxt)
+    reached = ref_reached_goal(spec, nxt)
+    # on a fresh step and after an earlier motion's end: a colliding motion
+    # wins in either order, and a step's end is never undone
+    for before in (None, "completed", "collided"):
+        out = _apply(StepRecord(0, None, [], end=before), spec, AppliedRecord(u, "policy", nxt))
+        assert out.applied[-1].state is nxt
+        assert out.end == ("collided" if collided else before or ("completed" if reached else None))
     return nxt
 
 
