@@ -148,11 +148,8 @@ def _add_experiment_parser(sub, command, runner, help_text):
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory")
     # One pool per arm runs the rollouts; set-up stays in this process.
-    # Serial by default: on a two-core machine, median experiment times were
-    # 12.2 s serially and 10.4 s at --jobs 2 for the learning curve (10.6 s
-    # and 11.4 s in a second set of pairs), 8.4 s and 8.0 s for ascent, and
-    # 6.6 s and 6.9 s for disturbance, at 2.2-3x the serial peak memory; the
-    # records are identical.
+    # Serial by default: --jobs 2 writes the same records, faster on two
+    # cores, but at 1.2-1.8x the serial peak memory (README, --jobs).
     p.add_argument("--jobs", type=_jobs, default=1, help="rollout worker processes")
     p.add_argument(
         "--trials", type=int, default=None,

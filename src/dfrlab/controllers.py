@@ -9,8 +9,9 @@ rng, g), where state is the state vector and g is g_t(state), evaluated once
 by the caller (None when no support is consulted; the controllers that
 ignore the support ignore it too).  step returns the StepRecord of the
 horizon step (records.py); the next state is its last applied record's
-state.  Every applied motion goes through _apply, which sets the step's
-end: collided or completed, a colliding motion beating a goal-reaching one.
+state, or state itself when a halt came before any motion.  Every applied
+motion goes through _apply, which sets the step's end: collided or
+completed, a colliding motion beating a goal-reaching one.
 CONTROLLERS maps each kind to its class:
 
 * baseline: always apply the learned policy.
@@ -21,8 +22,9 @@ CONTROLLERS maps each kind to its class:
   resumes the policy once clear of the threshold.  dfr climbs by probe/step
   pairs that need no gradient access; oracle steps along finite-difference
   probes on simulated steps, as an upper reference for the ascent rate.
-  Their loop holds the one support-exit check: an iteration due at g <= 0
-  raises OutsideSupportError, unless the iteration cap comes first.
+  Their loop holds the one support-exit check: before an iteration due at
+  the cap or at g <= 0 (the cap first) it returns the step, halted at
+  recovery-cap or outside-support, with every motion it already applied.
 * supervisor: the scripted demonstrator.
 
 The switching rule trips at state x and time t when
@@ -43,7 +45,7 @@ import warnings
 import numpy as np
 
 from . import envs
-from .errors import InvalidInputError, OutsideSupportError
+from .errors import InvalidInputError
 from .records import COLLIDED, COMPLETED, AppliedRecord, RecoveryStep, StepRecord
 from .supervisor import supervisor_action
 from .util import atomic_write_text, dump_json, float_list, load_json, malformed, vector_norm
@@ -402,8 +404,8 @@ class EarlyStopController(Controller):
 
 class RecoveryController(Controller):
     """Recovery iterations while the switching rule trips, then one policy
-    step; a colliding or goal-reaching motion ends the step without it.
-    Subclasses differ only in the iteration they pass to recover."""
+    step; a halt or a colliding or goal-reaching motion ends the step
+    without it.  Subclasses differ only in the iteration they pass to recover."""
 
     def recover(self, iteration, handle, support, policy, t, state, rng, g):
         cfg = self.cfg
@@ -413,14 +415,11 @@ class RecoveryController(Controller):
         threshold = switch_threshold(u_hat, lam)
         while g <= threshold:
             if len(out.recovery) >= cfg.max_recovery_iters:
-                out.halted = True
+                out.halt = "recovery-cap"
                 return out
             if g <= 0.0:
-                raise OutsideSupportError(
-                    f"state outside the estimated support (g={g:.3g} at t={t})",
-                    t=t,
-                    g_value=g,
-                )
+                out.halt = "outside-support"
+                return out
             rec, motions = iteration(handle, support, t, state, cfg, rng, lam, g, threshold)
             out.recovery.append(rec)
             for motion in motions:

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: invalid input -> 2,
-solver non-convergence -> 3, experiment gate failure -> 4.
+solver non-convergence -> 3, experiment gate failure -> 4.  Leaving the
+estimated support is not an error: the recovery loop records it as its
+step's halt, and the episode ends halted (records.py).
 """
 
 
@@ -22,15 +24,6 @@ class SolverNonConvergenceError(RuntimeError):
     def __init__(self, message, best_model=None):
         super().__init__(message)
         self.best_model = best_model
-
-
-class OutsideSupportError(RuntimeError):
-    """Recovery was requested at a state the support estimator rejects."""
-
-    def __init__(self, message, t=None, g_value=None):
-        super().__init__(message)
-        self.t = t
-        self.g_value = g_value
 
 
 class GateFailureError(RuntimeError):

@@ -20,7 +20,7 @@ audit.  Each writes a manifest, line-delimited rollout records, and CSV
 metrics into an output directory.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from concurrent.futures import ProcessPoolExecutor
 import contextlib
 import hashlib
@@ -51,7 +51,7 @@ from .envs import (
     reached_goal,
     reset,
 )
-from .errors import GateFailureError, InvalidInputError, OutsideSupportError
+from .errors import GateFailureError, InvalidInputError
 from .kernel_ocsvm import KernelParams, OcsvmParams
 from .records import COLLIDED, COMPLETED, HALT_REASONS, HALTED, OUTCOMES, RolloutRecord, record_line
 from .supervisor import demo_prefix, generate_demos
@@ -149,7 +149,9 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
     serves t = 0) and handed to the controller.  The outcome is decided as
     the episode runs: a step with an end (collided or completed, decided as
     its motions were applied, with classify_outcome's precedence) ends the
-    episode with that outcome.
+    episode with that outcome, and a step with a halt ends it halted for
+    that reason.  Every step the controller returns is stored, a halting
+    one with the motions it applied before the halt.
     """
     ss, seed_key = _seed_sequence(seed)
     reset_ss, probe_ss, stream_ss = ss.spawn(3)
@@ -175,7 +177,6 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
     n_recovery = 0
     outcome = None
     halt_reason = None
-    t_end = 0
 
     g = None
     if support is not None:
@@ -187,34 +188,20 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
 
     if outcome is None:
         for t in range(spec.horizon):
-            t_end = t
             if t and support is not None:
                 g = support.g_at(t, state)
                 g_seen.append(g)
-            try:
-                step = ctrl.step(handle, support, policy, t, state, rng, g)
-            except OutsideSupportError as exc:
-                # Escape without contact: no constraint was violated, so the
-                # episode halts.  The offending decision value still counts
-                # toward g_min even though its state never committed.
-                if exc.g_value is not None:
-                    g_seen.append(float(exc.g_value))
-                outcome = HALTED
-                halt_reason = "outside-support"
-                break
+            step = ctrl.step(handle, support, policy, t, state, rng, g)
             for r in step.recovery:
                 g_seen.extend((r.g_before, r.g_probe, r.g_after))
             n_recovery += len(step.recovery)
             steps.append(step)
-            state = step.applied[-1].state
-            if step.end is not None:
-                outcome = step.end
-            elif step.halted:
-                outcome = HALTED
-                halt_reason = "recovery-cap"
-            else:
-                continue
-            break
+            if step.applied:
+                state = step.applied[-1].state
+            if step.end is not None or step.halt is not None:
+                outcome = step.end or HALTED
+                halt_reason = step.halt
+                break
         else:
             outcome = HALTED
             halt_reason = "horizon"
@@ -226,7 +213,7 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
     # is still the start gate's value.
     g_final = None
     if support is not None:
-        g_final = support.g_at(t_end + 1, state) if steps else g
+        g_final = support.g_at(steps[-1].t + 1, state) if steps else g
     wall = time.perf_counter() - t_start
 
     return RolloutRecord(
@@ -361,7 +348,6 @@ class ExperimentConfig:
     oracle_eta: float = None
     trace_points: int = 21
     min_activations: int = 50
-    certified_rollouts: int = 1000
 
     def __post_init__(self):
         grid = tuple(int(n) for n in self.demo_grid)
@@ -406,8 +392,6 @@ class ExperimentConfig:
             raise InvalidInputError(f"demo_jitter must be finite and >= 0, got {self.demo_jitter}")
         if self.trace_points < 2:
             raise InvalidInputError("trace_points must be >= 2")
-        if self.certified_rollouts < 1:
-            raise InvalidInputError("certified_rollouts must be >= 1")
         # Build every derived config now, so a bad field fails at load, not
         # after the demos are generated and fitted.
         self.ocsvm_params()
@@ -886,26 +870,31 @@ def run_disturbance_eval(config, jobs=1):
 def run_certified(config):
     """Recovery in certified mode; audits the minimum visited decision value.
 
-    Fits at demo_grid[-1] with demo_seeds[0], then rolls the recovery
-    controller with the per-slice certified threshold until
-    certified_rollouts episodes that start inside the estimated support have
-    run (start-gated resets are skipped: the no-exit statement presumes the
-    episode begins inside).  The gate asks for g >= -1e-9 over every visited
-    state, probe states included.  The halt-reason counts cover every
-    attempt, the skipped ones included.
+    config must be in certified mode.  Fits at demo_grid[-1] with
+    demo_seeds[0], then rolls the recovery controller with the per-slice
+    certified threshold until eval_samples episodes that start inside the
+    estimated support have run (start-gated resets are skipped: the no-exit
+    statement presumes the episode begins inside), in at most 20 times as
+    many attempts.  The gate asks for g >= -1e-9 over every visited state,
+    probe states included.  The halt-reason counts cover every attempt, the
+    skipped ones included.
     """
+    if config.lambda_mode != "certified":
+        raise InvalidInputError(
+            f"the certified audit needs lambda_mode 'certified', got {config.lambda_mode!r}"
+        )
     spec = load_env_spec(config.env)
     n = config.demo_grid[-1]
     demos = generate_demos(spec, n, seed=config.demo_seeds[0], jitter_sigma=config.demo_jitter)
     support, policy = _fit_cell(config, demos, {})
-    scfg = replace(config.switch_config(), lam=None, lambda_mode="certified")
+    scfg = config.switch_config()
     outcomes = []
     reasons = []
     skipped = 0
     attempts = 0
     min_g = math.inf
-    limit = 20 * config.certified_rollouts
-    while len(outcomes) < config.certified_rollouts:
+    limit = 20 * config.eval_samples
+    while len(outcomes) < config.eval_samples:
         if attempts >= limit:
             raise InvalidInputError(
                 f"start gate rejected too many resets ({skipped} of {attempts}); "

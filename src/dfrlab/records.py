@@ -1,8 +1,9 @@
-"""Rollout records and their records.jsonl format, version 3, which stores
+"""Rollout records and their records.jsonl format, version 4, which stores
 each fact once.  A recovery iteration's controls are the u of its probe and
 recovery motions.  A step's end (collided or completed, set as its motions
-are applied) has no key: only an episode's last step can have one, and
-then it is the outcome, from which the decoder rebuilds it.
+are applied) and its halt (where the recovery loop stopped) have no keys:
+only an episode's last step can have either, and then it is the outcome or
+the halt reason, from which the decoder rebuilds it.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ OUTCOMES = (COMPLETED, COLLIDED, HALTED)
 HALT_REASONS = ("start-gate", "outside-support", "recovery-cap", "horizon")
 
 RECORD_FORMAT = "rollout-record"
-RECORD_VERSION = 3
+RECORD_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,8 @@ class StepRecord:
     g: float  # decision value at step start; None when no support was consulted
     applied: list  # AppliedRecord per applied control, in order
     recovery: list = field(default_factory=list)  # RecoveryStep per iteration
-    halted: bool = False
     end: str = None  # COLLIDED or COMPLETED once a motion collided or reached the goal
+    halt: str = None  # "recovery-cap" or "outside-support" where the recovery loop stopped
 
 
 @dataclass
@@ -117,7 +118,6 @@ def record_to_document(record):
             {
                 "t": int(s.t),
                 "g": None if s.g is None else float(s.g),
-                "halted": bool(s.halted),
                 "applied": [
                     {
                         "u": float_list(a.u),
@@ -173,7 +173,6 @@ def record_from_document(doc):
             StepRecord(
                 t=int(s["t"]),
                 g=s["g"],
-                halted=bool(s["halted"]),
                 applied=[
                     AppliedRecord(
                         u=np.asarray(a["u"], dtype=float),
@@ -197,6 +196,8 @@ def record_from_document(doc):
         ]
         if steps and doc["outcome"] in (COLLIDED, COMPLETED):
             steps[-1].end = doc["outcome"]
+        if steps and doc["halt_reason"] in ("recovery-cap", "outside-support"):
+            steps[-1].halt = doc["halt_reason"]
         return RolloutRecord(
             seed=doc["seed"],
             controller=doc["controller"],

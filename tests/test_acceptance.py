@@ -54,9 +54,17 @@ def _report(label, passed, detail, elapsed, budget):
 
 def _reclassified(config, records, expected):
     """(ok, detail) of re-deriving every record's outcome from its states:
-    rollout decides outcomes as it runs and leaves the check to here."""
+    rollout decides outcomes as it runs and leaves the check to here.  Each
+    record must also count every stored iteration, and its last step must
+    hold the halt exactly when the halt reason is one a step records."""
     spec = builtin_env_spec(config.env)
-    bad = sum(classify_outcome(r, spec) != r.outcome for r in records)
+    bad = 0
+    for r in records:
+        bad += classify_outcome(r, spec) != r.outcome
+        assert r.recovery_iterations == sum(len(s.recovery) for s in r.steps), r.seed
+        step_halt = r.halt_reason in ("recovery-cap", "outside-support")
+        last_halt = r.steps[-1].halt if r.steps else None
+        assert last_halt == (r.halt_reason if step_halt else None), r.seed
     ok = len(records) == expected and bad == 0
     return ok, f"{len(records) - bad}/{len(records)} records reclassify (expected {expected})"
 

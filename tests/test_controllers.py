@@ -28,7 +28,8 @@ from dfrlab.controllers import (
     switch_threshold,
 )
 from dfrlab.envs import EnvHandle, builtin_env_spec, check_constraint, reached_goal
-from dfrlab.errors import InvalidInputError, OutsideSupportError
+from dfrlab.errors import InvalidInputError
+from dfrlab.harness import rollout
 from dfrlab.kernel_ocsvm import KernelParams, OcsvmModel
 from dfrlab.support import DemoSet, TimeVaryingSupport, Trajectory
 
@@ -283,10 +284,10 @@ def test_recovery_refuses_outside_support(lt_handle):
     for kind in ("dfr", "oracle"):
         for g in (_g(support, state), 0.0):
             ctrl = make_controller(kind, SwitchConfig())
-            with pytest.raises(OutsideSupportError) as exc:
-                ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(0), g)
-            assert exc.value.g_value == g <= 0.0
-            assert exc.value.t == 0
+            out = ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(0), g)
+            assert out.halt == "outside-support" and out.end is None
+            assert (out.t, out.g, out.applied, out.recovery) == (0, g, [], [])
+            assert g <= 0.0
 
 
 class _CliffSupport:
@@ -307,7 +308,7 @@ class _CliffSupport:
 @pytest.mark.parametrize(
     "kind, work", [("dfr", "dfr_recovery_iteration"), ("oracle", "finite_difference_oracle_step")]
 )
-def test_iteration_ending_outside_support_raises_on_next_pass(lt_handle, monkeypatch, kind, work):
+def test_iteration_ending_outside_support_halts_on_next_pass(lt_handle, monkeypatch, kind, work):
     calls = []
     original = getattr(controllers, work)
 
@@ -319,13 +320,37 @@ def test_iteration_ending_outside_support_raises_on_next_pass(lt_handle, monkeyp
     start = np.zeros(2)
     support = _CliffSupport(start)
     ctrl = make_controller(kind, SwitchConfig(lam=1.0))
-    with pytest.raises(OutsideSupportError) as exc:
-        ctrl.step(lt_handle, support, _constant_policy((0.5, 0.0)), 0, start,
-                  np.random.default_rng(0), 0.01)
-    # the loop refuses before a second iteration starts, not inside it
+    out = ctrl.step(lt_handle, support, _constant_policy((0.5, 0.0)), 0, start,
+                    np.random.default_rng(0), 0.01)
+    # the loop refuses before a second iteration starts, not inside it, and
+    # the step keeps the iteration and its motions
     assert len(calls) == 1
-    assert exc.value.g_value == support.returned[-1] <= 0.0
-    assert exc.value.t == 0
+    assert out.halt == "outside-support" and out.end is None
+    assert len(out.recovery) == 1
+    assert out.recovery[0].g_after == support.returned[-1] <= 0.0
+    assert len(out.applied) == {"dfr": 2, "oracle": 1}[kind]
+    assert out.t == 0
+
+
+@pytest.mark.parametrize("kind, motions", [("dfr", 2), ("oracle", 1)])
+def test_rollout_keeps_the_iteration_that_left_the_support(line_track_spec, kind, motions):
+    # the supervisor needs no support; on the same seed it resets to the
+    # same start state, where the cliff is drawn
+    start = rollout(line_track_spec, "supervisor", None, None, seed=0).start_state
+    rec = rollout(line_track_spec, kind, _CliffSupport(start), _constant_policy((0.5, 0.0)),
+                  seed=0, cfg=SwitchConfig(lam=1.0), disturbance=False)
+    assert (rec.outcome, rec.halt_reason) == ("halted", "outside-support")
+    assert len(rec.steps) == 1
+    step = rec.steps[0]
+    assert step.halt == "outside-support" and step.end is None
+    assert len(step.recovery) == 1 and len(step.applied) == motions
+    assert rec.recovery_iterations == 1
+    it = step.recovery[0]
+    assert it.g_after <= 0.0
+    assert rec.g_min <= min(it.g_before, it.g_probe, it.g_after)
+    states = rec.state_sequence()
+    assert len(states) == 1 + motions
+    assert np.array_equal(states[-1], step.applied[-1].state)
 
 
 @pytest.mark.parametrize("kind", ["dfr", "oracle"])
@@ -334,7 +359,7 @@ def test_iteration_ending_outside_support_at_the_cap_halts(lt_handle, kind):
     ctrl = make_controller(kind, SwitchConfig(lam=1.0, max_recovery_iters=1))
     out = ctrl.step(lt_handle, _CliffSupport(start), _constant_policy((0.5, 0.0)), 0, start,
                     np.random.default_rng(0), 0.01)
-    assert out.halted
+    assert out.halt == "recovery-cap"
     assert len(out.recovery) == 1
     assert out.recovery[0].g_after <= 0.0
 
@@ -414,7 +439,7 @@ def test_dfr_recovers_and_resumes_policy(lt_handle):
     assert _g(support, state) <= 0.01 * 0.5
     out = ctrl.step(lt_handle, support, policy, 0, state, np.random.default_rng(3),
                     _g(support, state))
-    assert not out.halted
+    assert out.halt is None
     assert len(out.recovery) >= 1
     assert out.applied[-1].tag == "policy"
     assert out.recovery[-1].g_after > 0.01 * 0.5
@@ -434,7 +459,7 @@ def test_dfr_halts_at_iteration_cap(lt_handle, kind, n_applied, tags):
     out = ctrl.step(
         lt_handle, support, policy, 0, state, np.random.default_rng(0), _g(support, state)
     )
-    assert out.halted
+    assert out.halt == "recovery-cap"
     assert len(out.recovery) == 3
     # dfr applies a probe and a recovery motion per iteration, oracle one
     assert len(out.applied) == n_applied
@@ -462,7 +487,7 @@ def test_recovery_stops_when_a_motion_collides_or_reaches(lt_handle, kind, cente
     out = ctrl.step(
         lt_handle, support, policy, 0, state, np.random.default_rng(0), _g(support, state)
     )
-    assert not out.halted
+    assert out.halt is None
     assert out.recovery
     assert all(a.tag != "policy" for a in out.applied)
     per_iteration = {"dfr": 2, "oracle": 1}[kind]
@@ -482,15 +507,16 @@ def test_recovery_stops_when_a_motion_collides_or_reaches(lt_handle, kind, cente
             assert rec.flipped is False
 
 
-def test_dfr_raises_outside_support_at_step_start(lt_handle):
+def test_dfr_halts_outside_support_at_step_start(lt_handle):
     support = _radial_support(rho=0.9)
     policy = _constant_policy((0.5, 0.0))
     ctrl = make_controller("dfr", SwitchConfig(lam=0.01))
     state = np.array([2.5, 0.0])
-    with pytest.raises(OutsideSupportError):
-        ctrl.step(
-            lt_handle, support, policy, 0, state, np.random.default_rng(0), _g(support, state)
-        )
+    out = ctrl.step(
+        lt_handle, support, policy, 0, state, np.random.default_rng(0), _g(support, state)
+    )
+    assert out.halt == "outside-support"
+    assert out.applied == [] and out.recovery == []
 
 
 def test_oracle_controller_recovers_with_preview(lt_handle):
@@ -501,7 +527,7 @@ def test_oracle_controller_recovers_with_preview(lt_handle):
     out = ctrl.step(
         lt_handle, support, policy, 0, state, np.random.default_rng(0), _g(support, state)
     )
-    assert not out.halted
+    assert out.halt is None
     assert len(out.recovery) >= 1
     assert out.applied[-1].tag == "policy"
     # oracle moves straight toward the center: strictly increasing g

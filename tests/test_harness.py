@@ -265,8 +265,8 @@ def test_baseline_ignores_start_gate(point_push_spec, pp_support, pp_policy):
 
 
 def test_outside_support_mid_episode(line_track_spec):
-    # slice 0 accepts everything, slice 1 rejects everything: the second step
-    # start raises inside the controller and the harness maps it to a halt
+    # slice 0 accepts everything, slice 1 rejects everything: the controller
+    # halts the second step before any motion, and the record keeps that step
     support = TimeVaryingSupport(
         estimators=[_flat_model(-1.0), _flat_model(2.0)], projection=np.arange(2)
     )
@@ -278,8 +278,11 @@ def test_outside_support_mid_episode(line_track_spec):
     )
     assert rec.outcome == "halted"
     assert rec.halt_reason == "outside-support"
-    assert len(rec.steps) == 1
-    assert rec.g_min < 0.0
+    assert len(rec.steps) == 2
+    last = rec.steps[-1]
+    assert (last.t, last.halt, last.applied, last.recovery) == (1, "outside-support", [], [])
+    assert last.g == rec.g_min < 0.0
+    assert np.array_equal(rec.state_sequence()[-1], rec.steps[0].applied[-1].state)
 
 
 @pytest.mark.parametrize("kind", ["dfr", "es"])
@@ -340,15 +343,15 @@ def test_record_document_round_trip(point_push_spec, pp_support, pp_policy):
     assert record_to_document(back) == doc
     assert classify_outcome(back, point_push_spec) == rec.outcome
     assert "wall_clock_s" not in doc
-    assert doc["version"] == 3
-    # version 3 stores each fact once: a motion's flags and an iteration's
-    # controls are not keys of their own
+    assert doc["version"] == 4
+    # version 4 stores each fact once: a step's halt, a motion's flags and an
+    # iteration's controls are not keys of their own
     recovering = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=17,
                          cfg=SwitchConfig(lam=0.05))
     steps = doc["steps"] + record_to_document(recovering)["steps"]
     assert any(s["recovery"] for s in steps)
     for s in steps:
-        assert list(s) == ["t", "g", "halted", "applied", "recovery"]
+        assert list(s) == ["t", "g", "applied", "recovery"]
         assert all(list(a) == ["u", "tag", "state"] for a in s["applied"])
         assert all(list(e) == ["g_before", "g_probe", "g_after", "flipped", "threshold"]
                    for e in s["recovery"])
@@ -403,10 +406,11 @@ def test_wire_record_decodes_bit_identical_fields(point_push_spec, pp_support, p
                                   halt_reason="recovery-cap", recovery_iterations=1,
                                   g_min=-0.0, g_final=1e-300, wall_clock_s=0.25)
     synthetic.steps.append(StepRecord(t=1, g=0.2, applied=[applied], recovery=[step],
-                                      halted=True))
+                                      halt="recovery-cap"))
     assert synthetic.steps[0].g is None
     # real records that end collided, completed and halted: the decoder
-    # rebuilds each step's end from the outcome alone
+    # rebuilds each step's end from the outcome alone, and its halt from the
+    # halt reason
     real = [rollout(point_push_spec, kind, pp_support, pp_policy, seed=seed,
                     cfg=SwitchConfig(lam=0.05))
             for kind, seed in (("baseline", 11), ("baseline", 0), ("baseline", 2),
@@ -417,6 +421,10 @@ def test_wire_record_decodes_bit_identical_fields(point_push_spec, pp_support, p
         ends = [s.end for s in rec.steps]
         assert ends[:-1] == [None] * (len(ends) - 1)
         assert ends[-1] == (None if rec.outcome == "halted" else rec.outcome)
+        halts = [s.halt for s in rec.steps]
+        assert halts[:-1] == [None] * (len(halts) - 1)
+        step_halt = rec.halt_reason in ("recovery-cap", "outside-support")
+        assert halts[-1] == (rec.halt_reason if step_halt else None)
         back = _wire_copy(rec)
         assert record_line(back) == record_line(rec)
         assert "steps" not in vars(back)  # the line is written as it came
@@ -425,7 +433,7 @@ def test_wire_record_decodes_bit_identical_fields(point_push_spec, pp_support, p
             _assert_same_fields(rec, copy)
 
 
-@pytest.mark.parametrize("version", [1, 2, "3", None])
+@pytest.mark.parametrize("version", [1, 2, 3, "4", None])
 def test_record_from_document_rejects_other_versions(version):
     doc = record_to_document(_synthetic_record([[0, 0], [1, 1]]))
     if version is None:
@@ -706,8 +714,15 @@ def test_parallel_parent_never_decodes_records(monkeypatch, tmp_path, experiment
         assert sum(entry["halt_reasons"].values()) == entry["n"], kind
 
 
+def test_run_certified_refuses_a_manual_config():
+    # the audit would otherwise run the manual lam and certify nothing
+    cfg = _shipped_config("exp_point_push_certified.json", lam=1.0, lambda_mode="manual")
+    with pytest.raises(InvalidInputError, match="lambda_mode 'certified', got 'manual'"):
+        run_certified(cfg)
+
+
 def test_certified_counts_the_halt_reason_of_every_attempt():
-    cfg = _shipped_config("exp_point_push_certified.json", certified_rollouts=4)
+    cfg = _shipped_config("exp_point_push_certified.json", eval_samples=4)
     agg = run_certified(cfg)["aggregates"]
     reasons = agg["halt_reasons"]
     assert sum(reasons.values()) == agg["rollouts"] + agg["start_gate_skipped"]
