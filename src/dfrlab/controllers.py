@@ -46,7 +46,9 @@ import numpy as np
 
 from . import envs
 from .errors import InvalidInputError
-from .records import COLLIDED, COMPLETED, AppliedRecord, RecoveryStep, StepRecord
+from .records import (
+    COLLIDED, COMPLETED, OUTSIDE_SUPPORT, RECOVERY_CAP, AppliedRecord, RecoveryStep, StepRecord,
+)
 from .supervisor import supervisor_action
 from .util import atomic_write_text, dump_json, float_list, load_json, malformed, vector_norm
 
@@ -415,10 +417,10 @@ class RecoveryController(Controller):
         threshold = switch_threshold(u_hat, lam)
         while g <= threshold:
             if len(out.recovery) >= cfg.max_recovery_iters:
-                out.halt = "recovery-cap"
+                out.halt = RECOVERY_CAP
                 return out
             if g <= 0.0:
-                out.halt = "outside-support"
+                out.halt = OUTSIDE_SUPPORT
                 return out
             rec, motions = iteration(handle, support, t, state, cfg, rng, lam, g, threshold)
             out.recovery.append(rec)

@@ -53,7 +53,9 @@ from .envs import (
 )
 from .errors import GateFailureError, InvalidInputError
 from .kernel_ocsvm import KernelParams, OcsvmParams
-from .records import COLLIDED, COMPLETED, HALT_REASONS, HALTED, OUTCOMES, RolloutRecord, record_line
+from .records import (
+    COLLIDED, COMPLETED, HALT_REASONS, HALTED, OUTCOMES, OUTSIDE_SUPPORT, RolloutRecord, record_line,
+)
 from .supervisor import demo_prefix, generate_demos
 from .support import TimeVaryingSupport, fit_pooled, fit_time_varying
 from .util import atomic_write_text, dump_json, load_json, malformed
@@ -174,7 +176,6 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
     start_state = state.copy()
     steps = []
     g_seen = []
-    n_recovery = 0
     outcome = None
     halt_reason = None
 
@@ -194,7 +195,6 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
             step = ctrl.step(handle, support, policy, t, state, rng, g)
             for r in step.recovery:
                 g_seen.extend((r.g_before, r.g_probe, r.g_after))
-            n_recovery += len(step.recovery)
             steps.append(step)
             if step.applied:
                 state = step.applied[-1].state
@@ -223,7 +223,7 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
         start_state=start_state,
         steps=steps,
         halt_reason=halt_reason,
-        recovery_iterations=n_recovery,
+        recovery_iterations=sum(len(s.recovery) for s in steps),
         g_min=min(g_seen) if g_seen else None,
         g_final=g_final,
         wall_clock_s=wall,
@@ -687,11 +687,12 @@ def activation_traces(record):
     recovery loop recorded them at the state the iteration started from, so
     1.0 is the switching threshold.  An activation that hands control back
     to the policy gets a terminal 1.0 anchor: the exit test g > threshold
-    passed, the trace just has no sample of its own there.
+    passed, the trace just has no sample of its own there.  An activation
+    that left the support (its step halted outside-support) is left out.
     """
     traces = []
     for step in record.steps:
-        if not step.recovery:
+        if not step.recovery or step.halt == OUTSIDE_SUPPORT:
             continue
         vals = [min(1.0, ev.g_before / ev.threshold) for ev in step.recovery]
         if step.applied and step.applied[-1].tag == "policy":

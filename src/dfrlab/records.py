@@ -18,7 +18,10 @@ COMPLETED = "completed"
 COLLIDED = "collided"
 HALTED = "halted"
 OUTCOMES = (COMPLETED, COLLIDED, HALTED)
-HALT_REASONS = ("start-gate", "outside-support", "recovery-cap", "horizon")
+OUTSIDE_SUPPORT = "outside-support"
+RECOVERY_CAP = "recovery-cap"
+STEP_HALTS = (OUTSIDE_SUPPORT, RECOVERY_CAP)  # the halt reasons a step records
+HALT_REASONS = ("start-gate", *STEP_HALTS, "horizon")
 
 RECORD_FORMAT = "rollout-record"
 RECORD_VERSION = 4
@@ -53,7 +56,7 @@ class StepRecord:
     applied: list  # AppliedRecord per applied control, in order
     recovery: list = field(default_factory=list)  # RecoveryStep per iteration
     end: str = None  # COLLIDED or COMPLETED once a motion collided or reached the goal
-    halt: str = None  # "recovery-cap" or "outside-support" where the recovery loop stopped
+    halt: str = None  # one of STEP_HALTS where the recovery loop stopped
 
 
 @dataclass
@@ -196,7 +199,7 @@ def record_from_document(doc):
         ]
         if steps and doc["outcome"] in (COLLIDED, COMPLETED):
             steps[-1].end = doc["outcome"]
-        if steps and doc["halt_reason"] in ("recovery-cap", "outside-support"):
+        if steps and doc["halt_reason"] in STEP_HALTS:
             steps[-1].halt = doc["halt_reason"]
         return RolloutRecord(
             seed=doc["seed"],

@@ -29,7 +29,7 @@ from dfrlab.controllers import (
 )
 from dfrlab.envs import EnvHandle, builtin_env_spec, check_constraint, reached_goal
 from dfrlab.errors import InvalidInputError
-from dfrlab.harness import rollout
+from dfrlab.harness import activation_traces, rollout
 from dfrlab.kernel_ocsvm import KernelParams, OcsvmModel
 from dfrlab.support import DemoSet, TimeVaryingSupport, Trajectory
 
@@ -351,6 +351,19 @@ def test_rollout_keeps_the_iteration_that_left_the_support(line_track_spec, kind
     states = rec.state_sequence()
     assert len(states) == 1 + motions
     assert np.array_equal(states[-1], step.applied[-1].state)
+    # the ascent traces leave out an activation that left the support
+    assert activation_traces(rec) == []
+
+
+@pytest.mark.parametrize("kind", ["dfr", "oracle"])
+def test_ascent_traces_keep_an_activation_halted_at_the_cap(line_track_spec, kind):
+    start = rollout(line_track_spec, "supervisor", None, None, seed=0).start_state
+    rec = rollout(line_track_spec, kind, _CliffSupport(start), _constant_policy((0.5, 0.0)),
+                  seed=0, cfg=SwitchConfig(lam=1.0, max_recovery_iters=1), disturbance=False)
+    assert rec.halt_reason == "recovery-cap" and rec.steps[-1].halt == "recovery-cap"
+    (it,) = rec.steps[-1].recovery
+    assert it.g_after <= 0.0
+    assert activation_traces(rec) == [[it.g_before / it.threshold]]
 
 
 @pytest.mark.parametrize("kind", ["dfr", "oracle"])

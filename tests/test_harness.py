@@ -41,6 +41,7 @@ from dfrlab.records import (
     AppliedRecord,
     RecoveryStep,
     RolloutRecord,
+    STEP_HALTS,
     StepRecord,
     record_from_document,
     record_line,
@@ -423,8 +424,7 @@ def test_wire_record_decodes_bit_identical_fields(point_push_spec, pp_support, p
         assert ends[-1] == (None if rec.outcome == "halted" else rec.outcome)
         halts = [s.halt for s in rec.steps]
         assert halts[:-1] == [None] * (len(halts) - 1)
-        step_halt = rec.halt_reason in ("recovery-cap", "outside-support")
-        assert halts[-1] == (rec.halt_reason if step_halt else None)
+        assert halts[-1] == (rec.halt_reason if rec.halt_reason in STEP_HALTS else None)
         back = _wire_copy(rec)
         assert record_line(back) == record_line(rec)
         assert "steps" not in vars(back)  # the line is written as it came
