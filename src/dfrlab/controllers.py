@@ -25,6 +25,9 @@ CONTROLLERS maps each kind to its class:
   Their loop holds the one support-exit check: before an iteration due at
   the cap or at g <= 0 (the cap first) it returns the step, halted at
   recovery-cap or outside-support, with every motion it already applied.
+  An oracle iteration is a pure function of its start state, so once one
+  ends on a state the step already started an iteration from, the loop
+  copies that cycle up to the cap instead of recomputing it.
 * supervisor: the scripted demonstrator.
 
 The switching rule trips at state x and time t when
@@ -39,6 +42,7 @@ lambda is a tuned scalar.
 """
 
 from dataclasses import dataclass
+from itertools import cycle, islice
 import math
 import warnings
 
@@ -357,6 +361,20 @@ def _oracle_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_befor
     return rec, [AppliedRecord(u_rec, "recovery", x_rec)]
 
 
+def _replay_cycle(out, start, cap):
+    """Halt out at recovery-cap after repeating its oracle iterations from
+    index start on up to cap iterations in all: what the loop does once an
+    iteration ends on the state iteration start began from, since every
+    state of that cycle already passed g > 0 and g <= threshold without an
+    end.  An oracle iteration applies one motion, so out.applied and
+    out.recovery share indices.  The repeats share the cycle's objects."""
+    n = cap - len(out.recovery)
+    out.recovery.extend(islice(cycle(out.recovery[start:]), n))
+    out.applied.extend(islice(cycle(out.applied[start:]), n))
+    out.halt = RECOVERY_CAP
+    return out
+
+
 class Controller:
     """Base of the five controllers.  uses_support and uses_policy say
     whether a controller consults the support estimator and the learned
@@ -415,6 +433,10 @@ class RecoveryController(Controller):
         out = StepRecord(t, g, [])
         u_hat = policy.action(state)
         threshold = switch_threshold(u_hat, lam)
+        # The oracle's iteration is a pure function of its start state (t is
+        # frozen, it draws no rng, micro_step holds the stream still), so
+        # seen maps each start state's bytes to the index of its iteration.
+        seen = {state.tobytes(): 0} if iteration is _oracle_recovery_iteration else None
         while g <= threshold:
             if len(out.recovery) >= cfg.max_recovery_iters:
                 out.halt = RECOVERY_CAP
@@ -429,6 +451,11 @@ class RecoveryController(Controller):
             if out.end is not None:
                 return out
             state = motions[-1].state
+            if seen is not None:
+                key = state.tobytes()
+                if key in seen:
+                    return _replay_cycle(out, seen[key], cfg.max_recovery_iters)
+                seen[key] = len(out.recovery)
             g = rec.g_after
             u_hat = policy.action(state)
             threshold = switch_threshold(u_hat, lam)

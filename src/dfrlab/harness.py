@@ -54,7 +54,8 @@ from .envs import (
 from .errors import GateFailureError, InvalidInputError
 from .kernel_ocsvm import KernelParams, OcsvmParams
 from .records import (
-    COLLIDED, COMPLETED, HALT_REASONS, HALTED, OUTCOMES, OUTSIDE_SUPPORT, RolloutRecord, record_line,
+    COLLIDED, COMPLETED, HALT_REASONS, HALTED, OUTCOMES, OUTSIDE_SUPPORT, STEP_HALTS, RolloutRecord,
+    record_line,
 )
 from .supervisor import demo_prefix, generate_demos
 from .support import TimeVaryingSupport, fit_pooled, fit_time_varying
@@ -691,14 +692,71 @@ def activation_traces(record):
     that left the support (its step halted outside-support) is left out.
     """
     traces = []
-    for step in record.steps:
-        if not step.recovery or step.halt == OUTSIDE_SUPPORT:
+    for step, vals in _activations(record):
+        if step.halt == OUTSIDE_SUPPORT:
             continue
-        vals = [min(1.0, ev.g_before / ev.threshold) for ev in step.recovery]
-        if step.applied and step.applied[-1].tag == "policy":
+        if _ending(step) == HAND_BACK:
             vals.append(1.0)
         traces.append(vals)
     return traces
+
+
+def _activations(record):
+    """(step, values) per recovery activation in the record, the values
+    min(1, g_before / threshold) of its iterations, without an anchor."""
+    for step in record.steps:
+        if step.recovery:
+            yield step, [min(1.0, ev.g_before / ev.threshold) for ev in step.recovery]
+
+
+HAND_BACK = "hand-back"
+ACTIVATION_BANDS = ("1", "2-4", ">=5")  # iterations per activation
+
+
+def _ending(step):
+    """How a recovery activation ended: the step's halt, a hand-back to the
+    policy, or the end (collided or completed) of a recovery motion."""
+    if step.halt is not None:
+        return step.halt
+    return HAND_BACK if step.applied[-1].tag == "policy" else step.end
+
+
+def _mean_curve(traces, points):
+    return np.stack([resample_trace(v, points) for v in traces]).mean(axis=0)
+
+
+def _max_decrease(curve):
+    return float(np.max(curve[:-1] - curve[1:]))
+
+
+def _fraction_reaching(traces, level=0.9):
+    return float(np.mean([max(v) >= level for v in traces]))
+
+
+def activation_split(records, points):
+    """Every recovery activation in the records, outside-support ones too,
+    grouped by length band and ending: each group's count, the fraction of
+    its traces that reach 0.9 without the hand-back anchor, and the largest
+    decrease of its mean curve (the traces resampled onto points, no
+    anchor); None for both in an empty group."""
+    groups = {band: {ending: [] for ending in (HAND_BACK, *STEP_HALTS)}
+              for band in ACTIVATION_BANDS}
+    for rec in records:
+        for step, vals in _activations(rec):
+            n = len(vals)
+            band = ACTIVATION_BANDS[0 if n == 1 else 1 if n <= 4 else 2]
+            groups[band].setdefault(_ending(step), []).append(vals)
+    return {
+        band: {
+            ending: {
+                "count": len(traces),
+                "fraction_reaching_0.9": _fraction_reaching(traces) if traces else None,
+                "max_decrease": _max_decrease(_mean_curve(traces, points)) if traces else None,
+            }
+            for ending, traces in by_ending.items()
+        }
+        for band, by_ending in groups.items()
+    }
 
 
 def resample_trace(values, points):
@@ -744,10 +802,7 @@ def run_ascent_traces(config, jobs=1):
     rows = []
     for arm in arms:
         if traces[arm]:
-            stacked = np.stack(
-                [resample_trace(v, config.trace_points) for v in traces[arm]]
-            )
-            curves[arm] = stacked.mean(axis=0)
+            curves[arm] = _mean_curve(traces[arm], config.trace_points)
         else:
             curves[arm] = np.full(config.trace_points, np.nan)
         for k in range(config.trace_points):
@@ -770,9 +825,8 @@ def run_ascent_traces(config, jobs=1):
             "detail": {"activations": n_act, "needed": config.min_activations},
         }
         if n_act:
-            curve = curves["dfr"]
-            max_decrease = float(np.max(curve[:-1] - curve[1:]))
-            reach = float(np.mean([max(v) >= 0.9 for v in traces["dfr"]]))
+            max_decrease = _max_decrease(curves["dfr"])
+            reach = _fraction_reaching(traces["dfr"])
             starts = [v[0] for v in traces["dfr"]]
             aggregates["dfr_max_decrease"] = max_decrease
             aggregates["dfr_fraction_reaching_0.9"] = reach
@@ -792,6 +846,10 @@ def run_ascent_traces(config, jobs=1):
             "passed": margin >= -0.02,
             "detail": {"min_pointwise_margin": margin},
         }
+    aggregates["activation_split"] = {
+        arm: activation_split([r for r in records if r.controller == arm], config.trace_points)
+        for arm in arms
+    }
 
     return {
         "experiment": "ascent",
@@ -983,7 +1041,8 @@ def write_experiment_outputs(out_dir, config, result):
 
     Every file is byte-stable across re-runs except the manifest's "created"
     field and summary.json's two "timing" blocks: the stage wall times at
-    the top and the per-controller episode times in "summary".
+    the top, with records_write_s, the time to encode and write
+    records.jsonl, and the per-controller episode times in "summary".
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest = {
@@ -999,8 +1058,10 @@ def write_experiment_outputs(out_dir, config, result):
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     atomic_write_text(os.path.join(out_dir, "manifest.json"), dump_json(manifest))
+    t0 = time.perf_counter()
     lines = [record_line(rec) for rec in result.get("records", [])]
     atomic_write_text(os.path.join(out_dir, "records.jsonl"), "".join(l + "\n" for l in lines))
+    records_write_s = time.perf_counter() - t0
     name = "traces.csv" if result["experiment"] == "ascent" else "metrics.csv"
     write_csv(os.path.join(out_dir, name), result["columns"], result["rows"])
     summary_doc = {
@@ -1010,8 +1071,7 @@ def write_experiment_outputs(out_dir, config, result):
     }
     if result.get("summary") is not None:
         summary_doc["summary"] = result["summary"]
-    if result.get("timing") is not None:
-        summary_doc["timing"] = result["timing"]
+    summary_doc["timing"] = {**(result.get("timing") or {}), "records_write_s": records_write_s}
     atomic_write_text(os.path.join(out_dir, "summary.json"), dump_json(_json_safe(summary_doc)))
     return manifest
 

@@ -199,9 +199,7 @@ def make_failure_demo(n_demos, T, seed):
 
 
 BUNDLE_FORMAT = "support-bundle"
-# Version 1 manifests also stored each slice's Lipschitz bound, which the
-# slice models determine; it is ignored on load.
-BUNDLE_VERSIONS = (1, 2)
+BUNDLE_VERSION = 2
 
 
 def save_support(support, directory):
@@ -210,7 +208,7 @@ def save_support(support, directory):
     first = support.estimators[0]
     manifest = {
         "format": BUNDLE_FORMAT,
-        "version": 2,
+        "version": BUNDLE_VERSION,
         "horizon": support.horizon,
         "projection": support.projection.tolist(),
         "params": {"nu": float(first.nu), "gamma": float(first.kernel.gamma)},
@@ -226,10 +224,10 @@ def load_support(directory):
     manifest = load_json(manifest_path, "bundle manifest")
     if manifest.get("format") != BUNDLE_FORMAT:
         raise InvalidInputError(f"{manifest_path} is not a support bundle manifest")
-    if manifest.get("version") not in BUNDLE_VERSIONS:
+    if manifest.get("version") != BUNDLE_VERSION:
         raise InvalidInputError(
             f"{manifest_path} has bundle version {manifest.get('version')!r}; "
-            f"expected one of {list(BUNDLE_VERSIONS)}"
+            f"expected {BUNDLE_VERSION}"
         )
     with malformed(f"malformed bundle manifest {manifest_path}"):
         estimators = [load_model(os.path.join(directory, name)) for name in manifest["slices"]]

@@ -31,6 +31,7 @@ from dfrlab.envs import EnvHandle, builtin_env_spec, check_constraint, reached_g
 from dfrlab.errors import InvalidInputError
 from dfrlab.harness import activation_traces, rollout
 from dfrlab.kernel_ocsvm import KernelParams, OcsvmModel
+from dfrlab.records import record_line
 from dfrlab.support import DemoSet, TimeVaryingSupport, Trajectory
 
 
@@ -290,6 +291,19 @@ def test_recovery_refuses_outside_support(lt_handle):
             assert g <= 0.0
 
 
+def _counted(monkeypatch, name):
+    """Count the calls of the controllers-module function name."""
+    calls = []
+    original = getattr(controllers, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(controllers, name, counted)
+    return calls
+
+
 class _CliffSupport:
     """g = 0.01 at the start state and x[0] - start[0] - 1 anywhere else, so
     the first recovery iteration of either kind ends outside the support.
@@ -309,14 +323,7 @@ class _CliffSupport:
     "kind, work", [("dfr", "dfr_recovery_iteration"), ("oracle", "finite_difference_oracle_step")]
 )
 def test_iteration_ending_outside_support_halts_on_next_pass(lt_handle, monkeypatch, kind, work):
-    calls = []
-    original = getattr(controllers, work)
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(controllers, work, counted)
+    calls = _counted(monkeypatch, work)
     start = np.zeros(2)
     support = _CliffSupport(start)
     ctrl = make_controller(kind, SwitchConfig(lam=1.0))
@@ -546,6 +553,108 @@ def test_oracle_controller_recovers_with_preview(lt_handle):
     # oracle moves straight toward the center: strictly increasing g
     gs = [r.g_after for r in out.recovery]
     assert all(b > a for a, b in zip(gs, gs[1:])) or len(gs) == 1
+
+
+# ---------------------------------------------------------------------------
+# oracle cycle replay
+
+
+def _plain_oracle_rollout(monkeypatch, *args, **kwargs):
+    """rollout of the oracle through a wrapper around its iteration, which
+    the recovery loop does not treat as pure: the loop without replay."""
+    original = controllers._oracle_recovery_iteration
+
+    def plain(*iteration_args):
+        return original(*iteration_args)
+
+    def step(self, handle, support, policy, t, state, rng, g):
+        return self.recover(plain, handle, support, policy, t, state, rng, g)
+
+    with monkeypatch.context() as m:
+        m.setattr(controllers.OracleController, "step", step)
+        return rollout(*args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "center, eta, cap, start, period",
+    [
+        # line_track resets to the origin, the peak: a zero FD gradient
+        # applies a zero control, so the first iteration already repeats
+        ((0.0, 0.0), None, 500, 0, 1),
+        # a fixed eta of 0.3 overshoots the peak at x = 0.7: 0.3, 0.6, then
+        # 0.9 - 1e-16 and 0.6 - 1e-16 in turn, a period-2 cycle from
+        # iteration 3 on; the cap ends it after whole cycles, inside one, or
+        # on the iteration that closes it, where there is nothing to add
+        ((0.7, 0.0), 0.3, 9, 3, 2),
+        ((0.7, 0.0), 0.3, 10, 3, 2),
+        ((0.7, 0.0), 0.3, 5, 3, 2),
+    ],
+    ids=["peak", "overshoot-whole-cycles", "overshoot-partial-cycle", "overshoot-cycle-at-cap"],
+)
+def test_oracle_cycle_replay_writes_the_plain_loops_record(
+    line_track_spec, monkeypatch, center, eta, cap, start, period
+):
+    # lam = 2 puts the threshold (2.0) above the peak g (0.9): no hand-back
+    args = (line_track_spec, "oracle", _radial_support(center=center),
+            _constant_policy((1.0, 0.0)), 0)
+    kwargs = dict(cfg=SwitchConfig(lam=2.0, eta=eta, max_recovery_iters=cap), disturbance=False)
+    plain = _plain_oracle_rollout(monkeypatch, *args, **kwargs)
+    fd_calls = _counted(monkeypatch, "finite_difference_oracle_step")
+    replayed = rollout(*args, **kwargs)
+    assert record_line(replayed) == record_line(plain)
+    assert (replayed.halt_reason, replayed.recovery_iterations) == ("recovery-cap", cap)
+    (step,) = replayed.steps
+    assert step.halt == "recovery-cap"
+    # the loop ran until the cycle closed, then replayed it
+    assert len(fd_calls) == start + period
+    states = [plain.start_state] + [a.state for a in step.applied]
+    assert np.array_equal(states[start + period], states[start])
+    assert len({s.tobytes() for s in states[start + 1:]}) == period
+
+
+def test_oracle_hand_back_before_a_repeat_matches_the_plain_loop(line_track_spec, monkeypatch):
+    # lam = 0.8 puts the threshold between g at the origin (0.683) and the
+    # peak (0.9): the oracle climbs, hands back, and no state repeats
+    args = (line_track_spec, "oracle", _radial_support(center=(0.7, 0.0)),
+            _constant_policy((1.0, 0.0)), 0)
+    kwargs = dict(cfg=SwitchConfig(lam=0.8), disturbance=False)
+    plain = _plain_oracle_rollout(monkeypatch, *args, **kwargs)
+    replays = _counted(monkeypatch, "_replay_cycle")
+    replayed = rollout(*args, **kwargs)
+    assert record_line(replayed) == record_line(plain)
+    assert replays == []
+    first = replayed.steps[0]
+    assert first.recovery and first.applied[-1].tag == "policy"
+
+
+class _StillHandle:
+    """A handle whose every motion stays where it started."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def micro_step(self, state, u):
+        return state.copy()
+
+    step = micro_step
+
+
+@pytest.mark.parametrize("kind, iterations", [("dfr", 7), ("oracle", 1)], ids=["dfr", "oracle"])
+def test_dfr_never_replays_where_the_oracle_does(line_track_spec, monkeypatch, kind, iterations):
+    # every iteration starts at the same state; dfr draws a new direction
+    # each time, so only the oracle may replay
+    work = {"dfr": "dfr_recovery_iteration", "oracle": "finite_difference_oracle_step"}[kind]
+    calls = _counted(monkeypatch, work)
+    support = _radial_support(center=(0.7, 0.0))
+    ctrl = make_controller(kind, SwitchConfig(lam=2.0, max_recovery_iters=7))
+    state = np.zeros(2)
+    out = ctrl.step(_StillHandle(line_track_spec), support, _constant_policy((1.0, 0.0)), 0,
+                    state, np.random.default_rng(0), _g(support, state))
+    assert out.halt == "recovery-cap" and len(out.recovery) == 7
+    assert len(calls) == iterations
+    if kind == "dfr":
+        probes = [a.u.tobytes() for a in out.applied if a.tag == "probe"]
+        assert len(set(probes)) == 7
 
 
 def test_make_controller_rejects_unknown_kind():

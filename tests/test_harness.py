@@ -17,6 +17,7 @@ from dfrlab.envs import builtin_env_spec
 from dfrlab.errors import InvalidInputError
 from dfrlab.harness import (
     ExperimentConfig,
+    activation_split,
     activation_traces,
     classify_outcome,
     experiment_config_from_document,
@@ -620,6 +621,62 @@ def test_config_document_wins_over_overrides():
     assert cfg.eval_samples == 4  # the override fills the gap
 
 
+def _activation(values, ending):
+    """A step holding one recovery activation whose iterations have
+    g_before / threshold = values, ended as ending says."""
+    applied = [AppliedRecord(np.zeros(2), "recovery", np.zeros(2)) for _ in values]
+    step = StepRecord(0, values[0], applied, [RecoveryStep(v, v, v, False, 1.0) for v in values])
+    if ending == "hand-back":
+        applied.append(AppliedRecord(np.zeros(2), "policy", np.zeros(2)))
+    elif ending in STEP_HALTS:
+        step.halt = ending
+    else:
+        step.end = ending
+    return step
+
+
+def test_activation_split_groups_by_length_and_ending():
+    plain = StepRecord(0, 1.0, [AppliedRecord(np.zeros(2), "policy", np.zeros(2))])
+    steps = [plain, _activation([0.5], "hand-back"), _activation([0.1, 0.5], "hand-back"),
+             _activation([0.2, 0.95, 0.4], "recovery-cap"),
+             _activation([0.3] * 6, "outside-support"), _activation([0.8, 0.6], "collided")]
+    rec = RolloutRecord(seed=0, controller="oracle", outcome="halted", start_state=np.zeros(2),
+                        steps=steps)
+    split = activation_split([rec], 3)
+    assert list(split) == ["1", "2-4", ">=5"]
+    assert all(list(split[band])[:3] == ["hand-back", *STEP_HALTS] for band in split)
+    empty = {"count": 0, "fraction_reaching_0.9": None, "max_decrease": None}
+    assert split["1"] == {
+        "hand-back": {"count": 1, "fraction_reaching_0.9": 0.0, "max_decrease": 0.0},
+        "outside-support": empty, "recovery-cap": empty,
+    }
+    # no 1.0 anchor: the hand-back climbs from 0.1 to 0.5 and reaches nothing
+    assert split["2-4"]["hand-back"] == {
+        "count": 1, "fraction_reaching_0.9": 0.0, "max_decrease": pytest.approx(-0.2)}
+    assert split["2-4"]["recovery-cap"] == {
+        "count": 1, "fraction_reaching_0.9": 1.0, "max_decrease": pytest.approx(0.55)}
+    # a recovery motion that collided ends its activation in a group of its own
+    assert split["2-4"]["collided"] == {
+        "count": 1, "fraction_reaching_0.9": 0.0, "max_decrease": pytest.approx(0.1)}
+    assert split[">=5"]["outside-support"] == {
+        "count": 1, "fraction_reaching_0.9": 0.0, "max_decrease": 0.0}
+    assert split["2-4"]["outside-support"] == split[">=5"]["hand-back"] == empty
+
+
+def test_ascent_split_counts_every_activation():
+    cfg = _shipped_config("exp_point_push_ascent.json", eval_samples=12, ascent_cells=((5, 30),))
+    out = run_experiment("ascent", cfg)
+    split = out["aggregates"]["activation_split"]
+    assert list(split) == ["dfr", "oracle"]
+    for arm, groups in split.items():
+        recs = [r for r in out["records"] if r.controller == arm]
+        total = sum(g["count"] for band in groups.values() for g in band.values())
+        outside = sum(band["outside-support"]["count"] for band in groups.values())
+        assert total == sum(1 for r in recs for s in r.steps if s.recovery)
+        # the gates' traces leave out only the activations that left the support
+        assert total - outside == len(out["traces"][arm])
+
+
 # ---------------------------------------------------------------------------
 # miniature experiment runs
 
@@ -784,9 +841,10 @@ def test_summary_times_each_stage(tmp_path):
     run_experiment("learning-curve", cfg, out_dir=tmp_path)
     summary = json.loads((tmp_path / "summary.json").read_text())
     timing = summary["timing"]
-    assert set(timing) == {"demos_s", "support_fit_s", "policy_fit_s", "rollouts_s"}
+    assert set(timing) == {"demos_s", "support_fit_s", "policy_fit_s", "rollouts_s",
+                           "records_write_s"}
     assert set(timing["rollouts_s"]) == set(cfg.controllers)
-    stages = [timing[k] for k in ("demos_s", "support_fit_s", "policy_fit_s")]
+    stages = [timing[k] for k in ("demos_s", "support_fit_s", "policy_fit_s", "records_write_s")]
     assert all(v > 0.0 for v in stages + list(timing["rollouts_s"].values()))
     stripped = _strip_nondeterministic(summary)
     assert "timing" not in stripped and "timing" not in stripped["summary"]

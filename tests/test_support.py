@@ -188,7 +188,8 @@ def test_bundle_round_trip_keeps_lipschitz_bounds(tmp_path, small_demos):
         assert back.lipschitz_at(t) == sup.lipschitz_at(t)
 
 
-def test_version_1_bundle_still_loads(tmp_path, small_demos, rng):
+def test_version_1_bundle_is_refused(tmp_path, small_demos):
+    # version 1 also stored each slice's Lipschitz bound; it no longer loads
     sup = fit_time_varying(small_demos, _params())
     save_support(sup, tmp_path)
     path = tmp_path / "manifest.json"
@@ -196,11 +197,8 @@ def test_version_1_bundle_still_loads(tmp_path, small_demos, rng):
     manifest["version"] = 1
     manifest["lipschitz"] = [lipschitz_bound(e) for e in sup.estimators]
     path.write_text(json.dumps(manifest))
-    back = load_support(tmp_path)
-    for t in range(sup.horizon):
-        assert back.lipschitz_at(t) == sup.lipschitz_at(t)
-        x = rng.normal(size=2) + 5.0
-        assert back.g_at(t, x) == sup.g_at(t, x)
+    with pytest.raises(InvalidInputError, match="bundle version 1; expected 2"):
+        load_support(tmp_path)
 
 
 @pytest.mark.parametrize("version", [0, 3, "2", None])
