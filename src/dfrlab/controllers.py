@@ -41,7 +41,7 @@ which makes each probe/step pair provably keep g_t >= 0; in manual mode
 lambda is a tuned scalar.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import cycle, islice
 import math
 import warnings
@@ -91,13 +91,36 @@ class Policy:
 
     def __post_init__(self):
         self._center_sq = (self.centers * self.centers).sum(axis=1)[None, :]
+        # scaling by -2 is exact, so X @ _m2ct is -2.0 * (X @ centers.T) bit for bit
+        self._m2ct = -2.0 * self.centers.T
+
+    def __getstate__(self):
+        # a policy crosses the rollout pool as its fields; the worker
+        # rebuilds the cached arrays, which would double its pickled size
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def features(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        sq = (X * X).sum(axis=1)[:, None] + self._center_sq - 2.0 * (X @ self.centers.T)
+        """Rows [RBF block, X, 1.0] for a state or a batch of states."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            X = X[None, :]
+        k = len(self.centers)
+        sq = (X * X).sum(axis=1)[:, None] + self._center_sq
+        sq += X @ self._m2ct
         np.maximum(sq, 0.0, out=sq)
-        phi = np.exp(-sq / (2.0 * self.bandwidth**2))
-        return np.concatenate([phi, X, np.ones((X.shape[0], 1))], axis=1)
+        # -sq / d is sq / -d bit for bit; exp stays on the contiguous sq,
+        # as numpy's strided loop may round differently
+        np.divide(sq, -2.0 * self.bandwidth**2, out=sq)
+        np.exp(sq, out=sq)
+        F = np.empty((len(X), k + X.shape[1] + 1))
+        F[:, :k] = sq
+        F[:, k:-1] = X
+        F[:, -1] = 1.0
+        return F
 
     def actions(self, X):
         U = self.features(X) @ self.weights

@@ -59,7 +59,7 @@ from .records import (
 )
 from .supervisor import demo_prefix, generate_demos
 from .support import TimeVaryingSupport, fit_pooled, fit_time_varying
-from .util import atomic_write_text, dump_json, load_json, malformed
+from .util import atomic_write_chunks, atomic_write_text, dump_json, load_json, malformed
 
 Z_ONE_SIDED_95 = 1.6448536269514722
 Z_TWO_SIDED_95 = 1.959963984540054
@@ -164,6 +164,11 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
         raise InvalidInputError(f"controller {kind!r} needs a support estimator")
     if ctrl.uses_policy and policy is None:
         raise InvalidInputError(f"controller {kind!r} needs a policy")
+    if ctrl.uses_policy and policy.centers.shape[1] != spec.state_dim:
+        raise InvalidInputError(
+            f"the policy takes {policy.centers.shape[1]}-dimensional states, "
+            f"the {spec.kind} environment has {spec.state_dim}"
+        )
 
     if disturbance is None:
         disturbance = spec.disturbance.enabled
@@ -1039,6 +1044,9 @@ def _strip_nondeterministic(doc):
 def write_experiment_outputs(out_dir, config, result):
     """Write manifest.json, records.jsonl, metrics.csv (+ traces.csv), summary.json.
 
+    records.jsonl is written a line at a time, so only one record's line
+    exists in memory at once.
+
     Every file is byte-stable across re-runs except the manifest's "created"
     field and summary.json's two "timing" blocks: the stage wall times at
     the top, with records_write_s, the time to encode and write
@@ -1059,8 +1067,10 @@ def write_experiment_outputs(out_dir, config, result):
     }
     atomic_write_text(os.path.join(out_dir, "manifest.json"), dump_json(manifest))
     t0 = time.perf_counter()
-    lines = [record_line(rec) for rec in result.get("records", [])]
-    atomic_write_text(os.path.join(out_dir, "records.jsonl"), "".join(l + "\n" for l in lines))
+    atomic_write_chunks(
+        os.path.join(out_dir, "records.jsonl"),
+        (chunk for rec in result.get("records", []) for chunk in (record_line(rec), "\n")),
+    )
     records_write_s = time.perf_counter() - t0
     name = "traces.csv" if result["experiment"] == "ascent" else "metrics.csv"
     write_csv(os.path.join(out_dir, name), result["columns"], result["rows"])

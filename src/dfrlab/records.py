@@ -27,7 +27,7 @@ RECORD_FORMAT = "rollout-record"
 RECORD_VERSION = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecoveryStep:
     """One recovery iteration's audit values (oracle: no probe)."""
 
@@ -38,7 +38,7 @@ class RecoveryStep:
     threshold: float  # lambda * ||u_hat|| at the state the iteration started from
 
 
-@dataclass
+@dataclass(slots=True)
 class AppliedRecord:
     """One applied control and the state it produced."""
 
@@ -47,7 +47,7 @@ class AppliedRecord:
     state: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     """One horizon step: its controls, decision value, and recovery iterations."""
 
@@ -62,6 +62,10 @@ class StepRecord:
 @dataclass
 class RolloutRecord:
     """Full audit trail of one episode.
+
+    The step types above have slots, as an episode can hold thousands of
+    them; a RolloutRecord keeps its __dict__, where a rebuilt copy stores
+    its line.
 
     wall_clock_s is measured in-process and deliberately not serialized; re-
     runs must produce byte-identical record files, and timing never is.
@@ -147,10 +151,13 @@ def record_to_document(record):
 
 def record_line(record):
     """The record's records.jsonl line, without its newline: the one encoder.
-    A record rebuilt from the pool carries the line its worker encoded."""
+    A record rebuilt from the pool carries the line its worker encoded.
+    record_to_document builds a fresh tree, which cannot hold a cycle, so
+    the encoder's circular-reference check is skipped."""
     line = record.__dict__.get("_line")
     if line is None:
-        line = json.dumps(record_to_document(record), separators=(",", ":"), allow_nan=False)
+        line = json.dumps(record_to_document(record), separators=(",", ":"),
+                          allow_nan=False, check_circular=False)
     return line
 
 

@@ -106,6 +106,12 @@ class TimeVaryingSupport:
                     f"coordinates, the slice-{t} estimator expects {model.dim}"
                 )
         self._min_state_dim = int(self.projection.max()) + 1 if self.projection.size else 0
+        # a run of consecutive indices is read as a slice view, not a copy
+        p = self.projection
+        if p.size and (np.diff(p) == 1).all():
+            self._take = slice(int(p[0]), int(p[-1]) + 1)
+        else:
+            self._take = p
         self._lipschitz = [lipschitz_bound(e) for e in self.estimators]
 
     @property
@@ -128,7 +134,7 @@ class TimeVaryingSupport:
                 f"projection indices {self.projection.tolist()} do not fit a "
                 f"state of shape {x.shape}"
             )
-        return _decision_sum(self.estimators[self.estimator_index(t)], x[self.projection])
+        return _decision_sum(self.estimators[self.estimator_index(t)], x[self._take])
 
     def lipschitz_at(self, t):
         return self._lipschitz[self.estimator_index(t)]

@@ -47,19 +47,26 @@ def dump_json(obj):
     return json.dumps(obj, indent=2, sort_keys=False, allow_nan=False) + "\n"
 
 
-def atomic_write_text(path, text):
-    """Write text to path via a temp file + rename so readers never see partial output."""
+def atomic_write_chunks(path, chunks):
+    """Write the text chunks to path in order, each as it arrives, via a temp
+    file + rename so readers never see partial output: a chunk that fails to
+    arrive leaves path as it was and no temp file behind."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text):
+    """Write text to path atomically: atomic_write_chunks with one chunk."""
+    atomic_write_chunks(path, (text,))
 
 
 def float_list(arr):

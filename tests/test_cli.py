@@ -158,6 +158,14 @@ def test_bad_flag_value_exits_2(work, tmp_path):
     assert proc.returncode == 2
 
 
+def test_rollout_refuses_a_policy_of_another_state_dimension(work):
+    proc = run_cli("rollout", "--env", "line_track", "--controller", "baseline",
+                   "--policy", str(work["policy"]), "--seed", "0")
+    assert proc.returncode == 2, proc.stderr
+    assert "6-dimensional states, the line_track environment has 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_certified_rollout_refuses_lam(work, tmp_path):
     # certified mode derives lambda per slice; a given --lam would be ignored
     out = tmp_path / "rec.json"

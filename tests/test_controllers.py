@@ -612,6 +612,20 @@ def test_oracle_cycle_replay_writes_the_plain_loops_record(
     assert len({s.tobytes() for s in states[start + 1:]}) == period
 
 
+def test_step_records_have_slots_and_replays_share_their_objects(line_track_spec):
+    # the overshoot cycle above: period 2 from iteration 3, capped at 10
+    rec = rollout(line_track_spec, "oracle", _radial_support(center=(0.7, 0.0)),
+                  _constant_policy((1.0, 0.0)), 0,
+                  cfg=SwitchConfig(lam=2.0, eta=0.3, max_recovery_iters=10), disturbance=False)
+    (step,) = rec.steps
+    for obj in (step, step.applied[0], step.recovery[0]):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
+    # iterations 3 and 4 close the cycle; every later one is a repeat
+    for i in range(5, 10):
+        assert step.recovery[i] is step.recovery[3 + (i - 3) % 2]
+        assert step.applied[i] is step.applied[3 + (i - 3) % 2]
+
+
 def test_oracle_hand_back_before_a_repeat_matches_the_plain_loop(line_track_spec, monkeypatch):
     # lam = 0.8 puts the threshold between g at the origin (0.683) and the
     # peak (0.9): the oracle climbs, hands back, and no state repeats

@@ -6,12 +6,13 @@ import json
 import math
 import pickle
 import re
+import tracemalloc
 from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from dfrlab import harness, records
+from dfrlab import controllers, harness, records
 from dfrlab.controllers import Policy, SwitchConfig
 from dfrlab.envs import builtin_env_spec
 from dfrlab.errors import InvalidInputError
@@ -36,6 +37,7 @@ from dfrlab.harness import (
     wilson_upper,
     _strip_nondeterministic,
     write_csv,
+    write_experiment_outputs,
 )
 from dfrlab.kernel_ocsvm import KernelParams, OcsvmModel
 from dfrlab.records import (
@@ -231,11 +233,14 @@ def test_rollout_is_bit_deterministic(point_push_spec, pp_support, pp_policy):
     assert record_to_document(a) == record_to_document(b)
 
 
-def test_rollout_validates_required_inputs(point_push_spec, pp_policy):
+def test_rollout_validates_required_inputs(point_push_spec, line_track_spec, pp_policy):
     with pytest.raises(InvalidInputError, match="support"):
         rollout(point_push_spec, "dfr", None, pp_policy, seed=0)
     with pytest.raises(InvalidInputError, match="policy"):
         rollout(point_push_spec, "baseline", None, None, seed=0)
+    with pytest.raises(InvalidInputError,
+                       match="6-dimensional states, the line_track environment has 2"):
+        rollout(line_track_spec, "baseline", None, pp_policy, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, [0, -1], (0, 0, -3)], ids=["int", "list", "tuple"])
@@ -849,6 +854,59 @@ def test_summary_times_each_stage(tmp_path):
     stripped = _strip_nondeterministic(summary)
     assert "timing" not in stripped and "timing" not in stripped["summary"]
     assert stripped["gates"] == summary["gates"]
+
+
+# ---------------------------------------------------------------------------
+# records.jsonl, written a line at a time
+
+
+def _write_records(out_dir, recs):
+    result = {"experiment": "learning-curve", "records": recs, "columns": ["n"], "rows": [],
+              "gates": {}, "aggregates": {}}
+    write_experiment_outputs(out_dir, _mini_config(), result)
+    return out_dir / "records.jsonl"
+
+
+def test_streamed_records_are_the_joined_lines(monkeypatch, tmp_path):
+    replays = []
+    replay_cycle = controllers._replay_cycle
+
+    def counted(*args):
+        replays.append(args)
+        return replay_cycle(*args)
+
+    monkeypatch.setattr(controllers, "_replay_cycle", counted)
+    cfg = _shipped_config("exp_point_push_ascent.json", eval_samples=40, ascent_cells=((5, 30),))
+    out = run_experiment("ascent", cfg, out_dir=tmp_path / "ascent")
+    assert replays  # the oracle arm's records hold replayed cycles
+    joined = "".join(record_line(r) + "\n" for r in out["records"])
+    assert (tmp_path / "ascent" / "records.jsonl").read_bytes() == joined.encode()
+    assert _write_records(tmp_path / "none", []).read_bytes() == b""
+
+
+def test_a_record_that_fails_to_encode_leaves_no_records_file(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text("earlier\n")
+    good = _synthetic_record([[0.0, 0.0], [0.1, 0.0]])
+    bad = _synthetic_record([[0.0, 0.0], [0.1, 0.0]], g_min=math.nan)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _write_records(tmp_path, [good, bad, good])
+    assert path.read_text() == "earlier\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "records.jsonl"]
+
+
+def test_records_write_holds_one_line_at_a_time(tmp_path):
+    recs = [_synthetic_record([[0.1 * i, 0.2], [0.3, 0.4 * i], [0.5, 0.6]])
+            for i in range(3000)]
+    total = sum(len(record_line(r)) + 1 for r in recs)
+    tracemalloc.start()
+    try:
+        _write_records(tmp_path, recs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "records.jsonl").stat().st_size == total
+    assert peak < total / 4, (peak, total)
 
 
 def test_disturbance_eval_off_is_a_clean_null(line_track_spec):

@@ -206,12 +206,23 @@ def projected_support(pp_demos):
     return fit_time_varying(pp_demos, params, projection=[3, 2, 0])
 
 
+@pytest.fixture(scope="module")
+def projected_supports(pp_demos, projected_support):
+    """Projections [3, 2, 0], a permutation; [0, 2], with a gap; and [2, 3],
+    a run of consecutive indices not starting at 0, which g_at reads as a
+    slice view."""
+    params = OcsvmParams(nu=0.05, kernel=KernelParams(gamma=15.0))
+    return [projected_support] + [fit_time_varying(pp_demos, params, projection=p)
+                                  for p in ([0, 2], [2, 3])]
+
+
 @given(st.integers(0, 60), st.lists(st.floats(-0.2, 1.2), min_size=6, max_size=6))
-def test_g_at_matches_decision_value_projected(projected_support, t, x):
+def test_g_at_matches_decision_value_projected(projected_supports, t, x):
     x = np.asarray(x)
-    sup = projected_support
-    expected = ref_decision_value(sup.estimators[sup.estimator_index(t)], x[[3, 2, 0]])
-    assert _bits(sup.g_at(t, x)) == _bits(expected)
+    for sup in projected_supports:
+        expected = ref_decision_value(sup.estimators[sup.estimator_index(t)],
+                                      x[sup.projection.tolist()])
+        assert _bits(sup.g_at(t, x)) == _bits(expected), sup.projection
 
 
 def test_g_at_input_checks(projected_support, pp_support):
@@ -237,7 +248,25 @@ def test_projection_checked_against_every_estimator_at_construction(pp_support):
 
 
 # ---------------------------------------------------------------------------
-# Policy.action
+# Policy.features and Policy.action
+
+
+def ref_features(policy, X):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    sq = (X * X).sum(axis=1)[:, None] + (policy.centers * policy.centers).sum(axis=1)[None, :] \
+        - 2.0 * (X @ policy.centers.T)
+    np.maximum(sq, 0.0, out=sq)
+    phi = np.exp(-sq / (2.0 * policy.bandwidth**2))
+    return np.concatenate([phi, X, np.ones((X.shape[0], 1))], axis=1)
+
+
+@given(st.lists(st.lists(st.floats(-0.5, 1.5), min_size=6, max_size=6), min_size=1, max_size=9))
+def test_policy_features_match_the_concatenated_formula(pp_policy, rows):
+    X = np.asarray(rows)
+    for x in (X, X[0]):  # a batch and one state
+        F = pp_policy.features(x)
+        ref = ref_features(pp_policy, x)
+        assert F.shape == ref.shape and _bits(F) == _bits(ref)
 
 
 @given(st.lists(st.floats(-0.5, 1.5), min_size=6, max_size=6))
