@@ -148,13 +148,27 @@ def _farthest_point_indices(X, k):
     alias badly with trajectory phase)."""
     if k >= len(X):
         return np.arange(len(X))
+    # Distances run over a contiguous (d, N) copy: subtract, square, add the
+    # d rows in order, sqrt.  For d < 8 that is the order numpy's pairwise
+    # sum takes inside np.linalg.norm(X - X[j], axis=1), bit for bit.
+    cols = np.ascontiguousarray(X.T, dtype=float)
+    diff = np.empty_like(cols)
+
+    def dist_from(j):
+        np.subtract(cols, cols[:, j:j + 1], out=diff)
+        np.multiply(diff, diff, out=diff)
+        acc = diff[0].copy()
+        for row in diff[1:]:
+            acc += row
+        return np.sqrt(acc, out=acc)
+
     chosen = np.empty(k, dtype=int)
     chosen[0] = 0
-    dist = np.linalg.norm(X - X[0], axis=1)
+    dist = dist_from(0)
     for i in range(1, k):
         j = int(np.argmax(dist))
         chosen[i] = j
-        np.minimum(dist, np.linalg.norm(X - X[j], axis=1), out=dist)
+        np.minimum(dist, dist_from(j), out=dist)
     return np.sort(chosen)
 
 

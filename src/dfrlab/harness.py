@@ -515,6 +515,18 @@ def _fit_cell(config, demos, timing):
     return support, policy
 
 
+def _solver_block(supports):
+    """Solver step counts over every estimator the run fitted: deterministic,
+    so they sit in the aggregates, not under timing."""
+    its = [est.iterations for support in supports for est in support.estimators]
+    return {
+        "slices": len(its),
+        "total_iterations": sum(its),
+        "median_iterations": float(np.median(its)),
+        "max_iterations": max(its),
+    }
+
+
 def _rollout_task(args):
     spec, kind, support, policy, seeds, cfg, disturbance = args
     return [rollout(spec, kind, support, policy, s, cfg=cfg, disturbance=disturbance)
@@ -535,7 +547,8 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
     Each cell (seed key, demo seed, demo count) is fitted once, all of them
     in this process before any rollout; every arm in kinds then rolls out on
     the cell's paired seeds [master seed, *seed key, episode].  Returns
-    ((cell, kind, records) per arm, cell by cell; the stage wall times).
+    ((cell, kind, records) per arm, cell by cell; the stage wall times; the
+    solver counts of the fits).
     The oracle arm steps with oracle_eta when it is set.
 
     Demo sets are nested, so each demo seed's set is generated once, at the
@@ -553,6 +566,7 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
         largest[demo_seed] = max(n, largest.get(demo_seed, 0))
     timing = {"demos_s": 0.0, "support_fit_s": 0.0, "policy_fit_s": 0.0, "rollouts_s": {}}
     demo_sets = {}
+    supports = []
     arms = []
     tasks = {kind: [] for kind in kinds}
     for cell in cells:
@@ -564,6 +578,7 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
                 )
         demos = demo_prefix(spec, demo_sets[demo_seed], n, config.demo_jitter)
         support, policy = _fit_cell(config, demos, timing)
+        supports.append(support)
         seeds = [[config.seed, *key, i] for i in range(config.eval_samples)]
         for kind in kinds:
             scfg = config.switch_config(eta=config.oracle_eta if kind == "oracle" else None)
@@ -582,7 +597,7 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
                 done[kind] = iter([_rollout_task(t) for t in arm_tasks])
     runs = [(cell, kind, list(chain.from_iterable(islice(done[kind], n_chunks))))
             for cell, kind, n_chunks in arms]
-    return runs, timing
+    return runs, timing, _solver_block(supports)
 
 
 def _require_gates(gates):
@@ -610,7 +625,9 @@ def run_learning_curve(config, jobs=1):
     ]
     rows = []
     records = []
-    runs, timing = _arm_runs(spec, config, cells, config.controllers, config.disturbance, jobs)
+    runs, timing, solver = _arm_runs(
+        spec, config, cells, config.controllers, config.disturbance, jobs
+    )
     for ((trial, _), demo_seed, n), kind, recs in runs:
         base = {"controller": kind, "demo_count": n, "trial": trial, "demo_seed": demo_seed}
         rows.append(_outcome_row(base, [r.outcome for r in recs]))
@@ -623,7 +640,8 @@ def run_learning_curve(config, jobs=1):
     aggregates = {
         "per_controller": {
             kind: dict(pooled[kind], n=total) for kind in config.controllers
-        }
+        },
+        "solver": solver,
     }
     if "baseline" in pooled and "dfr" in pooled:
         k_b, k_d = pooled["baseline"][COLLIDED], pooled["dfr"][COLLIDED]
@@ -797,7 +815,7 @@ def run_ascent_traces(config, jobs=1):
     cells = [((ci, 0), demo_seed, n) for ci, (demo_seed, n) in enumerate(pairs)]
     traces = {arm: [] for arm in arms}
     records = []
-    runs, timing = _arm_runs(spec, config, cells, arms, config.disturbance, jobs)
+    runs, timing, solver = _arm_runs(spec, config, cells, arms, config.disturbance, jobs)
     for _, arm, recs in runs:
         for rec in recs:
             traces[arm].extend(activation_traces(rec))
@@ -822,7 +840,7 @@ def run_ascent_traces(config, jobs=1):
             )
 
     gates = {}
-    aggregates = {"activations": {arm: len(traces[arm]) for arm in arms}}
+    aggregates = {"activations": {arm: len(traces[arm]) for arm in arms}, "solver": solver}
     if "dfr" in arms:
         n_act = len(traces["dfr"])
         gates["enough_activations"] = {
@@ -888,7 +906,7 @@ def run_disturbance_eval(config, jobs=1):
     disturbance = True if config.disturbance is None else config.disturbance
     rows = []
     records = []
-    runs, timing = _arm_runs(
+    runs, timing, solver = _arm_runs(
         spec, config, [((0, 0), demo_seed, n)], config.controllers, disturbance, jobs
     )
     for _, kind, recs in runs:
@@ -898,7 +916,7 @@ def run_disturbance_eval(config, jobs=1):
     counts = {row["controller"]: row for row in rows}
 
     gates = {}
-    aggregates = {"disturbance_enabled": bool(disturbance)}
+    aggregates = {"disturbance_enabled": bool(disturbance), "solver": solver}
     if "baseline" in counts and "dfr" in counts:
         n_arm = config.eval_samples
         k_b = counts["baseline"][COLLIDED]

@@ -16,6 +16,7 @@ from dfrlab import controllers, harness, records
 from dfrlab.controllers import Policy, SwitchConfig
 from dfrlab.envs import builtin_env_spec
 from dfrlab.errors import InvalidInputError
+from dfrlab.supervisor import generate_demos
 from dfrlab.harness import (
     ExperimentConfig,
     activation_split,
@@ -23,6 +24,7 @@ from dfrlab.harness import (
     classify_outcome,
     experiment_config_from_document,
     experiment_config_to_document,
+    fit_support,
     load_experiment_config,
     proportion_margin_test,
     resample_trace,
@@ -854,6 +856,22 @@ def test_summary_times_each_stage(tmp_path):
     stripped = _strip_nondeterministic(summary)
     assert "timing" not in stripped and "timing" not in stripped["summary"]
     assert stripped["gates"] == summary["gates"]
+
+
+def test_summary_counts_the_solver_steps_of_every_fitted_slice(tmp_path):
+    cfg = _mini_config(demo_grid=(20, 30), eval_samples=1)
+    run_experiment("learning-curve", cfg, out_dir=tmp_path)
+    solver = json.loads((tmp_path / "summary.json").read_text())["aggregates"]["solver"]
+    spec = builtin_env_spec(cfg.env)
+    its = []
+    for n in cfg.demo_grid:
+        demos = generate_demos(spec, n, cfg.demo_seeds[0])
+        support = fit_support(demos, cfg.ocsvm_params(), cfg.projection, cfg.pooled)
+        assert len(support.estimators) == demos.horizon
+        its += [est.iterations for est in support.estimators]
+    assert min(its) > 0
+    assert solver == {"slices": len(its), "total_iterations": sum(its),
+                      "median_iterations": float(np.median(its)), "max_iterations": max(its)}
 
 
 # ---------------------------------------------------------------------------

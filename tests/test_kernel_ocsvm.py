@@ -234,6 +234,19 @@ def test_nonconvergence_carries_best_iterate(rng):
     best = exc.value.best_model
     assert best is not None
     assert best.alphas.sum() == pytest.approx(1.0, abs=1e-9)
+    assert best.iterations == 1 and best.gap > 1e-8
+    assert f"within 1 iterations (m=50, final gap {best.gap:.6g})" in str(exc.value)
+
+
+def test_model_carries_its_solver_counts(rng):
+    X = rng.normal(size=(60, 2))
+    params = _params(nu=0.2, gamma=1.0)
+    model = train_ocsvm(X, params)
+    assert model.iterations > 0 and 0.0 <= model.gap <= params.solver_tol
+    # the same solve capped one step short of the count fails to converge
+    with pytest.raises(SolverNonConvergenceError):
+        train_ocsvm(X, _params(nu=0.2, gamma=1.0, max_solver_iters=model.iterations - 1))
+    assert train_ocsvm(np.ones((5, 2)), params).iterations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +259,8 @@ def test_model_round_trip(tmp_path, rng):
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)
+    # solver counts describe the solve, not the model, and files omit them
+    assert model.iterations > 0 and back.iterations is None and back.gap is None
     assert back.rho == model.rho
     assert np.array_equal(back.alphas, model.alphas)
     assert np.array_equal(back.support_vectors, model.support_vectors)

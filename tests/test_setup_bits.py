@@ -1,16 +1,20 @@
 """The set-up path against array forms of the same arithmetic, bit for bit.
 
 train_ocsvm's two-coordinate loop keeps its alphas as Python floats and its
-bound masks as penalty arrays updated at the two moved coordinates, and the
-point_push supervisor computes with Python floats.  The references below are
-the straightforward array forms of the same rules: full masks rebuilt with
-np.where every iteration, and numpy 2-vectors with np.linalg.norm.  Every
-model and every control must come out with identical bits, so fitted
-supports, demo sets and records hashes do not move.
+bound masks as penalty arrays updated at the two moved coordinates, the
+policy's farthest-point pass sums squared distances over a column-wise copy
+of the states, and the point_push supervisor computes with Python floats.
+The references below are the straightforward array forms of the same rules:
+full masks rebuilt with np.where every iteration and the second-order pair
+rule written out, np.linalg.norm over the state rows, and numpy 2-vectors
+with np.linalg.norm.  Every model, every centre set and every control must
+come out with identical bits, so fitted supports, policies and demo sets
+depend only on the rules, not on how the loops are written.
 """
 
 import dataclasses
 from importlib.resources import files
+import itertools
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dfrlab import kernel_ocsvm
+from dfrlab.controllers import _farthest_point_indices
 from dfrlab.envs import builtin_env_spec
 from dfrlab.errors import SolverNonConvergenceError
 from dfrlab.harness import load_experiment_config
@@ -49,7 +54,8 @@ from dfrlab.supervisor import (
 
 
 def ref_train_ocsvm(points, params, box_hits=None):
-    """train_ocsvm with array alphas and masks rebuilt every iteration.
+    """train_ocsvm with array alphas, masks rebuilt every iteration and the
+    second-order pair rule written out in full.
 
     box_hits, when given, gets one entry per step that hit the box."""
     X = _validate_training_points(points, params.nu)
@@ -63,25 +69,27 @@ def ref_train_ocsvm(points, params, box_hits=None):
     for j in np.flatnonzero(alpha):
         grad += alpha[j] * rows.row(j)
 
+    # the kernel's own diagonal; the row-cache path has no dense matrix,
+    # and there k(x, x) = exp(0) = 1
+    diag = np.ones(m) if rows.full is None else rows.full.diagonal()
     bound_slack = C * 1e-12
-    converged = False
-    for _ in range(params.max_solver_iters):
+    iterations = 0
+    while True:
         up = alpha < C - bound_slack
         down = alpha > bound_slack
-        gi = np.where(up, grad, np.inf)
-        gj = np.where(down, grad, -np.inf)
-        i = int(np.argmin(gi))
-        j = int(np.argmax(gj))
-        gap = grad[j] - grad[i]
-        if gap <= params.solver_tol:
-            converged = True
+        i = int(np.argmin(np.where(up, grad, np.inf)))
+        gap = np.max(np.where(down, grad, -np.inf)) - grad[i]
+        if gap <= params.solver_tol or iterations == params.max_solver_iters:
             break
         row_i = rows.row(i)
+        b = grad - grad[i]
+        curvature = np.maximum(diag[i] + diag - 2.0 * row_i, 1e-12)
+        j = int(np.argmax(np.where(down & (b > 0.0), b * b / curvature, -np.inf)))
         row_j = rows.row(j)
         denom = row_i[i] + row_j[j] - 2.0 * row_i[j]
         t_max = min(C - alpha[i], alpha[j])
         if denom > 1e-15:
-            t = min(gap / denom, t_max)
+            t = min(b[j] / denom, t_max)
         else:
             t = t_max
         if t >= t_max:
@@ -98,9 +106,11 @@ def ref_train_ocsvm(points, params, box_hits=None):
             alpha[i] += t
             alpha[j] -= t
         grad += t * (row_i - row_j)
+        iterations += 1
 
-    model = _finalize_model(X, alpha, grad, C, params)
-    if not converged:
+    model = dataclasses.replace(_finalize_model(X, alpha, grad, C, params),
+                                iterations=iterations, gap=gap)
+    if gap > params.solver_tol:
         raise SolverNonConvergenceError("reference did not converge", best_model=model)
     return model
 
@@ -111,6 +121,8 @@ def assert_same_model(a, b):
     assert a.alphas.dtype == b.alphas.dtype and a.alphas.tobytes() == b.alphas.tobytes()
     assert np.float64(a.rho).tobytes() == np.float64(b.rho).tobytes()
     assert (a.kernel, a.nu, a.train_count) == (b.kernel, b.nu, b.train_count)
+    assert a.iterations == b.iterations
+    assert np.float64(a.gap).tobytes() == np.float64(b.gap).tobytes()
 
 
 def fit_both(points, params, box_hits=None):
@@ -199,6 +211,77 @@ def test_solver_matches_reference_where_it_hits_the_box(seed, m, dim, nu_scale, 
     new, ref = fit_both(X, params, hits)
     assume(hits)
     assert_same_model(new, ref)
+
+
+# ---------------------------------------------------------------------------
+# reference farthest-point pass
+
+
+def ref_farthest_point_indices(X, k):
+    """_farthest_point_indices with np.linalg.norm over the state rows."""
+    if k >= len(X):
+        return np.arange(len(X))
+    chosen = np.empty(k, dtype=int)
+    chosen[0] = 0
+    dist = np.linalg.norm(X - X[0], axis=1)
+    for i in range(1, k):
+        j = int(np.argmax(dist))
+        chosen[i] = j
+        np.minimum(dist, np.linalg.norm(X - X[j], axis=1), out=dist)
+    return np.sort(chosen)
+
+
+def assert_same_indices(X, k):
+    new = _farthest_point_indices(X, k)
+    ref = ref_farthest_point_indices(X, k)
+    assert new.dtype == ref.dtype and new.tolist() == ref.tolist(), (X.shape, k)
+
+
+def test_farthest_points_match_reference_on_every_learning_curve_cell():
+    cfg = load_experiment_config(
+        str(files("dfrlab").joinpath("data", "exp_point_push_learning_curve.json")))
+    spec = builtin_env_spec(cfg.env)
+    cells = [(cfg.demo_seeds[t], n) for t in range(cfg.trials) for n in cfg.demo_grid]
+    largest = {}
+    for seed, n in cells:
+        largest[seed] = max(n, largest.get(seed, 0))
+    sets = {seed: generate_demos(spec, n, seed, jitter_sigma=cfg.demo_jitter)
+            for seed, n in largest.items()}
+    assert len(cells) == 12
+    for seed, n in cells:
+        demos = demo_prefix(spec, sets[seed], n, cfg.demo_jitter)
+        X = np.concatenate([t.states[:-1] for t in demos.trajectories])
+        assert len(X) > cfg.policy_centers
+        assert_same_indices(X, cfg.policy_centers)
+
+
+# Every ordering of one coordinate vector: the distances from the origin row
+# are equal sums taken in different orders, so which of them rounds highest,
+# and so every later pick, depends on the order the columns are added in.
+@pytest.mark.parametrize("seed", range(20))
+def test_farthest_points_break_rounding_ties_like_the_reference(seed):
+    v = np.random.default_rng(seed).uniform(0.1, 1.0, size=5)
+    X = np.array([np.zeros(5), *itertools.permutations(v)])
+    for k in range(1, 9):
+        assert_same_indices(X, k)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    dim=st.integers(1, 6),
+    log_scales=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+    repeats=st.integers(0, 10),
+    k_frac=st.floats(0.0, 1.0),
+)
+def test_farthest_points_match_reference_on_random_clouds(seed, n, dim, log_scales,
+                                                          repeats, k_frac):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, dim)) * 10.0 ** np.array(log_scales[:dim])
+    # duplicated rows tie exactly, and ties go to the lowest index
+    X[: min(repeats, n - 1)] = X[-1]
+    k = 1 + int(k_frac * (n - 1))
+    assert_same_indices(X, k)
 
 
 # ---------------------------------------------------------------------------
