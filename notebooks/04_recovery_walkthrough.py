@@ -45,28 +45,33 @@ print(f"seed {rec.seed}: {rec.outcome}, {len(rec.steps)} steps, "
 # ## The step-by-step audit
 #
 # Every step stores the decision value at its start; steps that triggered
-# recovery also store each iteration's (g_before, g_probe, g_after) triple
-# and whether the probe direction was flipped.
+# recovery also store each iteration's g at the probe and after the
+# recovery motion, and whether the probe direction was flipped.  An
+# iteration starts from the step's g or from the previous iteration's
+# g_after, so that value is not stored again.
 
 # %%
 for s in rec.steps:
     if not s.recovery:
         continue
     print(f"step t={s.t}, g at step start {s.g:.4f}")
+    g = s.g
     for k, ev in enumerate(s.recovery):
         arrow = "flip" if ev.flipped else "keep"
-        print(f"   iter {k}: g {ev.g_before:.4f} (threshold {ev.threshold:.4f}) "
+        print(f"   iter {k}: g {g:.4f} (threshold {ev.threshold:.4f}) "
               f"-> probe {ev.g_probe:.4f} ({arrow}) -> after step {ev.g_after:.4f}")
+        g = ev.g_after
     tail = s.applied[-1].tag
     print(f"   exit: last applied control tagged '{tail}'")
 
 # %% [markdown]
 # ## The normalized view
 #
-# Dividing g_before by the exit threshold lambda * ||u_hat||, which each
-# iteration records, maps every activation onto [0, 1]: it starts below 1
-# and hands control back at 1.  The record alone is enough.  Resampling onto
-# a common axis is what the ascent experiment averages.
+# Dividing each iteration's starting g by the exit threshold
+# lambda * ||u_hat||, which each iteration records, maps every activation
+# onto [0, 1]: it starts below 1 and hands control back at 1.  The record
+# alone is enough.  Resampling onto a common axis is what the ascent
+# experiment averages.
 
 # %%
 traces = activation_traces(rec)
@@ -85,4 +90,3 @@ for i, tr in enumerate(traces):
 
 # %%
 print(f"g_min over the whole episode: {rec.g_min:.4f}")
-print(f"g of the final state under the next slice (diagnostic): {rec.g_final:.4f}")

@@ -149,7 +149,7 @@ def _add_experiment_parser(sub, command, runner, help_text):
     p.add_argument("--out", required=True, help="output directory")
     # One pool per arm runs the rollouts; set-up stays in this process.
     # Serial by default: --jobs 2 writes the same records, faster on two
-    # cores, but at 1.2-1.8x the serial peak memory (README, --jobs).
+    # cores, but at a multiple of the serial peak memory (README, --jobs).
     p.add_argument("--jobs", type=_jobs, default=1, help="rollout worker processes")
     p.add_argument(
         "--trials", type=int, default=None,

@@ -324,8 +324,8 @@ def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before, t
     recovery step of magnitude min(eta, (1 - epsilon) * g / lambda).  The
     two commanded magnitudes sum to at most g / lambda, which in certified
     mode bounds the worst-case decision drop by g itself.  lam is the
-    threshold scale at t; g_before > 0 (recover checks it) and threshold,
-    which the RecoveryStep records, are g and lambda * ||u_hat|| at state.
+    threshold scale at t; g_before > 0 (recover checks it) is g at state,
+    and threshold, which the RecoveryStep records, is lambda * ||u_hat|| there.
 
     Both motions are applied for real through micro_step: they commit state,
     but being recovery-rate actions they happen between horizon ticks, so an
@@ -351,7 +351,6 @@ def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before, t
     x_rec = handle.micro_step(x_probe, u_rec)
     g_after = support.g_at(t, x_rec)
     rec = RecoveryStep(
-        g_before=float(g_before),
         g_probe=float(g_probe),
         g_after=float(g_after),
         flipped=bool(flipped),
@@ -389,7 +388,6 @@ def _oracle_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_befor
     u_rec = finite_difference_oracle_step(handle, support, t, state, cfg, lam, g_before)
     x_rec = handle.micro_step(state, u_rec)
     rec = RecoveryStep(
-        g_before=float(g_before),
         g_probe=float(g_before),
         g_after=float(support.g_at(t, x_rec)),
         flipped=False,

@@ -60,7 +60,6 @@ class EnvSpec:
     horizon: int
     # point_push geometry
     workspace: tuple = None
-    state_bounds: tuple = None
     robot_radius: float = None
     object_radius: float = None
     goal_center: tuple = None
@@ -84,7 +83,7 @@ class EnvSpec:
         if self.kind == POINT_PUSH:
             needed = (self.workspace, self.robot_radius, self.object_radius,
                       self.goal_center, self.goal_radius, self.constraint_regions,
-                      self.robot_start, self.object_start_box, self.state_bounds)
+                      self.robot_start, self.object_start_box)
             if any(v is None for v in needed):
                 raise InvalidInputError("point_push spec is missing geometry fields")
             (lo_x, lo_y), (hi_x, hi_y) = self.workspace
@@ -300,7 +299,6 @@ def env_spec_to_document(spec):
     if spec.kind == POINT_PUSH:
         doc.update({
             "workspace": [list(spec.workspace[0]), list(spec.workspace[1])],
-            "state_bounds": [list(spec.state_bounds[0]), list(spec.state_bounds[1])],
             "robot_radius": spec.robot_radius,
             "object_radius": spec.object_radius,
             "goal_center": list(spec.goal_center),
@@ -339,7 +337,6 @@ def env_spec_from_document(doc):
         if doc["kind"] == POINT_PUSH:
             return EnvSpec(
                 workspace=(tuple(doc["workspace"][0]), tuple(doc["workspace"][1])),
-                state_bounds=(tuple(doc["state_bounds"][0]), tuple(doc["state_bounds"][1])),
                 robot_radius=float(doc["robot_radius"]),
                 object_radius=float(doc["object_radius"]),
                 goal_center=tuple(doc["goal_center"]),

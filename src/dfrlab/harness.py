@@ -15,9 +15,10 @@ reordering and shared across controllers so start states and disturbance
 streams are paired between arms.
 
 Experiments: a learning curve over demonstration counts, normalized recovery
-ascent traces, a disturbance robustness comparison, and a certified-mode
-audit.  Each writes a manifest, line-delimited rollout records, and CSV
-metrics into an output directory.
+ascent traces, and a disturbance robustness comparison, each of which writes
+a manifest, line-delimited rollout records, CSV metrics and a summary into
+an output directory; and a certified-mode audit, run_certified, which
+returns its result and writes nothing.
 """
 
 from dataclasses import dataclass, fields
@@ -200,7 +201,7 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
                 g_seen.append(g)
             step = ctrl.step(handle, support, policy, t, state, rng, g)
             for r in step.recovery:
-                g_seen.extend((r.g_before, r.g_probe, r.g_after))
+                g_seen.extend((r.g_probe, r.g_after))
             steps.append(step)
             if step.applied:
                 state = step.applied[-1].state
@@ -213,13 +214,7 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
             halt_reason = "horizon"
 
     # g_min covers every (t, x) pair the episode occupied: the start gate,
-    # each step-start value, and every probe/recovery evaluation.  g_final is
-    # a diagnostic only: it rates the terminal state under the next slice's
-    # estimator, a pair the episode never occupied.  With no step stored, g
-    # is still the start gate's value.
-    g_final = None
-    if support is not None:
-        g_final = support.g_at(steps[-1].t + 1, state) if steps else g
+    # each step-start value, and every probe/recovery evaluation.
     wall = time.perf_counter() - t_start
 
     return RolloutRecord(
@@ -231,7 +226,6 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
         halt_reason=halt_reason,
         recovery_iterations=sum(len(s.recovery) for s in steps),
         g_min=min(g_seen) if g_seen else None,
-        g_final=g_final,
         wall_clock_s=wall,
     )
 
@@ -356,12 +350,17 @@ class ExperimentConfig:
     min_activations: int = 50
 
     def __post_init__(self):
-        grid = tuple(int(n) for n in self.demo_grid)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int:
+                object.__setattr__(self, f.name, _integer(f.name, value))
+            elif f.name in ("demo_grid", "demo_seeds", "projection") and value is not None:
+                object.__setattr__(self, f.name, tuple(_integer(f.name, v) for v in value))
+        grid = self.demo_grid
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidInputError(f"demo grid must be strictly increasing, got {list(grid)}")
         if min(grid) < 1:
             raise InvalidInputError("demo counts must be >= 1")
-        object.__setattr__(self, "demo_grid", grid)
         if self.trials < 1:
             raise InvalidInputError(f"trials must be >= 1, got {self.trials}")
         if self.eval_samples < 1:
@@ -376,17 +375,13 @@ class ExperimentConfig:
             object.__setattr__(
                 self, "demo_seeds", tuple(1000 * self.seed + t for t in range(self.trials))
             )
-        else:
-            seeds = tuple(int(s) for s in self.demo_seeds)
-            if len(seeds) != self.trials:
-                raise InvalidInputError(
-                    f"demo_seeds has {len(seeds)} entries for {self.trials} trials"
-                )
-            object.__setattr__(self, "demo_seeds", seeds)
-        if self.projection is not None:
-            object.__setattr__(self, "projection", tuple(int(i) for i in self.projection))
+        elif len(self.demo_seeds) != self.trials:
+            raise InvalidInputError(
+                f"demo_seeds has {len(self.demo_seeds)} entries for {self.trials} trials"
+            )
         if self.ascent_cells is not None:
-            cells = tuple((int(s), int(n)) for s, n in self.ascent_cells)
+            cells = tuple((_integer("ascent_cells", s), _integer("ascent_cells", n))
+                          for s, n in self.ascent_cells)
             object.__setattr__(self, "ascent_cells", cells)
         ascent_seeds = [s for s, _ in self.ascent_cells or ()]
         if min([self.seed, *self.demo_seeds, *ascent_seeds]) < 0:
@@ -429,6 +424,15 @@ class ExperimentConfig:
             max_recovery_iters=self.max_recovery_iters,
             lambda_mode=self.lambda_mode,
         )
+
+
+def _integer(name, value):
+    """value as an int: an int or an integral float; a bool or anything else is refused."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InvalidInputError(f"{name}: expected an integer, got {value!r}")
 
 
 CONFIG_FORMAT = "experiment-config"
@@ -707,10 +711,11 @@ def run_learning_curve(config, jobs=1):
 def activation_traces(record):
     """Normalized ascent traces, one per recovery activation in the record.
 
-    The value of each iteration is min(1, g_before / threshold), both as the
-    recovery loop recorded them at the state the iteration started from, so
-    1.0 is the switching threshold.  An activation that hands control back
-    to the policy gets a terminal 1.0 anchor: the exit test g > threshold
+    The value of each iteration is min(1, g / threshold) at the state it
+    started from, so 1.0 is the switching threshold: g is the step's g for
+    the first iteration and the previous g_after after that, and threshold
+    is the one the recovery loop recorded.  An activation that hands control
+    back to the policy gets a terminal 1.0 anchor: the exit test g > threshold
     passed, the trace just has no sample of its own there.  An activation
     that left the support (its step halted outside-support) is left out.
     """
@@ -726,10 +731,11 @@ def activation_traces(record):
 
 def _activations(record):
     """(step, values) per recovery activation in the record, the values
-    min(1, g_before / threshold) of its iterations, without an anchor."""
+    min(1, g / threshold) of its iterations, without an anchor."""
     for step in record.steps:
         if step.recovery:
-            yield step, [min(1.0, ev.g_before / ev.threshold) for ev in step.recovery]
+            starts = [step.g] + [ev.g_after for ev in step.recovery[:-1]]
+            yield step, [min(1.0, g / ev.threshold) for g, ev in zip(starts, step.recovery)]
 
 
 HAND_BACK = "hand-back"

@@ -1,9 +1,11 @@
-"""Rollout records and their records.jsonl format, version 4, which stores
+"""Rollout records and their records.jsonl format, version 5, which stores
 each fact once.  A recovery iteration's controls are the u of its probe and
-recovery motions.  A step's end (collided or completed, set as its motions
-are applied) and its halt (where the recovery loop stopped) have no keys:
-only an episode's last step can have either, and then it is the outcome or
-the halt reason, from which the decoder rebuilds it.
+recovery motions, and the g it started from is the step's g for the first
+iteration and the previous iteration's g_after after that.  A step's end
+(collided or completed, set as its motions are applied) and its halt (where
+the recovery loop stopped) have no keys: only an episode's last step can
+have either, and then it is the outcome or the halt reason, from which the
+decoder rebuilds it.
 """
 
 from dataclasses import dataclass, field
@@ -24,14 +26,13 @@ STEP_HALTS = (OUTSIDE_SUPPORT, RECOVERY_CAP)  # the halt reasons a step records
 HALT_REASONS = ("start-gate", *STEP_HALTS, "horizon")
 
 RECORD_FORMAT = "rollout-record"
-RECORD_VERSION = 4
+RECORD_VERSION = 5
 
 
 @dataclass(frozen=True, slots=True)
 class RecoveryStep:
-    """One recovery iteration's audit values (oracle: no probe)."""
+    """One recovery iteration's audit values (oracle: g_probe is its start g)."""
 
-    g_before: float
     g_probe: float
     g_after: float
     flipped: bool
@@ -85,7 +86,6 @@ class RolloutRecord:
     halt_reason: str = None  # one of HALT_REASONS when halted, else None
     recovery_iterations: int = 0
     g_min: float = None
-    g_final: float = None
     wall_clock_s: float = None
 
     def __reduce__(self):
@@ -119,7 +119,6 @@ def record_to_document(record):
         "halt_reason": record.halt_reason,
         "recovery_iterations": int(record.recovery_iterations),
         "g_min": None if record.g_min is None else float(record.g_min),
-        "g_final": None if record.g_final is None else float(record.g_final),
         "start_state": float_list(record.start_state),
         "steps": [
             {
@@ -135,7 +134,6 @@ def record_to_document(record):
                 ],
                 "recovery": [
                     {
-                        "g_before": float(e.g_before),
                         "g_probe": float(e.g_probe),
                         "g_after": float(e.g_after),
                         "flipped": bool(e.flipped),
@@ -162,7 +160,7 @@ def record_line(record):
 
 
 _RECORD_FACTS = ("seed", "controller", "outcome", "halt_reason", "recovery_iterations",
-                 "g_min", "g_final", "wall_clock_s")
+                 "g_min", "wall_clock_s")
 
 
 def _wire_record(facts, line):
@@ -193,7 +191,6 @@ def record_from_document(doc):
                 ],
                 recovery=[
                     RecoveryStep(
-                        g_before=float(e["g_before"]),
                         g_probe=float(e["g_probe"]),
                         g_after=float(e["g_after"]),
                         flipped=bool(e["flipped"]),
@@ -217,5 +214,4 @@ def record_from_document(doc):
             halt_reason=doc["halt_reason"],
             recovery_iterations=int(doc["recovery_iterations"]),
             g_min=doc["g_min"],
-            g_final=doc["g_final"],
         )

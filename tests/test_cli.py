@@ -273,7 +273,8 @@ def test_bad_seed_or_jitter_exits_2(tmp_path, args, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field, bad", [("seed", -1), ("demo_seeds", [-3]), ("demo_jitter", -0.5)])
+@pytest.mark.parametrize("field, bad", [("seed", -1), ("demo_seeds", [-3]), ("demo_jitter", -0.5),
+                                        ("eval_samples", 2.5)])
 def test_bad_config_seed_or_jitter_exits_2_at_load(tmp_path, field, bad):
     cfg_path = tmp_path / "cfg.json"
     _null_disturbance_config(cfg_path)  # seed 0, demo_seeds [5]

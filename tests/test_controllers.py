@@ -230,7 +230,6 @@ def test_recovery_iteration_magnitudes_and_audit(lt_handle):
     )
     probe, recovery = applied
     nxt = recovery.state
-    assert rec.g_before == pytest.approx(g0, abs=1e-15)
     assert rec.threshold == 0.7  # recorded as given
     assert np.linalg.norm(probe.u) == pytest.approx(0.1 * g0, abs=1e-12)
     assert np.linalg.norm(recovery.u) == pytest.approx(0.45 * g0, abs=1e-12)
@@ -255,11 +254,11 @@ def test_recovery_iteration_flip_semantics(lt_handle):
         dot = float(probe.u @ recovery.u)
         if rec.flipped:
             saw_flip = True
-            assert rec.g_probe <= rec.g_before
+            assert rec.g_probe <= g0
             assert dot < 0.0  # recovery reverses the failed probe direction
         else:
             saw_keep = True
-            assert rec.g_probe > rec.g_before
+            assert rec.g_probe > g0
             assert dot > 0.0
     assert saw_flip and saw_keep
 
@@ -354,7 +353,7 @@ def test_rollout_keeps_the_iteration_that_left_the_support(line_track_spec, kind
     assert rec.recovery_iterations == 1
     it = step.recovery[0]
     assert it.g_after <= 0.0
-    assert rec.g_min <= min(it.g_before, it.g_probe, it.g_after)
+    assert rec.g_min <= min(step.g, it.g_probe, it.g_after)
     states = rec.state_sequence()
     assert len(states) == 1 + motions
     assert np.array_equal(states[-1], step.applied[-1].state)
@@ -370,7 +369,7 @@ def test_ascent_traces_keep_an_activation_halted_at_the_cap(line_track_spec, kin
     assert rec.halt_reason == "recovery-cap" and rec.steps[-1].halt == "recovery-cap"
     (it,) = rec.steps[-1].recovery
     assert it.g_after <= 0.0
-    assert activation_traces(rec) == [[it.g_before / it.threshold]]
+    assert activation_traces(rec) == [[rec.steps[-1].g / it.threshold]]
 
 
 @pytest.mark.parametrize("kind", ["dfr", "oracle"])
@@ -522,9 +521,11 @@ def test_recovery_stops_when_a_motion_collides_or_reaches(lt_handle, kind, cente
     if kind == "oracle":
         # an oracle iteration applies no probe motion, only its recovery motion
         assert [a.tag for a in out.applied] == ["recovery"] * len(out.recovery)
+        g = out.g  # an oracle iteration's g_probe is the g it started from
         for rec in out.recovery:
-            assert rec.g_probe == rec.g_before
+            assert rec.g_probe == g
             assert rec.flipped is False
+            g = rec.g_after
 
 
 def test_dfr_halts_outside_support_at_step_start(lt_handle):

@@ -222,6 +222,14 @@ def test_spec_document_round_trip(tmp_path, point_push_spec, line_track_spec):
         path.write_text(json.dumps(env_spec_to_document(spec)))
         back = load_env_spec(path)
         assert back == spec
+    # a document written before state_bounds was dropped still loads, as the
+    # builtin spec: the reader ignores the key
+    doc = env_spec_to_document(point_push_spec)
+    assert "state_bounds" not in doc
+    doc["state_bounds"] = [[-0.2, -0.2], [1.2, 1.2]]
+    path = tmp_path / "old_point_push.json"
+    path.write_text(json.dumps(doc))
+    assert load_env_spec(path) == builtin_env_spec("point_push") == point_push_spec
 
 
 def test_load_env_spec_by_name(point_push_spec):

@@ -215,7 +215,7 @@ def test_supervisor_rollout_completes(point_push_spec):
     assert rec.outcome == "completed"
     assert rec.halt_reason is None
     assert rec.recovery_iterations == 0
-    assert rec.g_min is None and rec.g_final is None
+    assert rec.g_min is None
     assert rec.wall_clock_s > 0.0
 
 
@@ -262,8 +262,7 @@ def test_start_gate_halts_before_any_step(point_push_spec, pp_support, pp_policy
     assert gated is not None, "no start-gated seed among the first 40"
     assert gated.outcome == "halted"
     assert gated.steps == []
-    assert gated.g_min < 0.0
-    assert gated.g_final == gated.g_min  # no steps ran; both are the gate value
+    assert gated.g_min == pp_support.g_at(0, gated.start_state) < 0.0  # the gate value
 
 
 def test_baseline_ignores_start_gate(point_push_spec, pp_support, pp_policy):
@@ -297,7 +296,8 @@ def test_outside_support_mid_episode(line_track_spec):
 @pytest.mark.parametrize("kind", ["dfr", "es"])
 def test_rollout_evaluates_g_once_per_state(line_track_spec, monkeypatch, kind):
     # rho = -1 keeps g >= 1 everywhere, so the switching rule never trips:
-    # one g per step start (the start gate's serves t = 0) plus g_final
+    # one g per step start (the start gate's serves t = 0) and none after
+    # the last step
     calls = []
     original = TimeVaryingSupport.g_at
 
@@ -314,7 +314,7 @@ def test_rollout_evaluates_g_once_per_state(line_track_spec, monkeypatch, kind):
         cfg=SwitchConfig(lam=0.01), disturbance=False,
     )
     assert rec.recovery_iterations == 0 and len(rec.steps) > 1
-    assert len(calls) == len(rec.steps) + 1
+    assert calls == [s.t for s in rec.steps]
 
 
 def test_rollout_does_not_reclassify(point_push_spec, pp_support, pp_policy, monkeypatch):
@@ -351,10 +351,12 @@ def test_record_document_round_trip(point_push_spec, pp_support, pp_policy):
     back = record_from_document(doc)
     assert record_to_document(back) == doc
     assert classify_outcome(back, point_push_spec) == rec.outcome
-    assert "wall_clock_s" not in doc
-    assert doc["version"] == 4
-    # version 4 stores each fact once: a step's halt, a motion's flags and an
-    # iteration's controls are not keys of their own
+    assert doc["version"] == 5
+    # version 5 stores each fact once: a step's halt, a motion's flags, an
+    # iteration's controls and the g it started from are not keys of their
+    # own, nor is anything the episode did not occupy
+    assert list(doc) == ["format", "version", "seed", "controller", "outcome", "halt_reason",
+                         "recovery_iterations", "g_min", "start_state", "steps"]
     recovering = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=17,
                          cfg=SwitchConfig(lam=0.05))
     steps = doc["steps"] + record_to_document(recovering)["steps"]
@@ -362,7 +364,7 @@ def test_record_document_round_trip(point_push_spec, pp_support, pp_policy):
     for s in steps:
         assert list(s) == ["t", "g", "applied", "recovery"]
         assert all(list(a) == ["u", "tag", "state"] for a in s["applied"])
-        assert all(list(e) == ["g_before", "g_probe", "g_after", "flipped", "threshold"]
+        assert all(list(e) == ["g_probe", "g_after", "flipped", "threshold"]
                    for e in s["recovery"])
 
 
@@ -383,7 +385,7 @@ def _assert_same_fields(a, b):
 def test_records_pickle_exactly(point_push_spec, pp_support, pp_policy):
     applied = AppliedRecord(u=np.array([-0.0, 1e-300]), tag="probe",
                             state=np.array([0.1, -0.0, 3.0, -4.5, 5.0, 6.0]))
-    step = RecoveryStep(g_before=0.1, g_probe=-0.0, g_after=0.2, flipped=True, threshold=0.3)
+    step = RecoveryStep(g_probe=-0.0, g_after=0.2, flipped=True, threshold=0.3)
     ended = StepRecord(t=3, g=-0.0, applied=[applied], recovery=[step], end="completed")
     for obj in (applied, step, ended):
         _assert_same_fields(obj, pickle.loads(pickle.dumps(obj)))
@@ -410,10 +412,10 @@ def _wire_copy(rec):
 def test_wire_record_decodes_bit_identical_fields(point_push_spec, pp_support, pp_policy):
     applied = AppliedRecord(u=np.array([-0.0, 1e-300]), tag="probe",
                             state=np.array([0.1, -0.0, 3.0, -4.5, 5.0, 1e-300]))
-    step = RecoveryStep(g_before=0.1, g_probe=-0.0, g_after=1e-300, flipped=True, threshold=0.3)
+    step = RecoveryStep(g_probe=-0.0, g_after=1e-300, flipped=True, threshold=0.3)
     synthetic = _synthetic_record([[-0.0, 1e-300], [0.5, -0.0]], "dfr", "halted",
                                   halt_reason="recovery-cap", recovery_iterations=1,
-                                  g_min=-0.0, g_final=1e-300, wall_clock_s=0.25)
+                                  g_min=-0.0, wall_clock_s=0.25)
     synthetic.steps.append(StepRecord(t=1, g=0.2, applied=[applied], recovery=[step],
                                       halt="recovery-cap"))
     assert synthetic.steps[0].g is None
@@ -441,7 +443,7 @@ def test_wire_record_decodes_bit_identical_fields(point_push_spec, pp_support, p
             _assert_same_fields(rec, copy)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, "4", None])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, "5", None])
 def test_record_from_document_rejects_other_versions(version):
     doc = record_to_document(_synthetic_record([[0, 0], [1, 1]]))
     if version is None:
@@ -479,37 +481,62 @@ def test_activation_traces_values_and_anchor(point_push_spec, pp_support, pp_pol
     pre = rec.start_state if idx == 0 else rec.steps[idx - 1].applied[-1].state
     ev = first.recovery[0]
     assert ev.threshold == 0.05 * float(np.linalg.norm(pp_policy.action(pre)))
-    assert traces[0][0] == min(1.0, ev.g_before / ev.threshold)
+    assert traces[0][0] == min(1.0, first.g / ev.threshold)
 
 
-@pytest.mark.parametrize("kind, motions_per_iteration", [("dfr", 2), ("oracle", 1)])
-def test_activation_traces_later_iterations(
-    point_push_spec, pp_support, pp_policy, kind, motions_per_iteration
-):
-    # Iteration k >= 1 starts where iteration k - 1's recovery motion ended:
-    # applied[2k - 1] for dfr (probe, recovery pairs), applied[k - 1] for
-    # oracle (recovery motions only).
-    cfg = SwitchConfig(lam=0.05)
-    rec = None
-    for seed in range(60):
-        cand = rollout(point_push_spec, kind, pp_support, pp_policy, seed=seed, cfg=cfg)
-        if any(len(s.recovery) >= 2 for s in cand.steps):
-            rec = cand
-            break
-    assert rec is not None, f"no {kind} step with two iterations among the first 60 seeds"
-    traces = activation_traces(rec)
-    checked = 0
-    for step, vals in zip([s for s in rec.steps if s.recovery], traces):
-        for k in range(1, len(step.recovery)):
-            motion = step.applied[motions_per_iteration * k - 1]
-            assert motion.tag == "recovery"
-            ev = step.recovery[k]
-            assert pp_support.g_at(step.t, motion.state) == ev.g_before
-            u_hat = pp_policy.action(motion.state)
-            assert ev.threshold == 0.05 * float(np.linalg.norm(u_hat))
-            assert vals[k] == min(1.0, ev.g_before / ev.threshold)
-            checked += 1
-    assert checked >= 1
+@pytest.mark.parametrize("kind, motions_per_iteration, replayed",
+                         [("dfr", 2, False), ("oracle", 1, False), ("oracle", 1, True)],
+                         ids=["dfr-2", "oracle-1", "oracle-replayed-cycle"])
+def test_activation_traces_later_iterations(point_push_spec, line_track_spec, pp_support,
+                                            pp_policy, monkeypatch, kind, motions_per_iteration,
+                                            replayed):
+    # Iteration 0 starts at the step's start state, from the step's g.
+    # Iteration k >= 1 starts where iteration k - 1's recovery motion ended,
+    # applied[2k - 1] for dfr (probe, recovery pairs) and applied[k - 1] for
+    # oracle (recovery motions only), from iteration k - 1's g_after.  The
+    # traces read that chain, so it must be g_at of the start state, bit for
+    # bit, on the iterations a replayed oracle cycle repeats too.
+    if replayed:
+        # a fixed eta of 0.3 overshoots the peak at x = 0.7 into a period-2
+        # cycle from iteration 3 on; lam = 2 keeps every g below the threshold
+        spec, cfg = line_track_spec, SwitchConfig(lam=2.0, eta=0.3, max_recovery_iters=10)
+        peak = dataclasses.replace(_flat_model(0.1), support_vectors=np.array([[0.7, 0.0]]))
+        support = TimeVaryingSupport(estimators=[peak], projection=np.arange(2))
+        policy = _zero_policy(dim=2)
+        policy.weights[-1] = [1.0, 0.0]
+        replays = []
+        replay_cycle = controllers._replay_cycle
+        monkeypatch.setattr(controllers, "_replay_cycle",
+                            lambda *args: replays.append(args) or replay_cycle(*args))
+        rec = rollout(spec, kind, support, policy, seed=0, cfg=cfg, disturbance=False)
+        assert replays and rec.recovery_iterations == 10
+    else:
+        spec, cfg = point_push_spec, SwitchConfig(lam=0.05)
+        support, policy = pp_support, pp_policy
+        rec = None
+        for seed in range(60):
+            cand = rollout(spec, kind, support, policy, seed=seed, cfg=cfg)
+            if any(len(s.recovery) >= 2 for s in cand.steps):
+                rec = cand
+                break
+        assert rec is not None, f"no {kind} step with two iterations among the first 60 seeds"
+    traces = iter(activation_traces(rec))
+    state, checked = rec.start_state, 0
+    for step in rec.steps:
+        if step.recovery and step.halt != "outside-support":
+            vals, g = next(traces), step.g
+            for k, ev in enumerate(step.recovery):
+                if k:
+                    motion = step.applied[motions_per_iteration * k - 1]
+                    assert motion.tag == "recovery"
+                    state, g = motion.state, step.recovery[k - 1].g_after
+                    checked += 1
+                assert support.g_at(step.t, state) == g
+                assert ev.threshold == cfg.lam * float(np.linalg.norm(policy.action(state)))
+                assert vals[k] == min(1.0, g / ev.threshold)
+        if step.applied:
+            state = step.applied[-1].state
+    assert checked >= (9 if replayed else 1)
 
 
 @pytest.mark.parametrize("kind", ["dfr", "oracle"])
@@ -566,7 +593,14 @@ def test_experiment_config_rejects_duplicate_controllers():
     [("epsilon", 2.0), ("nu", 0.0), ("policy_centers", 0), ("lam", -1.0),
      ("max_recovery_iters", 0), ("lambda_mode", "auto"), ("oracle_eta", 0.0),
      # certified mode with the default lam = 1.0, which it would ignore
-     ("lambda_mode", "certified")],
+     ("lambda_mode", "certified"),
+     # int fields and the entries of int lists take integers only: no bool,
+     # no fraction to truncate
+     ("eval_samples", 2.5), ("eval_samples", True), ("policy_centers", 20.5),
+     ("trials", False), ("max_solver_iters", math.inf), ("seed", math.nan),
+     ("trace_points", "21"), ("min_activations", 49.9), ("max_recovery_iters", 10.5),
+     ("demo_grid", (20, 30.5)), ("demo_grid", (True, 30)), ("demo_seeds", (5.5,)),
+     ("ascent_cells", ((5, 30.5),)), ("ascent_cells", ((False, 30),)), ("projection", (0.5,))],
 )
 def test_experiment_config_checks_derived_configs_at_load(field, bad):
     with pytest.raises(InvalidInputError):
@@ -575,6 +609,14 @@ def test_experiment_config_checks_derived_configs_at_load(field, bad):
     doc[field] = bad
     with pytest.raises(InvalidInputError):
         experiment_config_from_document(doc)
+
+
+def test_experiment_config_takes_integral_floats_as_ints():
+    cfg = ExperimentConfig(eval_samples=3.0, demo_grid=(20.0, 30), demo_seeds=(np.int64(5),),
+                           ascent_cells=((5.0, 30),), projection=(1.0,))
+    assert (cfg.eval_samples, cfg.demo_grid, cfg.demo_seeds, cfg.ascent_cells,
+            cfg.projection) == (3, (20, 30), (5,), ((5, 30),), (1,))
+    assert type(cfg.eval_samples) is int and type(cfg.demo_seeds[0]) is int
 
 
 @pytest.mark.parametrize(
@@ -629,10 +671,13 @@ def test_config_document_wins_over_overrides():
 
 
 def _activation(values, ending):
-    """A step holding one recovery activation whose iterations have
-    g_before / threshold = values, ended as ending says."""
+    """A step holding one recovery activation whose iterations start from
+    g / threshold = values, ended as ending says: the step's g is the first
+    value, and each iteration's g_after the next."""
     applied = [AppliedRecord(np.zeros(2), "recovery", np.zeros(2)) for _ in values]
-    step = StepRecord(0, values[0], applied, [RecoveryStep(v, v, v, False, 1.0) for v in values])
+    ends = values[1:] + values[-1:]
+    step = StepRecord(0, values[0], applied,
+                      [RecoveryStep(v, end, False, 1.0) for v, end in zip(values, ends)])
     if ending == "hand-back":
         applied.append(AppliedRecord(np.zeros(2), "policy", np.zeros(2)))
     elif ending in STEP_HALTS:
