@@ -27,7 +27,7 @@ from importlib.resources import files as _resource_files
 import numpy as np
 
 from .errors import InvalidInputError
-from .util import load_json, malformed, vector_norm
+from .util import load_json, malformed, refuse_unknown_keys, vector_norm
 
 POINT_PUSH = "point_push"
 LINE_TRACK = "line_track"
@@ -319,11 +319,28 @@ def env_spec_to_document(spec):
     return doc
 
 
+# The keys a spec document may hold, by kind.  point_push's state_bounds is
+# retired: nothing reads it, and documents written with it still load.
+_COMMON_KEYS = ("format", "version", "kind", "u_max", "dyn_constant", "horizon", "disturbance")
+_KIND_KEYS = {
+    POINT_PUSH: ("workspace", "robot_radius", "object_radius", "goal_center", "goal_radius",
+                 "constraint_regions", "robot_start", "object_start_box", "state_bounds"),
+    LINE_TRACK: ("deviation_limit", "goal_progress", "nominal_step"),
+}
+_DISTURBANCE_KEYS = ("process", "amplitude", "bound", "enabled")
+
+
 def env_spec_from_document(doc):
     with malformed("malformed environment spec document"):
         if doc.get("format") != ENV_FORMAT:
             raise InvalidInputError(f"not an environment spec document: {doc.get('format')!r}")
+        if doc["kind"] not in _KIND_KEYS:
+            raise InvalidInputError(f"unknown environment kind {doc['kind']!r}")
+        refuse_unknown_keys("environment spec", doc, _COMMON_KEYS + _KIND_KEYS[doc["kind"]])
         dist = doc.get("disturbance", {})
+        if not isinstance(dist, dict):
+            raise InvalidInputError(f"environment spec disturbance must be an object, got {dist!r}")
+        refuse_unknown_keys("environment spec disturbance", dist, _DISTURBANCE_KEYS)
         common = dict(
             kind=doc["kind"], u_max=float(doc["u_max"]),
             dyn_constant=float(doc["dyn_constant"]), horizon=int(doc["horizon"]),

@@ -55,12 +55,14 @@ from .envs import (
 from .errors import GateFailureError, InvalidInputError
 from .kernel_ocsvm import KernelParams, OcsvmParams
 from .records import (
-    COLLIDED, COMPLETED, HALT_REASONS, HALTED, OUTCOMES, OUTSIDE_SUPPORT, STEP_HALTS, RolloutRecord,
-    record_line,
+    COLLIDED, COMPLETED, HALT_REASONS, HALTED, HAND_BACK, OUTCOMES, OUTSIDE_SUPPORT, STEP_HALTS,
+    RolloutRecord, record_line,
 )
 from .supervisor import demo_prefix, generate_demos
 from .support import TimeVaryingSupport, fit_pooled, fit_time_varying
-from .util import atomic_write_chunks, atomic_write_text, dump_json, load_json, malformed
+from .util import (
+    atomic_write_chunks, atomic_write_text, dump_json, load_json, malformed, refuse_unknown_keys,
+)
 
 Z_ONE_SIDED_95 = 1.6448536269514722
 Z_TWO_SIDED_95 = 1.959963984540054
@@ -458,9 +460,7 @@ def experiment_config_from_document(doc, overrides=None):
     """
     if doc.get("format") != CONFIG_FORMAT:
         raise InvalidInputError(f"not an experiment config: format={doc.get('format')!r}")
-    unknown = sorted(set(doc) - {"format", "version", *_CONFIG_FIELDS})
-    if unknown:
-        raise InvalidInputError(f"unknown experiment config key(s): {', '.join(unknown)}")
+    refuse_unknown_keys("experiment config", doc, ("format", "version", *_CONFIG_FIELDS))
     kwargs = dict(overrides or {})
     for name in _CONFIG_FIELDS:
         if name in doc:
@@ -711,43 +711,17 @@ def run_learning_curve(config, jobs=1):
 def activation_traces(record):
     """Normalized ascent traces, one per recovery activation in the record.
 
-    The value of each iteration is min(1, g / threshold) at the state it
-    started from, so 1.0 is the switching threshold: g is the step's g for
-    the first iteration and the previous g_after after that, and threshold
-    is the one the recovery loop recorded.  An activation that hands control
-    back to the policy gets a terminal 1.0 anchor: the exit test g > threshold
+    Each trace is the activation's values (records.record_activations), so
+    1.0 is the switching threshold.  An activation that hands control back
+    to the policy gets a terminal 1.0 anchor: the exit test g > threshold
     passed, the trace just has no sample of its own there.  An activation
     that left the support (its step halted outside-support) is left out.
     """
-    traces = []
-    for step, vals in _activations(record):
-        if step.halt == OUTSIDE_SUPPORT:
-            continue
-        if _ending(step) == HAND_BACK:
-            vals.append(1.0)
-        traces.append(vals)
-    return traces
+    return [[*values, 1.0] if ending == HAND_BACK else list(values)
+            for ending, values in record.activations if ending != OUTSIDE_SUPPORT]
 
 
-def _activations(record):
-    """(step, values) per recovery activation in the record, the values
-    min(1, g / threshold) of its iterations, without an anchor."""
-    for step in record.steps:
-        if step.recovery:
-            starts = [step.g] + [ev.g_after for ev in step.recovery[:-1]]
-            yield step, [min(1.0, g / ev.threshold) for g, ev in zip(starts, step.recovery)]
-
-
-HAND_BACK = "hand-back"
 ACTIVATION_BANDS = ("1", "2-4", ">=5")  # iterations per activation
-
-
-def _ending(step):
-    """How a recovery activation ended: the step's halt, a hand-back to the
-    policy, or the end (collided or completed) of a recovery motion."""
-    if step.halt is not None:
-        return step.halt
-    return HAND_BACK if step.applied[-1].tag == "policy" else step.end
 
 
 def _mean_curve(traces, points):
@@ -768,13 +742,17 @@ def activation_split(records, points):
     its traces that reach 0.9 without the hand-back anchor, and the largest
     decrease of its mean curve (the traces resampled onto points, no
     anchor); None for both in an empty group."""
+    return _split([a for rec in records for a in rec.activations], points)
+
+
+def _split(activations, points):
+    """activation_split over (ending, values) pairs."""
     groups = {band: {ending: [] for ending in (HAND_BACK, *STEP_HALTS)}
               for band in ACTIVATION_BANDS}
-    for rec in records:
-        for step, vals in _activations(rec):
-            n = len(vals)
-            band = ACTIVATION_BANDS[0 if n == 1 else 1 if n <= 4 else 2]
-            groups[band].setdefault(_ending(step), []).append(vals)
+    for ending, values in activations:
+        n = len(values)
+        band = ACTIVATION_BANDS[0 if n == 1 else 1 if n <= 4 else 2]
+        groups[band].setdefault(ending, []).append(values)
     return {
         band: {
             ending: {
@@ -820,11 +798,13 @@ def run_ascent_traces(config, jobs=1):
         raise InvalidInputError("ascent experiment needs the dfr and/or oracle controller")
     cells = [((ci, 0), demo_seed, n) for ci, (demo_seed, n) in enumerate(pairs)]
     traces = {arm: [] for arm in arms}
+    activations = {arm: [] for arm in arms}
     records = []
     runs, timing, solver = _arm_runs(spec, config, cells, arms, config.disturbance, jobs)
     for _, arm, recs in runs:
         for rec in recs:
             traces[arm].extend(activation_traces(rec))
+            activations[arm].extend(rec.activations)
         records.extend(recs)
 
     curves = {}
@@ -876,8 +856,7 @@ def run_ascent_traces(config, jobs=1):
             "detail": {"min_pointwise_margin": margin},
         }
     aggregates["activation_split"] = {
-        arm: activation_split([r for r in records if r.controller == arm], config.trace_points)
-        for arm in arms
+        arm: _split(activations[arm], config.trace_points) for arm in arms
     }
 
     return {

@@ -6,6 +6,10 @@ iteration and the previous iteration's g_after after that.  A step's end
 the recovery loop stopped) have no keys: only an episode's last step can
 have either, and then it is the outcome or the halt reason, from which the
 decoder rebuilds it.
+
+A record rebuilt from a pool worker holds its facts and its line.  Each
+read of its start_state or steps decodes the line and keeps nothing, so a
+reader that walks many records holds one record's objects at a time.
 """
 
 from dataclasses import dataclass, field
@@ -71,11 +75,15 @@ class RolloutRecord:
     wall_clock_s is measured in-process and deliberately not serialized; re-
     runs must produce byte-identical record files, and timing never is.
 
-    A record pickles as its facts (every field but start_state and steps)
-    and its records.jsonl line, so a pool worker encodes the records of the
-    episodes it ran.  The copy rebuilt in the parent decodes start_state
-    and steps from that line when they are first read, and record_line
-    returns the line as it came.
+    activations, the (ending, values) of each recovery activation (see
+    record_activations), is computed from the steps at its first read.
+
+    A record pickles as its facts (every field but start_state and steps,
+    plus activations) and its records.jsonl line, so a pool worker encodes
+    the records of the episodes it ran and computes their activations.  The
+    copy rebuilt in the parent decodes start_state and steps from that line
+    at each read and keeps neither, and record_line returns the line as it
+    came.
     """
 
     seed: object  # int or list of ints, as given
@@ -92,21 +100,50 @@ class RolloutRecord:
         return _wire_record, (tuple(getattr(self, f) for f in _RECORD_FACTS), record_line(self))
 
     def __getattr__(self, name):
-        # Called only for attributes the instance lacks: on a rebuilt record,
-        # start_state and steps until their first read.
-        line = self.__dict__.get("_line")
-        if line is None or name not in ("start_state", "steps"):
+        # Called only for attributes the instance lacks: activations until
+        # their first read, and on a rebuilt record start_state and steps.
+        if name == "activations":
+            self.activations = record_activations(self.steps)
+            return self.activations
+        if name not in ("start_state", "steps") or "_line" not in self.__dict__:
             raise AttributeError(name)
-        decoded = record_from_document(json.loads(line))
-        self.start_state, self.steps = decoded.start_state, decoded.steps
-        return self.__dict__[name]
+        return getattr(self._decoded(), name)
+
+    def _decoded(self):
+        """The record with its start_state and steps in memory: itself, or
+        for a rebuilt record a fresh decode of its line, which is not kept."""
+        line = self.__dict__.get("_line")
+        return self if line is None else record_from_document(json.loads(line))
 
     def state_sequence(self):
         """Every visited state in order, starting from the reset state."""
-        states = [self.start_state]
-        for step in self.steps:
+        record = self._decoded()
+        states = [record.start_state]
+        for step in record.steps:
             states.extend(a.state for a in step.applied)
         return states
+
+
+HAND_BACK = "hand-back"
+
+
+def record_activations(steps):
+    """(ending, values) per recovery activation in steps, in order.
+
+    values holds min(1, g / threshold) of each iteration at the state it
+    started from: g is the step's g for the first iteration and the previous
+    g_after after that, threshold the one the recovery loop recorded.  The
+    ending is the step's halt, HAND_BACK when the step ends on a policy
+    motion, or else the step's end (a recovery motion collided or completed).
+    """
+    activations = []
+    for step in steps:
+        if step.recovery:
+            starts = [step.g] + [ev.g_after for ev in step.recovery[:-1]]
+            values = tuple(min(1.0, g / ev.threshold) for g, ev in zip(starts, step.recovery))
+            ending = step.halt or (HAND_BACK if step.applied[-1].tag == "policy" else step.end)
+            activations.append((ending, values))
+    return tuple(activations)
 
 
 def record_to_document(record):
@@ -160,7 +197,7 @@ def record_line(record):
 
 
 _RECORD_FACTS = ("seed", "controller", "outcome", "halt_reason", "recovery_iterations",
-                 "g_min", "wall_clock_s")
+                 "g_min", "wall_clock_s", "activations")
 
 
 def _wire_record(facts, line):

@@ -30,6 +30,13 @@ def load_json(path, what):
     return doc
 
 
+def refuse_unknown_keys(what, doc, known):
+    """Raise InvalidInputError naming every key of doc not in known."""
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise InvalidInputError(f"unknown {what} key(s): {', '.join(unknown)}")
+
+
 @contextlib.contextmanager
 def malformed(what):
     """Turn a lookup, type or value error raised while decoding a document

@@ -6,6 +6,7 @@ import json
 import shutil
 import subprocess
 import sys
+from importlib.resources import files
 
 import pytest
 
@@ -139,6 +140,15 @@ def test_solver_cap_exits_3(work, tmp_path):
 def test_unknown_env_exits_2():
     proc = run_cli("demos", "--env", "mars", "--n", "3", "--out", "/tmp/x.jsonl")
     assert proc.returncode == 2
+
+
+def test_env_spec_with_an_unknown_key_exits_2_and_names_it(tmp_path):
+    doc = json.loads((files("dfrlab") / "data" / "line_track.json").read_text())
+    doc["disturbance"]["enable"] = doc["disturbance"].pop("enabled")
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    proc = run_cli("rollout", "--env", str(tmp_path / "spec.json"), "--controller", "supervisor")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "enable" in proc.stderr
 
 
 def test_missing_input_exits_2(tmp_path):

@@ -3,6 +3,7 @@ bound, disturbance stream laws, and spec serialization."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,22 @@ def test_spec_document_round_trip(tmp_path, point_push_spec, line_track_spec):
     path = tmp_path / "old_point_push.json"
     path.write_text(json.dumps(doc))
     assert load_env_spec(path) == builtin_env_spec("point_push") == point_push_spec
+
+
+# A misspelt key used to be dropped: "enable" loaded the disturbance off.
+@pytest.mark.parametrize("block, key, message", [
+    (None, "horizonn", "unknown environment spec key(s): horizonn"),
+    (None, "state_bounds", "unknown environment spec key(s): state_bounds"),  # point_push only
+    ("disturbance", "enable", "unknown environment spec disturbance key(s): enable"),
+])
+def test_spec_document_refuses_unknown_keys(tmp_path, line_track_spec, block, key, message):
+    doc = env_spec_to_document(line_track_spec)
+    where = doc if block is None else doc[block]
+    where[key] = where.pop("enabled", 1)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
+        load_env_spec(path)
 
 
 def test_load_env_spec_by_name(point_push_spec):

@@ -443,6 +443,58 @@ def test_wire_record_decodes_bit_identical_fields(point_push_spec, pp_support, p
             _assert_same_fields(rec, copy)
 
 
+def test_rebuilt_record_decodes_at_each_read_and_keeps_nothing(point_push_spec, pp_support,
+                                                               pp_policy):
+    rec = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=17,
+                  cfg=SwitchConfig(lam=0.05))
+    back = _wire_copy(rec)
+    first, second = back.steps, back.steps
+    assert first is not second and any(s.recovery for s in first)
+    assert len(first) == len(second) == len(rec.steps)
+    for a, b in zip(first, second):
+        _assert_same_fields(a, b)
+    assert back.start_state.tobytes() == back.start_state.tobytes() == rec.start_state.tobytes()
+    assert "steps" not in vars(back) and "start_state" not in vars(back)
+
+
+def test_classify_outcome_decodes_a_rebuilt_record_once(monkeypatch, point_push_spec,
+                                                        pp_support, pp_policy):
+    rec = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=17,
+                  cfg=SwitchConfig(lam=0.05))
+    back = _wire_copy(rec)
+    calls = []
+    decode = records.record_from_document
+    monkeypatch.setattr(records, "record_from_document",
+                        lambda doc: calls.append(doc) or decode(doc))
+    assert classify_outcome(back, point_push_spec) == rec.outcome
+    assert len(calls) == 1
+
+
+# A reader that walks every rebuilt record of a --jobs 2 run holds one
+# decoded record at a time, however many records there are.
+def test_walking_rebuilt_records_holds_one_record_at_a_time():
+    recs = run_experiment("learning-curve", _mini_config(eval_samples=20), jobs=2)["records"]
+    assert len(recs) == 40
+    tracemalloc.start()
+    try:
+        largest = 0
+        for rec in recs:
+            line = record_line(rec)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            decoded = record_from_document(json.loads(line))
+            largest = max(largest, tracemalloc.get_traced_memory()[1] - base)
+            del decoded
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        transitions = sum(len(s.applied) for rec in recs for s in rec.steps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert transitions > len(recs)
+    assert peak < 2 * largest, (peak, largest)
+
+
 @pytest.mark.parametrize("version", [1, 2, 3, 4, "5", None])
 def test_record_from_document_rejects_other_versions(version):
     doc = record_to_document(_synthetic_record([[0, 0], [1, 1]]))
@@ -552,6 +604,32 @@ def test_activation_traces_survive_the_record_format(point_push_spec, pp_support
             assert list(e)[-2:] == ["flipped", "threshold"]
         back = record_from_document(json.loads(json.dumps(doc)))
         assert activation_traces(back) == activation_traces(rec)
+
+
+def test_activations_agree_on_in_process_rebuilt_and_decoded_records(monkeypatch):
+    replays = []
+    replay_cycle = controllers._replay_cycle
+    monkeypatch.setattr(controllers, "_replay_cycle",
+                        lambda *args: replays.append(args) or replay_cycle(*args))
+    cfg = _shipped_config("exp_point_push_ascent.json", eval_samples=40, ascent_cells=((5, 30),))
+    serial = run_experiment("ascent", cfg, jobs=1)
+    assert replays  # the oracle arm's records hold replayed cycles
+    in_process = serial["records"]
+    pooled = run_experiment("ascent", cfg, jobs=2)
+    rebuilt = pooled["records"]  # activations computed in the workers
+    decoded = [record_from_document(json.loads(record_line(r))) for r in in_process]
+    assert all("activations" in vars(r) for r in rebuilt)
+    assert not any("activations" in vars(r) for r in decoded)
+    expected = [repr(r.activations) for r in in_process]
+    assert sum(len(r.activations) for r in in_process) > 0
+    for copies in (rebuilt, decoded):
+        assert [repr(r.activations) for r in copies] == expected  # repr tells -0.0 apart
+        assert [activation_traces(r) for r in copies] == [activation_traces(r) for r in in_process]
+        for arm in ("dfr", "oracle"):
+            split = activation_split([r for r in copies if r.controller == arm], cfg.trace_points)
+            assert split == serial["aggregates"]["activation_split"][arm]
+    for key in ("rows", "gates", "aggregates", "traces"):
+        assert pooled[key] == serial[key], key
 
 
 def test_resample_trace_linear_interpolation():
@@ -790,17 +868,20 @@ def test_parallel_rollouts_match_serial(experiment, cfg, jobs):
     docs_b = [record_to_document(r) for r in b["records"]]
     assert docs_a == docs_b
     assert a["rows"] == b["rows"]
+    assert (a["gates"], a["aggregates"]) == (b["gates"], b["aggregates"])
     assert all(r.wall_clock_s is not None for r in a["records"] + b["records"])
 
 
-# The learning-curve and disturbance runners read only the facts a record
-# carries beside its line, so at jobs > 1 the parent neither decodes nor
-# encodes a record, and still writes the serial run's bytes.
+# Every runner reads only the facts a record carries beside its line,
+# ascent's activations among them, so at jobs > 1 the parent neither decodes
+# nor encodes a record, and still writes the serial run's bytes.
 @pytest.mark.parametrize(
     "experiment, cfg",
     [("learning-curve", _mini_config(demo_grid=(20, 30), eval_samples=5)),
+     ("ascent", _shipped_config(
+         "exp_point_push_ascent.json", eval_samples=12, ascent_cells=((5, 30),))),
      ("disturbance", _shipped_config("exp_line_track_disturbance.json", eval_samples=8))],
-    ids=["learning-curve", "disturbance"],
+    ids=["learning-curve", "ascent", "disturbance"],
 )
 def test_parallel_parent_never_decodes_records(monkeypatch, tmp_path, experiment, cfg):
     run_experiment(experiment, cfg, out_dir=tmp_path / "jobs1", jobs=1)
@@ -817,8 +898,8 @@ def test_parallel_parent_never_decodes_records(monkeypatch, tmp_path, experiment
     out = run_experiment(experiment, cfg, out_dir=tmp_path / "jobs2", jobs=2)
     assert calls == []
     assert all("steps" not in vars(r) for r in out["records"])
-    serial = (tmp_path / "jobs1" / "records.jsonl").read_bytes()
-    assert (tmp_path / "jobs2" / "records.jsonl").read_bytes() == serial
+    for name in ("records.jsonl", "traces.csv" if experiment == "ascent" else "metrics.csv"):
+        assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
     for kind, entry in out["summary"]["controllers"].items():
         assert sum(entry["halt_reasons"].values()) == entry["n"], kind
 
