@@ -90,9 +90,15 @@ class Policy:
     train_loss: float = None
 
     def __post_init__(self):
-        self._center_sq = (self.centers * self.centers).sum(axis=1)[None, :]
+        self._center_sq = (self.centers * self.centers).sum(axis=1)
         # scaling by -2 is exact, so X @ _m2ct is -2.0 * (X @ centers.T) bit for bit
         self._m2ct = -2.0 * self.centers.T
+        # action's feature row [RBF block, x, 1.0], refilled at each call
+        k, d = self.centers.shape
+        self._row = np.empty((1, k + d + 1))
+        self._row[0, -1] = 1.0
+        self._rbf = self._row[0, :k]
+        self._linear = self._row[0, k:-1]
 
     def __getstate__(self):
         # a policy crosses the rollout pool as its fields; the worker
@@ -131,11 +137,28 @@ class Policy:
         return U
 
     def action(self, x):
-        """actions(x[None])[0] for one state x, bit for bit, without the batch
-        clip's set-up.  numpy sums a row of fewer than eight squares left to
-        right, as this does."""
-        u = (self.features(x) @ self.weights)[0]
-        norm = math.sqrt(sum(v * v for v in u.tolist()))
+        """actions(x[None])[0] for one state x, bit for bit.  It fills the
+        policy's own feature row in place, exp straight into its contiguous
+        RBF block, and keeps features' two BLAS products on the same shapes,
+        which set the bits (a batch of many rows rounds differently).  numpy
+        sums a row of fewer than eight squares left to right, as the Python
+        sums here do."""
+        x = np.asarray(x, dtype=float)
+        x_sq = 0.0
+        for v in x.tolist():
+            x_sq += v * v
+        rbf = self._rbf
+        np.add(self._center_sq, x_sq, out=rbf)
+        rbf += (x[None] @ self._m2ct)[0]
+        np.maximum(rbf, 0.0, out=rbf)
+        np.divide(rbf, -2.0 * self.bandwidth**2, out=rbf)
+        np.exp(rbf, out=rbf)
+        self._linear[...] = x
+        u = (self._row @ self.weights)[0]
+        norm_sq = 0.0
+        for v in u.tolist():
+            norm_sq += v * v
+        norm = math.sqrt(norm_sq)
         if norm > self.clip_norm:
             u *= self.clip_norm / norm
         return u

@@ -87,12 +87,18 @@ class EnvSpec:
             if any(v is None for v in needed):
                 raise InvalidInputError("point_push spec is missing geometry fields")
             (lo_x, lo_y), (hi_x, hi_y) = self.workspace
+            contact = self.robot_radius + self.object_radius
+            keep_out = []
+            for (cx, cy), radius in self.constraint_regions:
+                robot_reach = radius + self.robot_radius
+                object_reach = radius + self.object_radius
+                keep_out.append((float(cx), float(cy), robot_reach, object_reach,
+                                 _clear_outside(robot_reach), _clear_outside(object_reach)))
             object.__setattr__(self, "push", PushGeometry(
                 box=(float(lo_x), float(lo_y), float(hi_x), float(hi_y)),
-                contact=self.robot_radius + self.object_radius,
-                keep_out=tuple((float(cx), float(cy), radius + self.robot_radius,
-                                radius + self.object_radius)
-                               for (cx, cy), radius in self.constraint_regions),
+                contact=contact,
+                contact_clear=_clear_outside(contact),
+                keep_out=tuple(keep_out),
                 goal=(float(self.goal_center[0]), float(self.goal_center[1]), self.goal_radius),
             ))
         else:
@@ -115,8 +121,24 @@ class PushGeometry:
 
     box: tuple  # (lo_x, lo_y, hi_x, hi_y) of the workspace
     contact: float  # robot_radius + object_radius
-    keep_out: tuple  # (cx, cy, radius + robot_radius, radius + object_radius) per region
+    contact_clear: float  # _clear_outside(contact)
+    # (cx, cy, robot_reach, object_reach, and the _clear_outside of each
+    # reach) per region; a reach is radius + robot_radius or + object_radius
+    keep_out: tuple
     goal: tuple  # (gx, gy, goal_radius)
+
+
+# A threshold test on a norm first compares the squared distance, summed in
+# Python floats, with the squared threshold widened by this relative margin.
+# A BLAS dot or a sqrt differs from that sum by a few ulps (about 1e-16
+# relative), so a distance that clears the margin is on the same side of the
+# threshold in the exact test, which runs only inside the margin.
+_MARGIN = 1e-9
+
+
+def _clear_outside(radius):
+    """The squared distance above which a norm surely exceeds radius."""
+    return radius * radius * (1.0 + _MARGIN)
 
 
 class DisturbanceStream:
@@ -157,13 +179,23 @@ def _dist(dx, dy):
 
 
 def check_constraint(spec, state):
-    """True iff the state violates no constraint (boundary counts as violating)."""
+    """True iff the state violates no constraint (boundary counts as violating).
+
+    A disc meets a region when the sqrt of its squared distance to the
+    centre, summed as _dist sums it, is at most the region's reach; the sqrt
+    is taken only when the squared distance is not clear of the reach."""
     if spec.kind == POINT_PUSH:
-        rx, ry, ox, oy = state[:4].tolist()
-        for cx, cy, robot_reach, object_reach in spec.push.keep_out:
-            if _dist(rx - cx, ry - cy) <= robot_reach:
+        rx, ry, ox, oy = state.tolist()[:4]
+        for cx, cy, robot_reach, object_reach, robot_clear, object_clear in spec.push.keep_out:
+            dx = rx - cx
+            dy = ry - cy
+            sq = dx * dx + dy * dy
+            if sq <= robot_clear and math.sqrt(sq) <= robot_reach:
                 return False
-            if _dist(ox - cx, oy - cy) <= object_reach:
+            dx = ox - cx
+            dy = oy - cy
+            sq = dx * dx + dy * dy
+            if sq <= object_clear and math.sqrt(sq) <= object_reach:
                 return False
         return True
     return abs(state[1]) < spec.deviation_limit
@@ -200,13 +232,22 @@ def reset(spec, seed):
 
 
 def _clip_control(spec, u):
+    """(u, ux, uy): the control as a float vector, scaled down to norm u_max
+    when longer, and its two entries as floats.  The norm runs only when the
+    squared length lies within _MARGIN of u_max squared or above it."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (spec.control_dim,) or not all(map(math.isfinite, u.tolist())):
+    if u.shape != (spec.control_dim,):
         raise InvalidInputError(f"control must be a finite vector of length {spec.control_dim}")
-    norm = vector_norm(u)
-    if norm > spec.u_max:
-        u = u * (spec.u_max / norm)
-    return u
+    ux, uy = u.tolist()
+    if not (math.isfinite(ux) and math.isfinite(uy)):
+        raise InvalidInputError(f"control must be a finite vector of length {spec.control_dim}")
+    u_max = spec.u_max
+    if ux * ux + uy * uy >= u_max * u_max * (1.0 - _MARGIN):
+        norm = vector_norm(u)
+        if norm > u_max:
+            u = u * (u_max / norm)
+            ux, uy = u.tolist()
+    return u, ux, uy
 
 
 def step(spec, state, u, stream=None):
@@ -216,11 +257,10 @@ def step(spec, state, u, stream=None):
     also how simulated probe steps are computed.  The stream, not the state,
     keeps the platform offset.
     """
-    u = _clip_control(spec, u)
+    u, ux, uy = _clip_control(spec, u)
     if spec.kind == POINT_PUSH:
         geo = spec.push
         lo_x, lo_y, hi_x, hi_y = geo.box
-        ux, uy = u.tolist()
         rx, ry, ox, oy, gx, gy = state.tolist()
         # np.clip's comparisons, in its order, so signed zeros agree too
         rx += ux
@@ -231,19 +271,23 @@ def step(spec, state, u, stream=None):
         ry = ry if ry < hi_y else hi_y
         dx = ox - rx
         dy = oy - ry
-        dist = vector_norm(np.array((dx, dy)))
-        depth = geo.contact - dist
-        if depth > 0.0:
-            if dist > 1e-12:
-                nx, ny = dx / dist, dy / dist
-            else:  # centers coincide (degenerate); push along the control
-                un = vector_norm(u)
-                nx, ny = (ux / un, uy / un) if un > 0 else (1.0, 0.0)
-            ox += depth * nx
-            oy += depth * ny
+        # contact needs the BLAS norm, whose bits set the push-out; a disc
+        # clear of the margin stays where it is
+        if dx * dx + dy * dy <= geo.contact_clear:
+            dist = vector_norm(np.array((dx, dy)))
+            depth = geo.contact - dist
+            if depth > 0.0:
+                if dist > 1e-12:
+                    nx, ny = dx / dist, dy / dist
+                else:  # centers coincide (degenerate); push along the control
+                    un = vector_norm(u)
+                    nx, ny = (ux / un, uy / un) if un > 0 else (1.0, 0.0)
+                ox += depth * nx
+                oy += depth * ny
         return np.array((rx, ry, ox, oy, gx, gy))
     delta = stream.increment() if stream is not None else 0.0
-    return np.array([state[0] + u[0], state[1] + u[1] - delta])
+    x = state.tolist()
+    return np.array((x[0] + ux, x[1] + uy - delta))
 
 
 def random_state(spec, rng):

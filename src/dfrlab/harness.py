@@ -520,14 +520,19 @@ def _fit_cell(config, demos, timing):
 
 
 def _solver_block(supports):
-    """Solver step counts over every estimator the run fitted: deterministic,
-    so they sit in the aggregates, not under timing."""
-    its = [est.iterations for support in supports for est in support.estimators]
+    """Solver step counts and support-vector counts over every estimator the
+    run fitted (a slice's g costs in proportion to its support vectors):
+    deterministic, so they sit in the aggregates, not under timing."""
+    estimators = [est for support in supports for est in support.estimators]
+    its = [est.iterations for est in estimators]
+    svs = [len(est.alphas) for est in estimators]
     return {
         "slices": len(its),
         "total_iterations": sum(its),
         "median_iterations": float(np.median(its)),
         "max_iterations": max(its),
+        "total_support_vectors": sum(svs),
+        "max_support_vectors": max(svs),
     }
 
 

@@ -215,7 +215,9 @@ class _KernelRows:
         hit = self.cache.get(i)
         if hit is not None:
             return hit
-        d2 = self.sq + self.sq[i] - 2.0 * (self.X @ self.X[i])
+        # an elementwise product-sum, not a BLAS gemv: on the pooled
+        # line_track fit's (5,050, 1) array the gemv costs several times more
+        d2 = self.sq + self.sq[i] - 2.0 * (self.X * self.X[i]).sum(axis=1)
         np.maximum(d2, 0.0, out=d2)
         r = np.exp(-self.gamma * d2)
         if len(self.cache) >= _ROW_CACHE_SIZE:

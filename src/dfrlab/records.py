@@ -14,6 +14,7 @@ reader that walks many records holds one record's objects at a time.
 
 from dataclasses import dataclass, field
 import json
+import math
 
 import numpy as np
 
@@ -147,53 +148,93 @@ def record_activations(steps):
 
 
 def record_to_document(record):
-    return {
-        "format": RECORD_FORMAT,
-        "version": RECORD_VERSION,
-        "seed": record.seed,
-        "controller": record.controller,
-        "outcome": record.outcome,
-        "halt_reason": record.halt_reason,
-        "recovery_iterations": int(record.recovery_iterations),
-        "g_min": None if record.g_min is None else float(record.g_min),
-        "start_state": float_list(record.start_state),
-        "steps": [
-            {
-                "t": int(s.t),
-                "g": None if s.g is None else float(s.g),
-                "applied": [
-                    {
-                        "u": float_list(a.u),
-                        "tag": a.tag,
-                        "state": float_list(a.state),
-                    }
-                    for a in s.applied
-                ],
-                "recovery": [
-                    {
-                        "g_probe": float(e.g_probe),
-                        "g_after": float(e.g_after),
-                        "flipped": bool(e.flipped),
-                        "threshold": float(e.threshold),
-                    }
-                    for e in s.recovery
-                ],
-            }
-            for s in record.steps
-        ],
-    }
+    """The record as the JSON document its records.jsonl line holds: the
+    line decoded, so the format is written down once, in record_line."""
+    return json.loads(record_line(record))
 
 
 def record_line(record):
     """The record's records.jsonl line, without its newline: the one encoder.
-    A record rebuilt from the pool carries the line its worker encoded.
-    record_to_document builds a fresh tree, which cannot hold a cycle, so
-    the encoder's circular-reference check is skipped."""
+    A record rebuilt from the pool carries the line its worker encoded."""
     line = record.__dict__.get("_line")
     if line is None:
-        line = json.dumps(record_to_document(record), separators=(",", ":"),
-                          allow_nan=False, check_circular=False)
+        line = _encode(record)
     return line
+
+
+_dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False).encode
+_string = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+
+
+class _FloatTexts(dict):
+    """float -> its JSON text, float.__repr__ as json writes it, formatted at
+    the first lookup.  A zero is formatted at every lookup and never kept,
+    as 0.0 == -0.0 as a key; a non-finite float raises ValueError, as json
+    does with allow_nan=False."""
+
+    __slots__ = ()
+
+    def __missing__(self, v):
+        if not math.isfinite(v):
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        text = _float_repr(v)
+        if v:
+            self[v] = text
+        return text
+
+
+def _encode(record):
+    """The compact JSON of the document
+
+        {"format", "version", "seed", "controller", "outcome", "halt_reason",
+         "recovery_iterations", "g_min", "start_state",
+         "steps": [{"t", "g", "applied": [{"u", "tag", "state"}],
+                    "recovery": [{"g_probe", "g_after", "flipped", "threshold"}]}]}
+
+    as json.dumps(document, separators=(",", ":"), allow_nan=False) writes
+    it, byte for byte.  json formats a float by float.__repr__, about 1 us
+    for a 17-digit one, so the line formats each distinct non-zero float of
+    the record once, and each AppliedRecord and RecoveryStep object once:
+    the oracle's replayed cycles share theirs, and a point_push state
+    repeats the goal."""
+    text = _FloatTexts().__getitem__
+
+    def numbers(values):
+        return ",".join(map(text, float_list(values)))
+
+    def optional(v):
+        return "null" if v is None else text(float(v))
+
+    objects = {}  # id of an AppliedRecord or RecoveryStep -> its text
+    steps = []
+    for s in record.steps:
+        applied = []
+        for a in s.applied:
+            a_text = objects.get(id(a))
+            if a_text is None:
+                a_text = objects[id(a)] = '{"u":[%s],"tag":%s,"state":[%s]}' % (
+                    numbers(a.u), _string(a.tag), numbers(a.state))
+            applied.append(a_text)
+        recovery = []
+        for e in s.recovery:
+            e_text = objects.get(id(e))
+            if e_text is None:
+                e_text = objects[id(e)] = (
+                    '{"g_probe":%s,"g_after":%s,"flipped":%s,"threshold":%s}' % (
+                        text(float(e.g_probe)), text(float(e.g_after)),
+                        "true" if e.flipped else "false", text(float(e.threshold))))
+            recovery.append(e_text)
+        steps.append('{"t":%d,"g":%s,"applied":[%s],"recovery":[%s]}' % (
+            int(s.t), optional(s.g), ",".join(applied), ",".join(recovery)))
+    return (
+        '{"format":%s,"version":%d,"seed":%s,"controller":%s,"outcome":%s,"halt_reason":%s,'
+        '"recovery_iterations":%d,"g_min":%s,"start_state":[%s],"steps":[%s]}' % (
+            _string(RECORD_FORMAT), RECORD_VERSION, _dumps(record.seed),
+            _dumps(record.controller), _dumps(record.outcome), _dumps(record.halt_reason),
+            int(record.recovery_iterations), optional(record.g_min),
+            numbers(record.start_state), ",".join(steps))
+    )
 
 
 _RECORD_FACTS = ("seed", "controller", "outcome", "halt_reason", "recovery_iterations",

@@ -67,7 +67,7 @@ def _push_direction(spec, ox, oy, gx, gy):
     dist_goal = _norm(gx - ox, gy - oy)
     d0x, d0y = _over(gx - ox, gy - oy, dist_goal)
     dx, dy = d0x, d0y
-    for cx, cy, _, object_reach in spec.push.keep_out:
+    for cx, cy, _, object_reach, _, _ in spec.push.keep_out:
         cleared = object_reach + _PUSH_CLEARANCE
         along = _dot(cx - ox, cy - oy, d0x, d0y)
         if along <= 0.0 or along >= dist_goal + cleared:
@@ -129,7 +129,7 @@ def _point_push_action(spec, state):
             dist_w = spec.u_max  # keep moving at full step while circling
     # Repulsion from keep-out regions: stay 2 robot radii clear on approach.
     margin = _REGION_MARGIN_FACTOR * spec.robot_radius
-    for cx, cy, robot_reach, _ in spec.push.keep_out:
+    for cx, cy, robot_reach, _, _, _ in spec.push.keep_out:
         ax, ay = rx - cx, ry - cy
         if _dist(ax, ay) - robot_reach < margin:
             dist_c = _norm(ax, ay)
@@ -184,7 +184,7 @@ def generate_demos(spec, n, seed, jitter_sigma=0.0):
         for t in range(spec.horizon):
             u = supervisor_action(spec, state)
             if jitter_sigma > 0.0:
-                u = _clip_control(spec, u + jitter_rng.normal(0.0, jitter_sigma, size=2))
+                u = _clip_control(spec, u + jitter_rng.normal(0.0, jitter_sigma, size=2))[0]
             state = step(spec, state, u, stream=None)
             # looked up on envs, as in controllers._apply
             if not envs.check_constraint(spec, state):

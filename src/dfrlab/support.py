@@ -127,14 +127,19 @@ class TimeVaryingSupport:
         """Decision value of the slice-t estimator (last slice reused past the end).
 
         The projection was checked against every estimator at construction,
-        so only the state's shape is checked here."""
+        so only the state's shape is checked here.  The slice is indexed
+        inline, as estimator_index does it, to spare a call per state."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.shape[0] < self._min_state_dim:
             raise InvalidInputError(
                 f"projection indices {self.projection.tolist()} do not fit a "
                 f"state of shape {x.shape}"
             )
-        return _decision_sum(self.estimators[self.estimator_index(t)], x[self._take])
+        if t < 0:
+            raise InvalidInputError(f"time index must be >= 0, got {t}")
+        t = int(t)
+        last = len(self.estimators) - 1
+        return _decision_sum(self.estimators[t if t < last else last], x[self._take])
 
     def lipschitz_at(self, t):
         return self._lipschitz[self.estimator_index(t)]

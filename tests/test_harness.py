@@ -989,15 +989,17 @@ def test_summary_counts_the_solver_steps_of_every_fitted_slice(tmp_path):
     run_experiment("learning-curve", cfg, out_dir=tmp_path)
     solver = json.loads((tmp_path / "summary.json").read_text())["aggregates"]["solver"]
     spec = builtin_env_spec(cfg.env)
-    its = []
+    its, svs = [], []
     for n in cfg.demo_grid:
         demos = generate_demos(spec, n, cfg.demo_seeds[0])
         support = fit_support(demos, cfg.ocsvm_params(), cfg.projection, cfg.pooled)
         assert len(support.estimators) == demos.horizon
         its += [est.iterations for est in support.estimators]
-    assert min(its) > 0
+        svs += [est.support_vectors.shape[0] for est in support.estimators]
+    assert min(its) > 0 and min(svs) > 0
     assert solver == {"slices": len(its), "total_iterations": sum(its),
-                      "median_iterations": float(np.median(its)), "max_iterations": max(its)}
+                      "median_iterations": float(np.median(its)), "max_iterations": max(its),
+                      "total_support_vectors": sum(svs), "max_support_vectors": max(svs)}
 
 
 # ---------------------------------------------------------------------------

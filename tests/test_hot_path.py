@@ -1,14 +1,20 @@
 """The per-call rollout functions against numpy reference formulas, bit for bit.
 
 point_push step, check_constraint and reached_goal, TimeVaryingSupport.g_at
-and Policy.action compute with Python floats and cached constants.  The
-references below are the straightforward numpy forms of the same arithmetic;
-every stored value must come out with identical bits, so records hashes do
-not move.  Also covers the input checks these functions keep.
+and Policy.action compute with Python floats and cached constants, and
+records.record_line builds each line by hand.  The references below are the
+straightforward forms of the same arithmetic and the json.dumps of the
+record document; every stored value must come out with identical bits, and
+every line byte for byte, so records hashes do not move.  Step and
+check_constraint skip an exact norm only outside a relative margin of a
+threshold, so states within 1e-12 of the contact, keep-out and control
+limits are checked too.  Also covers the input checks these functions keep.
 """
 
 import copy
 import dataclasses
+import json
+import math
 import pickle
 
 import numpy as np
@@ -25,8 +31,12 @@ from dfrlab.envs import (
 )
 from dfrlab.errors import InvalidInputError
 from dfrlab.kernel_ocsvm import KernelParams, OcsvmParams, decision_value
-from dfrlab.records import AppliedRecord, StepRecord
+from dfrlab.records import (
+    RECORD_FORMAT, RECORD_VERSION, AppliedRecord, RecoveryStep, RolloutRecord, StepRecord,
+    record_line, record_to_document,
+)
 from dfrlab.support import TimeVaryingSupport, fit_time_varying
+from dfrlab.util import float_list
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +84,19 @@ def ref_check_constraint(spec, state):
         if np.linalg.norm(r - c) <= radius + spec.robot_radius:
             return False
         if np.linalg.norm(o - c) <= radius + spec.object_radius:
+            return False
+    return True
+
+
+def ref_check_constraint_exact(spec, state):
+    """check_constraint's exact test, with no margin: the square root of the
+    Python sum of squares per disc and region.  At a reach's last bits this
+    differs from the BLAS norm of ref_check_constraint."""
+    rx, ry, ox, oy = state[:4].tolist()
+    for (cx, cy), radius in spec.constraint_regions:
+        if math.sqrt((rx - cx) * (rx - cx) + (ry - cy) * (ry - cy)) <= radius + spec.robot_radius:
+            return False
+        if math.sqrt((ox - cx) * (ox - cx) + (oy - cy) * (oy - cy)) <= radius + spec.object_radius:
             return False
     return True
 
@@ -188,6 +211,76 @@ def test_spec_geometry_cache_is_not_part_of_the_spec(point_push_spec):
 
 
 # ---------------------------------------------------------------------------
+# states within 1e-12 of a threshold
+
+
+def _at_distance(center, radius, rng, i):
+    """A point whose distance from center lies within 1e-12 of radius,
+    relative: on every third call a few ulps from it, else a uniform offset."""
+    if i % 3 == 0:
+        d = radius + int(rng.integers(-4, 5)) * math.ulp(radius)
+    else:
+        d = radius * (1.0 + rng.uniform(-1e-12, 1e-12))
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    return (center[0] + d * math.cos(theta), center[1] + d * math.sin(theta))
+
+
+def test_step_near_the_contact_distance(point_push_spec):
+    # the object's centre sits within 1e-12 of the contact distance from
+    # where the robot lands, so the push-out runs on some states and not
+    # on others, decided by the last bits of the BLAS norm
+    spec = point_push_spec
+    contact = spec.robot_radius + spec.object_radius
+    rng = np.random.default_rng(3)
+    pushed = set()
+    for i in range(3000):
+        robot = rng.uniform(0.2, 0.8, 2)
+        u = rng.uniform(-0.03, 0.03, 2) if i % 2 else np.zeros(2)  # never clipped
+        obj = _at_distance(robot + u, contact, rng, i)
+        state = _pp(robot, obj)
+        nxt = step(spec, state, u)
+        assert _bits(nxt) == _bits(ref_push_vec(spec, state, u)), (state.tolist(), u.tolist())
+        pushed.add(not np.array_equal(nxt[2:4], obj))
+    assert pushed == {True, False}
+
+
+def test_check_constraint_near_the_keep_out_reaches(point_push_spec):
+    spec = point_push_spec
+    far = (0.1, 0.5)  # clear of both regions
+    rng = np.random.default_rng(4)
+    verdicts = set()
+    for i in range(4000):
+        (cx, cy), radius = spec.constraint_regions[i % 2]
+        if i % 4 < 2:
+            state = _pp(_at_distance((cx, cy), radius + spec.robot_radius, rng, i), far)
+        else:
+            state = _pp(far, _at_distance((cx, cy), radius + spec.object_radius, rng, i))
+        ok = check_constraint(spec, state)
+        assert ok == ref_check_constraint_exact(spec, state), state.tolist()
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def test_step_near_the_control_limit(point_push_spec, line_track_spec):
+    # a control within 1e-12 of u_max is scaled down or not by the last
+    # bits of its BLAS norm, in both environments
+    rng = np.random.default_rng(5)
+    for spec in (point_push_spec, line_track_spec):
+        clipped = set()
+        for i in range(3000):
+            u = np.array(_at_distance((0.0, 0.0), spec.u_max, rng, i))
+            if spec.kind == "point_push":
+                state = _pp(rng.uniform(0.2, 0.8, 2), (0.1, 0.1))
+                expected = ref_push_vec(spec, state, u)
+            else:
+                state = rng.uniform(-1.0, 1.0, 2)
+                expected = state + ref_clip_control(spec, u)
+            assert _bits(step(spec, state, u)) == _bits(expected), (spec.kind, u.tolist())
+            clipped.add(not np.array_equal(ref_clip_control(spec, u), u))
+        assert clipped == {True, False}
+
+
+# ---------------------------------------------------------------------------
 # g_at
 
 
@@ -283,3 +376,147 @@ def test_policy_action_matches_batch_path_when_clipped(pp_policy, x):
     u = clipped.action(x)
     assert _bits(u) == _bits(clipped.actions(x[None])[0])
     assert not np.array_equal(u, raw[0])
+
+
+def test_policy_action_reuses_its_row_but_not_its_results(pp_policy, rng):
+    x1, x2 = rng.uniform(0.0, 1.0, 6), rng.uniform(0.0, 1.0, 6)
+    u1 = pp_policy.action(x1)
+    before = _bits(u1)
+    pp_policy.action(x2)
+    assert _bits(u1) == before == _bits(pp_policy.action(x1))
+
+
+def test_policy_feature_row_is_not_pickled(pp_policy, rng):
+    assert set(pp_policy.__getstate__()) == {f.name for f in dataclasses.fields(pp_policy)}
+    back = pickle.loads(pickle.dumps(pp_policy))
+    assert back._row is not pp_policy._row
+    x = rng.uniform(0.0, 1.0, 6)
+    assert _bits(back.action(x)) == _bits(pp_policy.action(x))
+
+
+# ---------------------------------------------------------------------------
+# record_line
+
+
+def ref_record_to_document(record):
+    """The record document written out field by field, whose compact
+    json.dumps record_line must give byte for byte."""
+    return {
+        "format": RECORD_FORMAT,
+        "version": RECORD_VERSION,
+        "seed": record.seed,
+        "controller": record.controller,
+        "outcome": record.outcome,
+        "halt_reason": record.halt_reason,
+        "recovery_iterations": int(record.recovery_iterations),
+        "g_min": None if record.g_min is None else float(record.g_min),
+        "start_state": float_list(record.start_state),
+        "steps": [
+            {
+                "t": int(s.t),
+                "g": None if s.g is None else float(s.g),
+                "applied": [
+                    {"u": float_list(a.u), "tag": a.tag, "state": float_list(a.state)}
+                    for a in s.applied
+                ],
+                "recovery": [
+                    {
+                        "g_probe": float(e.g_probe),
+                        "g_after": float(e.g_after),
+                        "flipped": bool(e.flipped),
+                        "threshold": float(e.threshold),
+                    }
+                    for e in s.recovery
+                ],
+            }
+            for s in record.steps
+        ],
+    }
+
+
+def ref_record_line(record):
+    return json.dumps(ref_record_to_document(record), separators=(",", ":"), allow_nan=False)
+
+
+# finite floats, with both zeros, tiny and huge magnitudes and short and
+# 17-digit decimals drawn often
+finite = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, -0.5, 1.0, 1e-300, 5e-324, 1e300, 0.1 + 0.2]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1.0, 1.0),
+)
+text = st.one_of(st.sampled_from(["policy", "probe", "recovery", "zero"]), st.text(max_size=6))
+
+
+@st.composite
+def records(draw):
+    """A record whose steps pick their motions and iterations from small
+    pools, so objects repeat within a step and across steps as the
+    oracle's replayed cycles do."""
+    dim = draw(st.sampled_from([2, 6]))
+    vector = st.lists(finite, min_size=dim, max_size=dim).map(np.array)
+    motions = draw(st.lists(st.builds(AppliedRecord, u=st.lists(finite, min_size=2, max_size=2)
+                                      .map(np.array), tag=text, state=vector),
+                            min_size=1, max_size=4))
+    iterations = draw(st.lists(st.builds(RecoveryStep, g_probe=finite, g_after=finite,
+                                         flipped=st.booleans(), threshold=finite),
+                               min_size=1, max_size=4))
+    steps = [
+        StepRecord(
+            t=draw(st.integers(0, 100)),
+            g=draw(st.none() | finite),
+            applied=draw(st.lists(st.sampled_from(motions), max_size=5)),
+            recovery=draw(st.lists(st.sampled_from(iterations), max_size=5)),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return RolloutRecord(
+        seed=draw(st.integers(0, 2**63) | st.lists(st.integers(0, 2**40), max_size=4)),
+        controller=draw(text),
+        outcome=draw(text),
+        start_state=draw(vector),
+        steps=steps,
+        halt_reason=draw(st.none() | text),
+        recovery_iterations=draw(st.integers(0, 10**6)),
+        g_min=draw(st.none() | finite),
+    )
+
+
+def _signed_zeros_record():
+    shared = AppliedRecord(np.array([0.0, -0.0]), "zero", np.array([-0.0, 0.0, 0.8, 0.5, 0.8, 0.5]))
+    again = RecoveryStep(g_probe=-0.0, g_after=0.0, flipped=False, threshold=0.1)
+    steps = [StepRecord(0, -0.0, [shared, shared], [again, again]),
+             StepRecord(1, 0.0, [AppliedRecord(np.array([-0.0, -0.0]), "policy", shared.state)])]
+    return RolloutRecord(seed=[7, 0], controller="oracle", outcome="halted",
+                         start_state=np.array([0.0, -0.0, 0.8, 0.5, 0.8, 0.5]), steps=steps,
+                         halt_reason="recovery-cap", recovery_iterations=2, g_min=-0.0)
+
+
+@given(records())
+@example(_signed_zeros_record())
+def test_record_line_is_the_compact_json_of_the_document(record):
+    line = ref_record_line(record)
+    assert record_line(record) == line
+    assert record_to_document(record) == json.loads(line)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["u", "state", "start_state", "g", "g_min", "g_probe",
+                                   "g_after", "threshold"])
+def test_record_line_refuses_non_finite_floats(bad, where):
+    record = _signed_zeros_record()
+    step = record.steps[0]
+    if where in ("u", "state"):
+        getattr(step.applied[0], where)[1] = bad
+    elif where == "start_state":
+        record.start_state[0] = bad
+    elif where == "g":
+        step.g = bad
+    elif where == "g_min":
+        record.g_min = bad
+    else:
+        step.recovery[0] = dataclasses.replace(step.recovery[0], **{where: bad})
+    with pytest.raises(ValueError):
+        ref_record_line(record)
+    with pytest.raises(ValueError):
+        record_line(record)
