@@ -440,6 +440,7 @@ class Controller:
 
     uses_support = True
     uses_policy = True
+    draws_probes = False  # whether it gets the episode's probe rng, or None
 
     def __init__(self, cfg=None):
         self.cfg = cfg or SwitchConfig()
@@ -524,6 +525,7 @@ class DfrController(RecoveryController):
     """Derivative-free recovery: probe/flip ascent iterations."""
 
     kind = "dfr"
+    draws_probes = True
 
     def step(self, handle, support, policy, t, state, rng, g):
         return self.recover(dfr_recovery_iteration, handle, support, policy, t, state, rng, g)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 from concurrent.futures import ProcessPoolExecutor
 import contextlib
 import hashlib
+from functools import partial
 from itertools import chain, islice
 import json
 import math
@@ -56,7 +57,7 @@ from .errors import GateFailureError, InvalidInputError
 from .kernel_ocsvm import KernelParams, OcsvmParams
 from .records import (
     COLLIDED, COMPLETED, HALT_REASONS, HALTED, HAND_BACK, OUTCOMES, OUTSIDE_SUPPORT, STEP_HALTS,
-    RolloutRecord, record_line,
+    RolloutRecord, finish_record, record_line,
 )
 from .supervisor import demo_prefix, generate_demos
 from .support import TimeVaryingSupport, fit_pooled, fit_time_varying
@@ -131,7 +132,7 @@ def classify_outcome(record, spec):
 # the rollout loop
 
 
-def _seed_sequence(seed):
+def _seed_key(seed):
     if isinstance(seed, (int, np.integer)):
         key = int(seed)
     elif isinstance(seed, (list, tuple)) and seed and all(
@@ -142,7 +143,7 @@ def _seed_sequence(seed):
         raise InvalidInputError(f"rollout seed must be an int or a list of ints, got {seed!r}")
     if min(key if isinstance(key, list) else [key]) < 0:
         raise InvalidInputError(f"rollout seed entries must be non-negative, got {seed!r}")
-    return np.random.SeedSequence(key), key
+    return key
 
 
 def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None):
@@ -159,8 +160,7 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
     that reason.  Every step the controller returns is stored, a halting
     one with the motions it applied before the halt.
     """
-    ss, seed_key = _seed_sequence(seed)
-    reset_ss, probe_ss, stream_ss = ss.spawn(3)
+    seed_key = _seed_key(seed)
     ctrl = make_controller(controller, cfg)
     kind = ctrl.kind
     if ctrl.uses_support and support is None:
@@ -176,9 +176,12 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
     if disturbance is None:
         disturbance = spec.disturbance.enabled
     use_stream = disturbance and spec.disturbance.process != "none"
-    stream = DisturbanceStream(spec, seed=stream_ss) if use_stream else None
+    # child(spawn_key=(i,)) equals SeedSequence(seed_key).spawn(3)[i]; each is built where used
+    child = partial(np.random.SeedSequence, seed_key)
+    reset_ss = child(spawn_key=(0,))
+    stream = DisturbanceStream(spec, seed=child(spawn_key=(2,))) if use_stream else None
     handle = EnvHandle(spec, stream=stream)
-    rng = np.random.default_rng(probe_ss)
+    rng = np.random.default_rng(child(spawn_key=(1,))) if ctrl.draws_probes else None
 
     t_start = time.perf_counter()
     state = reset(spec, reset_ss)
@@ -538,8 +541,8 @@ def _solver_block(supports):
 
 def _rollout_task(args):
     spec, kind, support, policy, seeds, cfg, disturbance = args
-    return [rollout(spec, kind, support, policy, s, cfg=cfg, disturbance=disturbance)
-            for s in seeds]
+    return [finish_record(rollout(spec, kind, support, policy, s, cfg=cfg,
+                                  disturbance=disturbance)) for s in seeds]
 
 
 def _contiguous_chunks(items, n):
@@ -1052,13 +1055,13 @@ def _strip_nondeterministic(doc):
 def write_experiment_outputs(out_dir, config, result):
     """Write manifest.json, records.jsonl, metrics.csv (+ traces.csv), summary.json.
 
-    records.jsonl is written a line at a time, so only one record's line
-    exists in memory at once.
+    records.jsonl is written a line at a time; a runner's records are
+    finished, so their lines exist and are written as they are.
 
     Every file is byte-stable across re-runs except the manifest's "created"
     field and summary.json's two "timing" blocks: the stage wall times at
-    the top, with records_write_s, the time to encode and write
-    records.jsonl, and the per-controller episode times in "summary".
+    the top, with records_write_s, the time to write records.jsonl, and
+    the per-controller episode times in "summary".
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest = {

@@ -7,9 +7,9 @@ the recovery loop stopped) have no keys: only an episode's last step can
 have either, and then it is the outcome or the halt reason, from which the
 decoder rebuilds it.
 
-A record rebuilt from a pool worker holds its facts and its line.  Each
-read of its start_state or steps decodes the line and keeps nothing, so a
-reader that walks many records holds one record's objects at a time.
+A finished record (finish_record) holds its facts and its line.  Each read
+of its start_state or steps decodes the line and keeps nothing, so a reader
+that walks many records holds one record's objects at a time.
 """
 
 from dataclasses import dataclass, field
@@ -44,7 +44,7 @@ class RecoveryStep:
     threshold: float  # lambda * ||u_hat|| at the state the iteration started from
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class AppliedRecord:
     """One applied control and the state it produced."""
 
@@ -53,7 +53,7 @@ class AppliedRecord:
     state: np.ndarray
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class StepRecord:
     """One horizon step: its controls, decision value, and recovery iterations."""
 
@@ -65,13 +65,14 @@ class StepRecord:
     halt: str = None  # one of STEP_HALTS where the recovery loop stopped
 
 
-@dataclass
+@dataclass(eq=False)
 class RolloutRecord:
     """Full audit trail of one episode.
 
     The step types above have slots, as an episode can hold thousands of
-    them; a RolloutRecord keeps its __dict__, where a rebuilt copy stores
-    its line.
+    them; a RolloutRecord keeps its __dict__, where a finished record
+    stores its line.  All three hold arrays, so they compare by identity;
+    record_line gives a record's value.
 
     wall_clock_s is measured in-process and deliberately not serialized; re-
     runs must produce byte-identical record files, and timing never is.
@@ -79,12 +80,10 @@ class RolloutRecord:
     activations, the (ending, values) of each recovery activation (see
     record_activations), is computed from the steps at its first read.
 
-    A record pickles as its facts (every field but start_state and steps,
-    plus activations) and its records.jsonl line, so a pool worker encodes
-    the records of the episodes it ran and computes their activations.  The
-    copy rebuilt in the parent decodes start_state and steps from that line
-    at each read and keeps neither, and record_line returns the line as it
-    came.
+    finish_record keeps a record's facts (every field but start_state and
+    steps, plus activations) and its records.jsonl line.  The finished
+    record decodes start_state and steps from that line at each read and
+    keeps neither, record_line returns the line, and it pickles as is.
     """
 
     seed: object  # int or list of ints, as given
@@ -97,12 +96,9 @@ class RolloutRecord:
     g_min: float = None
     wall_clock_s: float = None
 
-    def __reduce__(self):
-        return _wire_record, (tuple(getattr(self, f) for f in _RECORD_FACTS), record_line(self))
-
     def __getattr__(self, name):
         # Called only for attributes the instance lacks: activations until
-        # their first read, and on a rebuilt record start_state and steps.
+        # their first read, and on a finished record start_state and steps.
         if name == "activations":
             self.activations = record_activations(self.steps)
             return self.activations
@@ -111,8 +107,7 @@ class RolloutRecord:
         return getattr(self._decoded(), name)
 
     def _decoded(self):
-        """The record with its start_state and steps in memory: itself, or
-        for a rebuilt record a fresh decode of its line, which is not kept."""
+        """The record with its steps in memory: itself, or a fresh decode of its line."""
         line = self.__dict__.get("_line")
         return self if line is None else record_from_document(json.loads(line))
 
@@ -154,8 +149,7 @@ def record_to_document(record):
 
 
 def record_line(record):
-    """The record's records.jsonl line, without its newline: the one encoder.
-    A record rebuilt from the pool carries the line its worker encoded."""
+    """The record's records.jsonl line, without its newline: the one encoder."""
     line = record.__dict__.get("_line")
     if line is None:
         line = _encode(record)
@@ -241,10 +235,11 @@ _RECORD_FACTS = ("seed", "controller", "outcome", "halt_reason", "recovery_itera
                  "g_min", "wall_clock_s", "activations")
 
 
-def _wire_record(facts, line):
-    record = RolloutRecord.__new__(RolloutRecord)
-    record.__dict__.update(zip(_RECORD_FACTS, facts), _line=line)
-    return record
+def finish_record(record):
+    """The record as the runners keep it: its facts and its line, no steps."""
+    done = RolloutRecord.__new__(RolloutRecord)
+    done.__dict__.update({f: getattr(record, f) for f in _RECORD_FACTS}, _line=record_line(record))
+    return done
 
 
 def record_from_document(doc):

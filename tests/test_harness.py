@@ -48,6 +48,7 @@ from dfrlab.records import (
     RolloutRecord,
     STEP_HALTS,
     StepRecord,
+    finish_record,
     record_from_document,
     record_line,
     record_to_document,
@@ -403,8 +404,9 @@ def test_records_pickle_exactly(point_push_spec, pp_support, pp_policy):
 
 
 def _wire_copy(rec):
-    """The record as the parent rebuilds it from a pool worker's result."""
-    back = pickle.loads(pickle.dumps(rec))
+    """The record finished, as a runner keeps it, and sent through pickle,
+    as it crosses the pool."""
+    back = pickle.loads(pickle.dumps(finish_record(rec)))
     assert "steps" not in vars(back) and "start_state" not in vars(back)
     return back
 
@@ -438,7 +440,7 @@ def test_wire_record_decodes_bit_identical_fields(point_push_spec, pp_support, p
         back = _wire_copy(rec)
         assert record_line(back) == record_line(rec)
         assert "steps" not in vars(back)  # the line is written as it came
-        again = _wire_copy(back)  # a rebuilt record pickles without decoding
+        again = _wire_copy(back)  # a finished record finishes and pickles as it is
         for copy in (back, again):
             _assert_same_fields(rec, copy)
 
@@ -630,6 +632,33 @@ def test_activations_agree_on_in_process_rebuilt_and_decoded_records(monkeypatch
             assert split == serial["aggregates"]["activation_split"][arm]
     for key in ("rows", "gates", "aggregates", "traces"):
         assert pooled[key] == serial[key], key
+
+
+def test_serial_runs_keep_finished_records_as_the_pool_does():
+    cfg = _shipped_config("exp_point_push_ascent.json", eval_samples=12, ascent_cells=((5, 30),))
+    serial, pooled = (run_experiment("ascent", cfg, jobs=jobs)["records"] for jobs in (1, 2))
+    facts = ("seed", "controller", "outcome", "halt_reason", "recovery_iterations", "g_min",
+             "activations", "_line")
+    for recs in (serial, pooled):
+        assert len(recs) == 24
+        for r in recs:
+            assert set(vars(r)) == {*facts, "wall_clock_s"}  # no steps, no start_state
+    assert sum(len(r.activations) for r in serial) > 0
+    # repr tells -0.0 apart
+    assert [repr([vars(r)[f] for f in facts]) for r in serial] == \
+        [repr([vars(r)[f] for f in facts]) for r in pooled]
+
+
+def test_records_compare_by_identity(point_push_spec, pp_support, pp_policy):
+    rec = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=17,
+                  cfg=SwitchConfig(lam=0.05))
+    step = next(s for s in rec.steps if s.recovery)
+    for obj in (rec, step, step.applied[0], finish_record(rec)):
+        assert obj == obj and not obj != obj
+        twin = pickle.loads(pickle.dumps(obj))
+        assert obj != twin and not obj == twin
+        assert len({obj, twin}) == 2
+    assert step.recovery[0] == pickle.loads(pickle.dumps(step.recovery[0]))  # plain floats
 
 
 def test_resample_trace_linear_interpolation():
