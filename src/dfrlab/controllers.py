@@ -54,7 +54,7 @@ from .records import (
     COLLIDED, COMPLETED, OUTSIDE_SUPPORT, RECOVERY_CAP, AppliedRecord, RecoveryStep, StepRecord,
 )
 from .supervisor import supervisor_action
-from .util import atomic_write_text, dump_json, float_list, load_json, malformed, vector_norm
+from .util import atomic_write_text, dump_json, float_list, load_json, malformed
 
 # Control offset of the oracle's central differences.
 FD_DELTA = 1e-4
@@ -316,7 +316,7 @@ def effective_lambda(cfg, support, t, spec):
 
 def switch_threshold(u_hat, lam):
     """lambda * ||u_hat||; the switching rule trips at g <= it, never at g > 0 and u_hat = 0."""
-    return lam * vector_norm(u_hat)
+    return lam * envs._dist(*u_hat.tolist())
 
 
 def _apply(out, spec, motion):
@@ -357,10 +357,10 @@ def dfr_recovery_iteration(handle, support, t, state, cfg, rng, lam, g_before, t
     iteration ends.
     """
     direction = rng.normal(size=2)
-    norm = vector_norm(direction)
+    norm = envs._dist(*direction.tolist())
     while norm < 1e-12:
         direction = rng.normal(size=2)
-        norm = vector_norm(direction)
+        norm = envs._dist(*direction.tolist())
     direction = direction / norm
     radius, eta_mag = _recovery_magnitudes(cfg, g_before, lam)
 
@@ -398,7 +398,7 @@ def finite_difference_oracle_step(handle, support, t, state, cfg, lam, g_before)
         g_plus = support.g_at(t, handle.micro_step(state, probe))
         g_minus = support.g_at(t, handle.micro_step(state, -probe))
         grad[axis] = (g_plus - g_minus) / (2.0 * FD_DELTA)
-    norm = vector_norm(grad)
+    norm = envs._dist(*grad.tolist())
     if norm < 1e-12:
         return np.zeros(2)
     _, eta_mag = _recovery_magnitudes(cfg, g_before, lam)

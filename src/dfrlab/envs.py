@@ -4,13 +4,20 @@ A state is a float vector (np.ndarray).  Both environments expose the same
 surface: reset, a pure step function (state vector in, next state vector
 out), a constraint predicate, and a dynamics constant K such that a single
 applied control u moves the state vector by at most K * ||u|| (plus the
-disturbance amplitude where a disturbance is enabled).
+disturbance amplitude where a disturbance is enabled).  A spec whose K is
+below its kind's proven bound (sqrt(2) for PointPush, 1 for LineTrack) is
+refused, since certified lambda = L_t * K relies on it.
+
+Every 2-vector norm is _dist(dx, dy) = sqrt(dx*dx + dy*dy) in Python floats:
+IEEE 754 rounds each operation once, so a norm, and every threshold test on
+it, has the same bits on every machine and BLAS kernel.
 
 PointPush: a robot disc pushes an object disc across a planar workspace to a
 goal disc, between two circular keep-out regions.  Contact is resolved
 quasi-statically in a single pass: after the robot moves, any overlap depth
-is projected out along the center-to-center normal, so the object never moves
-farther than the robot displacement (K = 2 covers the worst case sqrt(2)).
+is projected out along the center-to-center normal.  From a non-overlapping
+state the object then moves no farther than the robot, so a step moves the
+state by at most sqrt(2) * ||u||; the shipped K is 2.
 
 LineTrack: a tool tip advances along a straight line, in the line's frame.
 State is (arc-length progress, lateral deviation), in millimetres.  A
@@ -27,11 +34,14 @@ from importlib.resources import files as _resource_files
 import numpy as np
 
 from .errors import InvalidInputError
-from .util import load_json, malformed, refuse_unknown_keys, vector_norm
+from .util import load_json, malformed, refuse_unknown_keys
 
 POINT_PUSH = "point_push"
 LINE_TRACK = "line_track"
 BUILTIN_ENV_NAMES = (POINT_PUSH, LINE_TRACK)
+# The displacement bound each kind is proven to keep, disturbance off: the
+# least dyn_constant a spec may state.
+_PROVEN_K = {POINT_PUSH: math.sqrt(2.0), LINE_TRACK: 1.0}
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,12 @@ class EnvSpec:
             raise InvalidInputError(f"unknown environment kind {self.kind!r}")
         if not (self.u_max > 0.0 and self.dyn_constant > 0.0 and self.horizon >= 1):
             raise InvalidInputError("u_max, dyn_constant must be positive and horizon >= 1")
+        if self.dyn_constant < _PROVEN_K[self.kind]:
+            raise InvalidInputError(
+                f"{self.kind} dyn_constant {self.dyn_constant:g} is below the proven "
+                f"displacement bound {_PROVEN_K[self.kind]:.17g}, so certified lambda "
+                "= L_t * dyn_constant would not bound the decision drop of a step"
+            )
         if self.kind == POINT_PUSH:
             needed = (self.workspace, self.robot_radius, self.object_radius,
                       self.goal_center, self.goal_radius, self.constraint_regions,
@@ -87,18 +103,14 @@ class EnvSpec:
             if any(v is None for v in needed):
                 raise InvalidInputError("point_push spec is missing geometry fields")
             (lo_x, lo_y), (hi_x, hi_y) = self.workspace
-            contact = self.robot_radius + self.object_radius
-            keep_out = []
-            for (cx, cy), radius in self.constraint_regions:
-                robot_reach = radius + self.robot_radius
-                object_reach = radius + self.object_radius
-                keep_out.append((float(cx), float(cy), robot_reach, object_reach,
-                                 _clear_outside(robot_reach), _clear_outside(object_reach)))
+            keep_out = tuple(
+                (float(cx), float(cy), radius + self.robot_radius, radius + self.object_radius)
+                for (cx, cy), radius in self.constraint_regions
+            )
             object.__setattr__(self, "push", PushGeometry(
                 box=(float(lo_x), float(lo_y), float(hi_x), float(hi_y)),
-                contact=contact,
-                contact_clear=_clear_outside(contact),
-                keep_out=tuple(keep_out),
+                contact=self.robot_radius + self.object_radius,
+                keep_out=keep_out,
                 goal=(float(self.goal_center[0]), float(self.goal_center[1]), self.goal_radius),
             ))
         else:
@@ -121,24 +133,10 @@ class PushGeometry:
 
     box: tuple  # (lo_x, lo_y, hi_x, hi_y) of the workspace
     contact: float  # robot_radius + object_radius
-    contact_clear: float  # _clear_outside(contact)
-    # (cx, cy, robot_reach, object_reach, and the _clear_outside of each
-    # reach) per region; a reach is radius + robot_radius or + object_radius
+    # (cx, cy, robot_reach, object_reach) per region; a reach is radius +
+    # robot_radius or radius + object_radius
     keep_out: tuple
     goal: tuple  # (gx, gy, goal_radius)
-
-
-# A threshold test on a norm first compares the squared distance, summed in
-# Python floats, with the squared threshold widened by this relative margin.
-# A BLAS dot or a sqrt differs from that sum by a few ulps (about 1e-16
-# relative), so a distance that clears the margin is on the same side of the
-# threshold in the exact test, which runs only inside the margin.
-_MARGIN = 1e-9
-
-
-def _clear_outside(radius):
-    """The squared distance above which a norm surely exceeds radius."""
-    return radius * radius * (1.0 + _MARGIN)
 
 
 class DisturbanceStream:
@@ -173,29 +171,18 @@ def object_pos(state):
 
 
 def _dist(dx, dy):
-    # For threshold tests only: it may differ from vector_norm in the last
-    # bit, which changes a test's outcome only exactly at its threshold.
+    """The norm of the 2-vector (dx, dy): sqrt(dx*dx + dy*dy) in floats."""
     return math.sqrt(dx * dx + dy * dy)
 
 
 def check_constraint(spec, state):
-    """True iff the state violates no constraint (boundary counts as violating).
-
-    A disc meets a region when the sqrt of its squared distance to the
-    centre, summed as _dist sums it, is at most the region's reach; the sqrt
-    is taken only when the squared distance is not clear of the reach."""
+    """True iff the state violates no constraint (boundary counts as violating):
+    a disc meets a region when its distance to the centre is at most the
+    region's reach."""
     if spec.kind == POINT_PUSH:
         rx, ry, ox, oy = state.tolist()[:4]
-        for cx, cy, robot_reach, object_reach, robot_clear, object_clear in spec.push.keep_out:
-            dx = rx - cx
-            dy = ry - cy
-            sq = dx * dx + dy * dy
-            if sq <= robot_clear and math.sqrt(sq) <= robot_reach:
-                return False
-            dx = ox - cx
-            dy = oy - cy
-            sq = dx * dx + dy * dy
-            if sq <= object_clear and math.sqrt(sq) <= object_reach:
+        for cx, cy, robot_reach, object_reach in spec.push.keep_out:
+            if _dist(rx - cx, ry - cy) <= robot_reach or _dist(ox - cx, oy - cy) <= object_reach:
                 return False
         return True
     return abs(state[1]) < spec.deviation_limit
@@ -224,8 +211,7 @@ def reset(spec, seed):
                                 np.asarray(spec.goal_center, dtype=float)])
         if not check_constraint(spec, state):
             raise InvalidInputError("point_push start geometry violates a constraint region")
-        gap = np.linalg.norm(obj - robot_pos(state)) - (spec.robot_radius + spec.object_radius)
-        if gap <= 0.0:
+        if _dist(*(obj - robot_pos(state)).tolist()) <= spec.push.contact:
             raise InvalidInputError("point_push start has robot and object overlapping")
         return state
     return np.zeros(2)
@@ -233,20 +219,17 @@ def reset(spec, seed):
 
 def _clip_control(spec, u):
     """(u, ux, uy): the control as a float vector, scaled down to norm u_max
-    when longer, and its two entries as floats.  The norm runs only when the
-    squared length lies within _MARGIN of u_max squared or above it."""
+    when longer, and its two entries as floats."""
     u = np.asarray(u, dtype=float)
     if u.shape != (spec.control_dim,):
         raise InvalidInputError(f"control must be a finite vector of length {spec.control_dim}")
     ux, uy = u.tolist()
     if not (math.isfinite(ux) and math.isfinite(uy)):
         raise InvalidInputError(f"control must be a finite vector of length {spec.control_dim}")
-    u_max = spec.u_max
-    if ux * ux + uy * uy >= u_max * u_max * (1.0 - _MARGIN):
-        norm = vector_norm(u)
-        if norm > u_max:
-            u = u * (u_max / norm)
-            ux, uy = u.tolist()
+    norm = _dist(ux, uy)
+    if norm > spec.u_max:
+        u = u * (spec.u_max / norm)
+        ux, uy = u.tolist()
     return u, ux, uy
 
 
@@ -271,19 +254,16 @@ def step(spec, state, u, stream=None):
         ry = ry if ry < hi_y else hi_y
         dx = ox - rx
         dy = oy - ry
-        # contact needs the BLAS norm, whose bits set the push-out; a disc
-        # clear of the margin stays where it is
-        if dx * dx + dy * dy <= geo.contact_clear:
-            dist = vector_norm(np.array((dx, dy)))
-            depth = geo.contact - dist
-            if depth > 0.0:
-                if dist > 1e-12:
-                    nx, ny = dx / dist, dy / dist
-                else:  # centers coincide (degenerate); push along the control
-                    un = vector_norm(u)
-                    nx, ny = (ux / un, uy / un) if un > 0 else (1.0, 0.0)
-                ox += depth * nx
-                oy += depth * ny
+        dist = _dist(dx, dy)
+        depth = geo.contact - dist
+        if depth > 0.0:
+            if dist > 1e-12:
+                nx, ny = dx / dist, dy / dist
+            else:  # centers coincide (degenerate); push along the control
+                un = _dist(ux, uy)
+                nx, ny = (ux / un, uy / un) if un > 0 else (1.0, 0.0)
+            ox += depth * nx
+            oy += depth * ny
         return np.array((rx, ry, ox, oy, gx, gy))
     delta = stream.increment() if stream is not None else 0.0
     x = state.tolist()
@@ -300,7 +280,7 @@ def random_state(spec, rng):
             state = np.concatenate([r, o, np.asarray(spec.goal_center, dtype=float)])
             if not check_constraint(spec, state):
                 continue
-            if np.linalg.norm(o - r) <= spec.robot_radius + spec.object_radius:
+            if _dist(*(o - r).tolist()) <= spec.push.contact:
                 continue
             return state
         raise RuntimeError("rejection sampling failed to find a valid state")

@@ -8,6 +8,9 @@ on the clear side of that region instead, so demonstrations bend around
 obstacles with a comfortable margin.  The LineTrack supervisor is
 deliberately open loop: advance along the line at a fixed step with no
 lateral correction, so the demonstrations contain no feedback behavior.
+The PointPush supervisor computes in Python floats: its norms are
+envs._dist and its dot products ax*bx + ay*by, so a demo set depends on
+no BLAS kernel.
 
 Demo sets are stored as line-delimited JSON, one trajectory per line with
 fields in the order (seed, outcome, states, controls).  The format is
@@ -23,27 +26,15 @@ from . import envs
 from .envs import LINE_TRACK, POINT_PUSH, _clip_control, _dist, reset, step
 from .errors import InvalidInputError
 from .support import DemoSet, Trajectory
-from .util import atomic_write_text, float_list, malformed, vector_norm
+from .util import atomic_write_text, float_list, malformed
 
 # PointPush waypoint tuning
 _STANDOFF = 0.02          # extra gap between robot and object at the approach waypoint
 _CAPTURE_LATERAL = 0.04   # max lateral offset from the push axis to press rather than swing
 _CAPTURE_SLACK = 0.03     # how far beyond contact distance still counts as captured
-_REGION_MARGIN_FACTOR = 2.0  # approach keeps this many robot radii clear of regions
+_REGION_CLEARANCE_RADII = 2.0  # approach keeps this many robot radii clear of regions
 _PUSH_CLEARANCE = 0.055   # object-path margin beyond the collision distance
 _DEFLECT_GAIN = 2.5       # strength of the push deflection away from a blocking region
-
-
-def _norm(x, y):
-    """np.linalg.norm of the vector (x, y), bit for bit (see util.vector_norm).
-    Wherever a norm only meets a threshold, envs._dist stands in for it."""
-    return vector_norm(np.array((x, y)))
-
-
-def _dot(ax, ay, bx, by):
-    """float(np.array((ax, ay)) @ np.array((bx, by))), for a dot product whose
-    value feeds the control; a BLAS dot may fuse multiply and add."""
-    return float(np.array((ax, ay)) @ np.array((bx, by)))
 
 
 def _over(x, y, n):
@@ -52,7 +43,7 @@ def _over(x, y, n):
 
 
 def _unit(x, y):
-    return _over(x, y, _norm(x, y))
+    return _over(x, y, _dist(x, y))
 
 
 def _push_direction(spec, ox, oy, gx, gy):
@@ -64,16 +55,16 @@ def _push_direction(spec, ox, oy, gx, gy):
     deficit.  The deflection side is fixed per region rather than chosen by
     approach angle, so every demonstration rounds a given region on the same
     side; supports fitted to the demos then leave the region itself empty."""
-    dist_goal = _norm(gx - ox, gy - oy)
+    dist_goal = _dist(gx - ox, gy - oy)
     d0x, d0y = _over(gx - ox, gy - oy, dist_goal)
     dx, dy = d0x, d0y
-    for cx, cy, _, object_reach, _, _ in spec.push.keep_out:
+    for cx, cy, _, object_reach in spec.push.keep_out:
         cleared = object_reach + _PUSH_CLEARANCE
-        along = _dot(cx - ox, cy - oy, d0x, d0y)
+        along = (cx - ox) * d0x + (cy - oy) * d0y
         if along <= 0.0 or along >= dist_goal + cleared:
             continue
         s = min(along, dist_goal)
-        perp = _norm(ox + s * d0x - cx, oy + s * d0y - cy)
+        perp = _dist(ox + s * d0x - cx, oy + s * d0y - cy)
         if perp >= cleared:
             continue
         deficit = (cleared - perp) / cleared
@@ -90,7 +81,7 @@ def _point_push_action(spec, state):
     dx, dy = _push_direction(spec, ox, oy, gx, gy)
     contact = spec.push.contact
     relx, rely = rx - ox, ry - oy
-    behind_dist = _dot(relx, rely, -dx, -dy)
+    behind_dist = relx * -dx + rely * -dy
     # rel's component along the push axis, behind the object
     bx, by = behind_dist * -dx, behind_dist * -dy
     captured = (
@@ -103,7 +94,7 @@ def _point_push_action(spec, state):
         # error is cancelled exactly (no overshoot) and the rest of the
         # control budget presses into the object, which contact absorbs.
         lat_x, lat_y = bx - relx, by - rely
-        lat = _norm(lat_x, lat_y)
+        lat = _dist(lat_x, lat_y)
         if lat >= spec.u_max:
             ux, uy = _unit(lat_x, lat_y)
             return np.array((spec.u_max * ux, spec.u_max * uy))
@@ -112,7 +103,7 @@ def _point_push_action(spec, state):
 
     standoff = contact + _STANDOFF
     to_wx, to_wy = ox - dx * standoff - rx, oy - dy * standoff - ry
-    dist_w = _norm(to_wx, to_wy)
+    dist_w = _dist(to_wx, to_wy)
     dir_x, dir_y = _over(to_wx, to_wy, dist_w)
     # If the straight line to the waypoint cuts through the object, slide
     # around it tangentially instead of pushing it by accident.
@@ -121,18 +112,18 @@ def _point_push_action(spec, state):
     if near < standoff + 0.01 and behind_dist < contact - 1e-9:
         ux, uy = _over(to_ox, to_oy, near)
         if dir_x * ux + dir_y * uy > 0.3:  # heading into the object
-            m = max(_norm(to_ox, to_oy), 1e-12)
+            m = max(near, 1e-12)
             tx, ty = -to_oy / m, to_ox / m
             if tx * to_wx + ty * to_wy < 0:
                 tx, ty = -tx, -ty
             dir_x, dir_y = _unit(0.3 * dir_x + tx, 0.3 * dir_y + ty)
             dist_w = spec.u_max  # keep moving at full step while circling
     # Repulsion from keep-out regions: stay 2 robot radii clear on approach.
-    margin = _REGION_MARGIN_FACTOR * spec.robot_radius
-    for cx, cy, robot_reach, _, _, _ in spec.push.keep_out:
+    margin = _REGION_CLEARANCE_RADII * spec.robot_radius
+    for cx, cy, robot_reach, _ in spec.push.keep_out:
         ax, ay = rx - cx, ry - cy
-        if _dist(ax, ay) - robot_reach < margin:
-            dist_c = _norm(ax, ay)
+        dist_c = _dist(ax, ay)
+        if dist_c - robot_reach < margin:
             weight = (margin - (dist_c - robot_reach)) / margin
             ux, uy = _over(ax, ay, dist_c)
             k = 2.0 * weight

@@ -1,21 +1,13 @@
-"""Small shared helpers: vector norms, JSON documents, atomic file writes."""
+"""Small shared helpers: JSON documents, atomic file writes, float lists."""
 
 import contextlib
 import json
-import math
 import os
 import tempfile
 
 import numpy as np
 
 from .errors import InvalidInputError
-
-
-def vector_norm(v):
-    """np.linalg.norm(v) of a 1-D float array, bit for bit and without its
-    overhead: the square root of v.dot(v), a BLAS dot product that may fuse
-    multiply and add, so it can differ from sqrt(x*x + y*y) in the last bit."""
-    return math.sqrt(v.dot(v))
 
 
 def load_json(path, what):

@@ -151,6 +151,17 @@ def test_env_spec_with_an_unknown_key_exits_2_and_names_it(tmp_path):
     assert proc.stderr.startswith("error:") and "enable" in proc.stderr
 
 
+# Certified lambda is L_t * K, so a K below the proven bound voids the
+# no-exit guarantee.
+def test_env_spec_understating_k_exits_2_and_names_the_bound(tmp_path):
+    doc = json.loads((files("dfrlab") / "data" / "point_push.json").read_text())
+    doc["dyn_constant"] = 1.0
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    proc = run_cli("rollout", "--env", str(tmp_path / "spec.json"), "--controller", "supervisor")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "bound 1.4142135623730951" in proc.stderr
+
+
 def test_missing_input_exits_2(tmp_path):
     proc = run_cli("fit-policy", "--demos", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "p.json"))

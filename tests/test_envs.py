@@ -1,14 +1,18 @@
 """Environment unit tests: contact geometry closed forms, the displacement
-bound, disturbance stream laws, and spec serialization."""
+bounds, disturbance stream laws, and spec serialization."""
 
+import dataclasses
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dfrlab.envs import (
+    _dist,
     DisturbanceStream,
     EnvHandle,
     builtin_env_spec,
@@ -91,6 +95,38 @@ def test_displacement_bound_monte_carlo(point_push_spec, line_track_spec):
             u = raw / np.linalg.norm(raw) * rng.uniform(0.0, spec.u_max)
             moved = np.linalg.norm(step(spec, state, u) - state)
             assert moved <= K * np.linalg.norm(u) + 1e-12
+
+
+# The bounds each kind is proven to keep, which the spec's K may not undercut.
+# The robot moves at most ||u||; from a non-overlapping state the push-out
+# depth is at most the robot's motion, so ||dx||^2 <= 2 ||u||^2.
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 2.0 * math.pi),
+       st.floats(0.0, 0.1), st.floats(-0.06, 0.06), st.floats(-0.06, 0.06))
+def test_point_push_step_moves_at_most_sqrt2_u(point_push_spec, rx, ry, angle, gap, ux, uy):
+    spec = point_push_spec
+    reach = spec.robot_radius + spec.object_radius + gap
+    state = _pp_state((rx, ry), (rx + reach * math.cos(angle), ry + reach * math.sin(angle)))
+    assume(_dist(*(object_pos(state) - robot_pos(state)).tolist()) >= spec.push.contact)
+    moved = np.linalg.norm(step(spec, state, np.array([ux, uy])) - state)
+    assert moved <= math.sqrt(2.0) * min(_dist(ux, uy), spec.u_max) + 1e-12
+
+
+@given(st.floats(-50.0, 50.0), st.floats(-5.0, 5.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_line_track_step_moves_at_most_u(line_track_spec, x, y, ux, uy):
+    state = np.array([x, y])
+    moved = np.linalg.norm(step(line_track_spec, state, np.array([ux, uy])) - state)
+    assert moved <= min(_dist(ux, uy), line_track_spec.u_max) + 1e-12
+
+
+@pytest.mark.parametrize("kind, k, bound", [
+    ("point_push", 1.0, "1.4142135623730951"),
+    ("point_push", 1.414, "1.4142135623730951"),
+    ("line_track", 0.99, "1"),
+])
+def test_spec_refuses_k_below_the_proven_bound(kind, k, bound):
+    with pytest.raises(InvalidInputError, match=f"below the proven displacement bound {bound}"):
+        dataclasses.replace(builtin_env_spec(kind), dyn_constant=k)
+    dataclasses.replace(builtin_env_spec(kind), dyn_constant=float(bound))  # the bound itself loads
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ and Policy.action compute with Python floats and cached constants, and
 records.record_line builds each line by hand.  The references below are the
 straightforward forms of the same arithmetic and the json.dumps of the
 record document; every stored value must come out with identical bits, and
-every line byte for byte, so records hashes do not move.  Step and
-check_constraint skip an exact norm only outside a relative margin of a
-threshold, so states within 1e-12 of the contact, keep-out and control
+every line byte for byte, so records hashes do not move.  A 2-vector norm in
+the references is np.sqrt((v * v).sum()), numpy's own loops with no BLAS
+call, as envs._dist computes it in floats.  A norm's last bit decides a
+threshold test, so states within 1e-12 of the contact, keep-out and control
 limits are checked too.  Also covers the input checks these functions keep.
 """
 
@@ -15,15 +16,20 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dfrlab.controllers import _apply
+import dfrlab
+from dfrlab.controllers import _apply, switch_threshold
 from dfrlab.envs import (
+    _dist,
     check_constraint,
     env_spec_to_document,
     reached_goal,
@@ -43,9 +49,14 @@ from dfrlab.util import float_list
 # reference formulas
 
 
+def ref_norm(v):
+    """The norm of a 2-vector, with no BLAS call."""
+    return float(np.sqrt((v * v).sum()))
+
+
 def ref_clip_control(spec, u):
     u = np.asarray(u, dtype=float)
-    norm = float(np.linalg.norm(u))
+    norm = ref_norm(u)
     if norm > spec.u_max:
         u = u * (spec.u_max / norm)
     return u
@@ -59,13 +70,13 @@ def ref_push_vec(spec, state, u):
     o = state[2:4].copy()
     r_new = np.clip(r + u, lo, hi)
     d = o - r_new
-    dist = float(np.linalg.norm(d))
+    dist = ref_norm(d)
     depth = (spec.robot_radius + spec.object_radius) - dist
     if depth > 0.0:
         if dist > 1e-12:
             normal = d / dist
         else:
-            un = float(np.linalg.norm(u))
+            un = ref_norm(u)
             normal = u / un if un > 0 else np.array([1.0, 0.0])
         o = o + depth * normal
     return np.concatenate([r_new, o, state[4:6]])
@@ -81,28 +92,15 @@ def ref_check_constraint(spec, state):
     r, o = state[0:2], state[2:4]
     for (cx, cy), radius in spec.constraint_regions:
         c = np.array([cx, cy])
-        if np.linalg.norm(r - c) <= radius + spec.robot_radius:
+        if ref_norm(r - c) <= radius + spec.robot_radius:
             return False
-        if np.linalg.norm(o - c) <= radius + spec.object_radius:
-            return False
-    return True
-
-
-def ref_check_constraint_exact(spec, state):
-    """check_constraint's exact test, with no margin: the square root of the
-    Python sum of squares per disc and region.  At a reach's last bits this
-    differs from the BLAS norm of ref_check_constraint."""
-    rx, ry, ox, oy = state[:4].tolist()
-    for (cx, cy), radius in spec.constraint_regions:
-        if math.sqrt((rx - cx) * (rx - cx) + (ry - cy) * (ry - cy)) <= radius + spec.robot_radius:
-            return False
-        if math.sqrt((ox - cx) * (ox - cx) + (oy - cy) * (oy - cy)) <= radius + spec.object_radius:
+        if ref_norm(o - c) <= radius + spec.object_radius:
             return False
     return True
 
 
 def ref_reached_goal(spec, state):
-    return bool(np.linalg.norm(state[2:4] - np.asarray(spec.goal_center)) <= spec.goal_radius)
+    return ref_norm(state[2:4] - np.asarray(spec.goal_center)) <= spec.goal_radius
 
 
 def _bits(a):
@@ -228,7 +226,7 @@ def _at_distance(center, radius, rng, i):
 def test_step_near_the_contact_distance(point_push_spec):
     # the object's centre sits within 1e-12 of the contact distance from
     # where the robot lands, so the push-out runs on some states and not
-    # on others, decided by the last bits of the BLAS norm
+    # on others, decided by the last bits of the norm
     spec = point_push_spec
     contact = spec.robot_radius + spec.object_radius
     rng = np.random.default_rng(3)
@@ -256,14 +254,14 @@ def test_check_constraint_near_the_keep_out_reaches(point_push_spec):
         else:
             state = _pp(far, _at_distance((cx, cy), radius + spec.object_radius, rng, i))
         ok = check_constraint(spec, state)
-        assert ok == ref_check_constraint_exact(spec, state), state.tolist()
+        assert ok == ref_check_constraint(spec, state), state.tolist()
         verdicts.add(ok)
     assert verdicts == {True, False}
 
 
 def test_step_near_the_control_limit(point_push_spec, line_track_spec):
     # a control within 1e-12 of u_max is scaled down or not by the last
-    # bits of its BLAS norm, in both environments
+    # bits of its norm, in both environments
     rng = np.random.default_rng(5)
     for spec in (point_push_spec, line_track_spec):
         clipped = set()
@@ -278,6 +276,66 @@ def test_step_near_the_control_limit(point_push_spec, line_track_spec):
             assert _bits(step(spec, state, u)) == _bits(expected), (spec.kind, u.tolist())
             clipped.add(not np.array_equal(ref_clip_control(spec, u), u))
         assert clipped == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# 2-vector norms, and what does not depend on the BLAS kernel
+
+
+def test_norm_matches_the_array_form():
+    # the array form a batched step or switching test would take
+    rng = np.random.default_rng(6)
+    D = rng.normal(size=(10**5, 2)) * 10.0 ** rng.uniform(-8.0, 2.0, size=(10**5, 1))
+    expected = np.sqrt(D[:, 0] ** 2 + D[:, 1] ** 2)
+    assert _bits([_dist(dx, dy) for dx, dy in D.tolist()]) == _bits(expected)
+    for lam in (0.05, 6.644):
+        assert _bits([switch_threshold(row, lam) for row in D]) == _bits(lam * expected)
+
+
+_BLAS_SETTINGS = ({}, {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_NUM_THREADS": "1"})
+
+# Hashes the 120-demo point_push set of demo seed 5, as `dfrlab demos` writes
+# it, and a batch of point_push steps near contact and their thresholds.
+_PLATFORM_PROBE = """
+import hashlib, json, os, sys, tempfile
+import numpy as np
+from dfrlab.controllers import switch_threshold
+from dfrlab.envs import builtin_env_spec, step
+from dfrlab.supervisor import generate_demos, save_demos
+spec = builtin_env_spec("point_push")
+out = {}
+with tempfile.TemporaryDirectory() as d:
+    path = os.path.join(d, "demos.jsonl")
+    save_demos(generate_demos(spec, 120, seed=5), path)
+    with open(path, "rb") as fh:
+        out["demos"] = hashlib.sha256(fh.read()).hexdigest()
+rng = np.random.default_rng(7)
+steps, thresholds = hashlib.sha256(), hashlib.sha256()
+for _ in range(3000):
+    robot = rng.uniform(0.2, 0.8, 2)
+    u = rng.uniform(-0.04, 0.04, 2)
+    obj = robot + u + rng.uniform(-0.09, 0.09, 2)
+    steps.update(step(spec, np.concatenate([robot, obj, (0.8, 0.5)]), u).tobytes())
+    thresholds.update(np.float64(switch_threshold(u, 0.05)).tobytes())
+out["steps"], out["thresholds"] = steps.hexdigest(), thresholds.hexdigest()
+json.dump(out, sys.stdout)
+"""
+
+
+def test_demos_steps_and_thresholds_do_not_depend_on_blas():
+    # environment variables of the probe's own processes only
+    src = os.path.dirname(os.path.dirname(dfrlab.__file__))
+    results = []
+    for setting in _BLAS_SETTINGS:
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS")}
+        env.update(setting, PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _PLATFORM_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(proc.stdout))
+    for setting, result in zip(_BLAS_SETTINGS, results):
+        assert result == results[0], setting
 
 
 # ---------------------------------------------------------------------------

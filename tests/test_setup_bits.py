@@ -6,10 +6,12 @@ policy's farthest-point pass sums squared distances over a column-wise copy
 of the states, and the point_push supervisor computes with Python floats.
 The references below are the straightforward array forms of the same rules:
 full masks rebuilt with np.where every iteration and the second-order pair
-rule written out, np.linalg.norm over the state rows, and numpy 2-vectors
-with np.linalg.norm.  Every model, every centre set and every control must
-come out with identical bits, so fitted supports, policies and demo sets
-depend only on the rules, not on how the loops are written.
+rule written out, np.linalg.norm over the state rows, and numpy 2-vectors,
+whose norms and dot products are np.sqrt((v * v).sum()) and (a * b).sum():
+numpy's own loops, with no BLAS call that could fuse a multiply and an add.
+Every model, every centre set and every control must come out with
+identical bits, so fitted supports, policies and demo sets depend only on
+the rules, not on how the loops are written or on the BLAS kernel.
 """
 
 import dataclasses
@@ -41,7 +43,7 @@ from dfrlab.supervisor import (
     _CAPTURE_SLACK,
     _DEFLECT_GAIN,
     _PUSH_CLEARANCE,
-    _REGION_MARGIN_FACTOR,
+    _REGION_CLEARANCE_RADII,
     _STANDOFF,
     demo_prefix,
     generate_demos,
@@ -288,23 +290,31 @@ def test_farthest_points_match_reference_on_random_clouds(seed, n, dim, log_scal
 # reference point_push supervisor
 
 
+def _ref_norm(v):
+    return float(np.sqrt((v * v).sum()))
+
+
+def _ref_dot(a, b):
+    return float((a * b).sum())
+
+
 def _ref_unit(v):
-    n = float(np.linalg.norm(v))
+    n = _ref_norm(v)
     return v / n if n > 1e-12 else np.array([1.0, 0.0])
 
 
 def _ref_push_direction(spec, o, goal, hits):
     d0 = _ref_unit(goal - o)
-    dist_goal = float(np.linalg.norm(goal - o))
+    dist_goal = _ref_norm(goal - o)
     d = d0.copy()
     for (cx, cy), radius in spec.constraint_regions:
         c = np.array([cx, cy])
         cleared = radius + spec.object_radius + _PUSH_CLEARANCE
-        along = float((c - o) @ d0)
+        along = _ref_dot(c - o, d0)
         if along <= 0.0 or along >= dist_goal + cleared:
             continue
         closest = o + min(along, dist_goal) * d0
-        perp = float(np.linalg.norm(closest - c))
+        perp = _ref_norm(closest - c)
         if perp >= cleared:
             continue
         hits.add("deflection")
@@ -317,19 +327,19 @@ def _ref_push_direction(spec, o, goal, hits):
 def ref_point_push_action(spec, state, hits):
     """The numpy form of the point_push supervisor; hits names each branch taken."""
     r, o, goal = state[0:2], state[2:4], state[4:6]
-    if np.linalg.norm(o - goal) <= spec.goal_radius:
+    if _ref_norm(o - goal) <= spec.goal_radius:
         hits.add("goal")
         return np.zeros(2)
     d = _ref_push_direction(spec, o, goal, hits)
     contact = spec.robot_radius + spec.object_radius
     rel = r - o
-    dist = float(np.linalg.norm(rel))
-    behind_dist = float(rel @ (-d))
-    lateral = float(np.linalg.norm(rel - behind_dist * (-d)))
+    dist = _ref_norm(rel)
+    behind_dist = _ref_dot(rel, -d)
+    lateral = _ref_norm(rel - behind_dist * (-d))
     if (behind_dist > 0.0 and lateral <= _CAPTURE_LATERAL
             and dist <= contact + _STANDOFF + _CAPTURE_SLACK):
         lat_vec = behind_dist * (-d) - rel
-        lat = float(np.linalg.norm(lat_vec))
+        lat = _ref_norm(lat_vec)
         if lat >= spec.u_max:
             hits.add("capture-lateral")
             return spec.u_max * _ref_unit(lat_vec)
@@ -338,23 +348,23 @@ def ref_point_push_action(spec, state, hits):
         return lat_vec + forward * d
     waypoint = o - d * (contact + _STANDOFF)
     to_w = waypoint - r
-    dist_w = float(np.linalg.norm(to_w))
+    dist_w = _ref_norm(to_w)
     direction = _ref_unit(to_w)
     to_o = o - r
-    dist_o = float(np.linalg.norm(to_o))
-    head_on = float(direction @ _ref_unit(to_o))
+    dist_o = _ref_norm(to_o)
+    head_on = _ref_dot(direction, _ref_unit(to_o))
     if dist_o < contact + _STANDOFF + 0.01 and head_on > 0.3 and behind_dist < contact - 1e-9:
         hits.add("circling")
         tangent = np.array([-to_o[1], to_o[0]]) / max(dist_o, 1e-12)
-        if float(tangent @ to_w) < 0:
+        if _ref_dot(tangent, to_w) < 0:
             tangent = -tangent
         direction = _ref_unit(0.3 * direction + tangent)
         dist_w = spec.u_max
     for (cx, cy), radius in spec.constraint_regions:
         c = np.array([cx, cy])
         away = r - c
-        gap = float(np.linalg.norm(away)) - (radius + spec.robot_radius)
-        margin = _REGION_MARGIN_FACTOR * spec.robot_radius
+        gap = _ref_norm(away) - (radius + spec.robot_radius)
+        margin = _REGION_CLEARANCE_RADII * spec.robot_radius
         if gap < margin:
             hits.add("repulsion")
             weight = (margin - gap) / margin
