@@ -1052,13 +1052,32 @@ def _strip_nondeterministic(doc):
     return doc
 
 
+def platform_fingerprint():
+    """What a run's bits depend on besides its config and the manifest's
+    numpy_version, with no clock in it: the BLAS numpy was built with, the
+    SIMD extensions it found on this CPU, the C library (whose libm pow the
+    supervisor calls), and the OpenBLAS variables as set (None when unset)."""
+    try:
+        numpy_config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.25 has no mode argument
+        numpy_config = {}
+    return {
+        "blas": numpy_config.get("Build Dependencies", {}).get("blas"),
+        "simd": numpy_config.get("SIMD Extensions"),
+        "libc": list(platform.libc_ver()),
+        "environment": {name: os.environ.get(name)
+                        for name in ("OPENBLAS_NUM_THREADS", "OPENBLAS_CORETYPE")},
+    }
+
+
 def write_experiment_outputs(out_dir, config, result):
     """Write manifest.json, records.jsonl, metrics.csv (+ traces.csv), summary.json.
 
     records.jsonl is written a line at a time; a runner's records are
     finished, so their lines exist and are written as they are.
 
-    Every file is byte-stable across re-runs except the manifest's "created"
+    Every file is byte-stable across re-runs on one platform (the
+    manifest's "platform" block names it) except the manifest's "created"
     field and summary.json's two "timing" blocks: the stage wall times at
     the top, with records_write_s, the time to write records.jsonl, and
     the per-controller episode times in "summary".
@@ -1074,6 +1093,7 @@ def write_experiment_outputs(out_dir, config, result):
         "numpy_version": np.__version__,
         "python_version": platform.python_version(),
         "master_seed": config.seed,
+        "platform": platform_fingerprint(),
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     atomic_write_text(os.path.join(out_dir, "manifest.json"), dump_json(manifest))

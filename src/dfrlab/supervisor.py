@@ -12,6 +12,11 @@ The PointPush supervisor computes in Python floats: its norms are
 envs._dist and its dot products ax*bx + ay*by, so a demo set depends on
 no BLAS kernel.
 
+supervisor_action serves one state (rollouts and the supervisor arm);
+supervisor_actions is the same rule over the rows of an (n, d) state
+array, bit for bit, and generate_demos advances all n demonstrations of a
+set together through it and the env's batch kernels.
+
 Demo sets are stored as line-delimited JSON, one trajectory per line with
 fields in the order (seed, outcome, states, controls).  The format is
 append-only: extending a file with more lines yields a valid larger set.
@@ -23,7 +28,14 @@ import math
 import numpy as np
 
 from . import envs
-from .envs import LINE_TRACK, POINT_PUSH, _clip_control, _dist, reset, step
+from .envs import (
+    LINE_TRACK,
+    POINT_PUSH,
+    _dist,
+    _dists,
+    reset,
+    step,  # not called here; perfbench/tracer.py wraps supervisor.step
+)
 from .errors import InvalidInputError
 from .support import DemoSet, Trajectory
 from .util import atomic_write_text, float_list, malformed
@@ -147,12 +159,133 @@ def supervisor_action(spec, state):
     raise InvalidInputError(f"no supervisor for environment kind {spec.kind!r}")
 
 
+# Batch forms of the supervisors, over the rows of an (n, d) state array.
+# As with the env's batch kernels, each equals the scalar supervisor row for
+# row, bit for bit: a branch that some row takes is computed for every row,
+# np.where keeps its value where the scalar code would take it, and every
+# division is guarded so that a row the branch does not select cannot warn.
+
+
+def _over_rows(x, y, n):
+    """_over for each row."""
+    big = n > 1e-12
+    n = np.where(big, n, 1.0)
+    return np.where(big, x / n, 1.0), np.where(big, y / n, 0.0)
+
+
+def _unit_rows(x, y):
+    return _over_rows(x, y, _dists(x, y))
+
+
+def _push_direction_rows(spec, ox, oy, gx, gy):
+    """_push_direction for each row."""
+    dist_goal = _dists(gx - ox, gy - oy)
+    d0x, d0y = _over_rows(gx - ox, gy - oy, dist_goal)
+    dx, dy = d0x, d0y
+    for cx, cy, _, object_reach in spec.push.keep_out:
+        cleared = object_reach + _PUSH_CLEARANCE
+        along = (cx - ox) * d0x + (cy - oy) * d0y
+        s = np.where(dist_goal < along, dist_goal, along)  # min(along, dist_goal)
+        perp = _dists(ox + s * d0x - cx, oy + s * d0y - cy)
+        bent = ~((along <= 0.0) | (along >= dist_goal + cleared) | (perp >= cleared))
+        if not bent.any():
+            continue
+        deficit = (cleared - perp) / cleared
+        sx, sy = _unit(0.5 - cx, 0.5 - cy)
+        k = _DEFLECT_GAIN * deficit
+        dx, dy = np.where(bent, dx + k * sx, dx), np.where(bent, dy + k * sy, dy)
+    return _unit_rows(dx, dy)
+
+
+def _point_push_actions(spec, X):
+    """_point_push_action for each row of X."""
+    rx, ry, ox, oy, gx, gy = X.T
+    at_goal = _dists(ox - gx, oy - gy) <= spec.goal_radius
+    dx, dy = _push_direction_rows(spec, ox, oy, gx, gy)
+    contact = spec.push.contact
+    relx, rely = rx - ox, ry - oy
+    behind_dist = relx * -dx + rely * -dy
+    bx, by = behind_dist * -dx, behind_dist * -dy
+    captured = (
+        (behind_dist > 0.0)
+        & (_dists(relx - bx, rely - by) <= _CAPTURE_LATERAL)
+        & (_dists(relx, rely) <= contact + _STANDOFF + _CAPTURE_SLACK)
+    )
+    standoff = contact + _STANDOFF
+    to_wx, to_wy = ox - dx * standoff - rx, oy - dy * standoff - ry
+    dist_w = _dists(to_wx, to_wy)
+    dir_x, dir_y = _over_rows(to_wx, to_wy, dist_w)
+    to_ox, to_oy = ox - rx, oy - ry
+    near = _dists(to_ox, to_oy)
+    ux, uy = _over_rows(to_ox, to_oy, near)
+    circling = ((near < standoff + 0.01) & (behind_dist < contact - 1e-9)
+                & (dir_x * ux + dir_y * uy > 0.3))
+    if circling.any():
+        m = np.where(1e-12 > near, 1e-12, near)  # max(near, 1e-12)
+        tx, ty = -to_oy / m, to_ox / m
+        flip = tx * to_wx + ty * to_wy < 0
+        tx, ty = np.where(flip, -tx, tx), np.where(flip, -ty, ty)
+        circle_x, circle_y = _unit_rows(0.3 * dir_x + tx, 0.3 * dir_y + ty)
+        dir_x, dir_y = np.where(circling, circle_x, dir_x), np.where(circling, circle_y, dir_y)
+        dist_w = np.where(circling, spec.u_max, dist_w)
+    margin = _REGION_CLEARANCE_RADII * spec.robot_radius
+    for cx, cy, robot_reach, _ in spec.push.keep_out:
+        ax, ay = rx - cx, ry - cy
+        dist_c = _dists(ax, ay)
+        repelled = dist_c - robot_reach < margin
+        if not repelled.any():
+            continue
+        weight = (margin - (dist_c - robot_reach)) / margin
+        ux, uy = _over_rows(ax, ay, dist_c)
+        k = 2.0 * weight
+        away_x, away_y = _unit_rows(dir_x + k * ux, dir_y + k * uy)
+        dir_x, dir_y = np.where(repelled, away_x, dir_x), np.where(repelled, away_y, dir_y)
+    s = np.where(dist_w < spec.u_max, dist_w, spec.u_max)  # min(spec.u_max, dist_w)
+
+    act_x, act_y = s * dir_x, s * dir_y
+    if captured.any():
+        lat_x, lat_y = bx - relx, by - rely
+        lat = _dists(lat_x, lat_y)
+        capped = lat >= spec.u_max
+        cap_x, cap_y = _unit_rows(lat_x, lat_y)
+        # The scalar squares lat with Python's float **, which is libm's pow:
+        # it rounds differently from lat * lat (and from np.power(lat, 2),
+        # which squares) in about one case in 1,200; np.float_power calls pow.
+        forward = np.sqrt(np.where(capped, 0.0, spec.u_max**2 - np.float_power(lat, 2.0)))
+        press_x = np.where(capped, spec.u_max * cap_x, lat_x + forward * dx)
+        press_y = np.where(capped, spec.u_max * cap_y, lat_y + forward * dy)
+        act_x, act_y = np.where(captured, press_x, act_x), np.where(captured, press_y, act_y)
+    return np.column_stack((np.where(at_goal, 0.0, act_x), np.where(at_goal, 0.0, act_y)))
+
+
+def _line_track_actions(spec, X):
+    done = X[:, 0] >= spec.goal_progress
+    return np.column_stack((np.where(done, 0.0, spec.nominal_step), np.zeros(len(X))))
+
+
+def supervisor_actions(spec, X):
+    """supervisor_action(spec, x) for each row x of X, as an (n, 2) array."""
+    if spec.kind == POINT_PUSH:
+        return _point_push_actions(spec, X)
+    if spec.kind == LINE_TRACK:
+        return _line_track_actions(spec, X)
+    raise InvalidInputError(f"no supervisor for environment kind {spec.kind!r}")
+
+
 def generate_demos(spec, n, seed, jitter_sigma=0.0):
     """Roll out the supervisor n times (disturbance off) and collect demos.
 
+    The n rollouts advance in lockstep, as the rows of one (n, d) state
+    array, one call per horizon step to each batch kernel; each kernel
+    equals its scalar function row for row, so the set is the one that n
+    scalar rollouts in demo order give.  Each demo draws its start, and
+    its jitter in step order, from its own generators.
+
     Every rollout must reach the goal within the horizon without touching a
     constraint region; anything else is an input error (of the jitter or the
-    environment spec) rather than a silently dropped trajectory.
+    environment spec) rather than a silently dropped trajectory, and names
+    the first failing demo, its seed and step, as one rollout at a time
+    would.  A start that reset refuses fails the set before any rollout.
     jitter_sigma > 0 adds Gaussian control noise, widening the demonstrated
     support.
     """
@@ -164,43 +297,47 @@ def generate_demos(spec, n, seed, jitter_sigma=0.0):
         raise InvalidInputError(f"jitter sigma must be finite and >= 0, got {jitter_sigma}")
     root = np.random.default_rng(seed)
     traj_seeds = [int(s) for s in root.integers(0, 2**62, size=n)]
-    trajectories = []
-    for k, tseed in enumerate(traj_seeds):
-        reset_seq, jitter_seq = np.random.SeedSequence(tseed).spawn(2)
-        state = reset(spec, reset_seq)
-        jitter_rng = np.random.default_rng(jitter_seq)
-        states = [state]
-        controls = []
-        reached = False
-        for t in range(spec.horizon):
-            u = supervisor_action(spec, state)
-            if jitter_sigma > 0.0:
-                u = _clip_control(spec, u + jitter_rng.normal(0.0, jitter_sigma, size=2))[0]
-            state = step(spec, state, u, stream=None)
-            # looked up on envs, as in controllers._apply
-            if not envs.check_constraint(spec, state):
-                raise InvalidInputError(
-                    f"supervisor rollout {k} (seed {tseed}) touched a constraint "
-                    f"region at step {t} with jitter sigma={jitter_sigma:g}; lower "
-                    "the jitter or fix the environment spec"
-                )
-            if envs.reached_goal(spec, state):
-                reached = True
-            states.append(state)
-            controls.append(np.asarray(u, dtype=float))
-        if not reached:
+    streams = [np.random.SeedSequence(tseed).spawn(2) for tseed in traj_seeds]
+    horizon = spec.horizon
+    x = np.stack([reset(spec, reset_seq) for reset_seq, _ in streams])
+    if jitter_sigma > 0.0:
+        # each demo's draws, in step order, from its own generator
+        noise = np.stack([np.random.default_rng(jitter_seq).normal(0.0, jitter_sigma,
+                                                                    size=(horizon, 2))
+                          for _, jitter_seq in streams], axis=1)
+    states = np.empty((n, horizon + 1, spec.state_dim))
+    controls = np.empty((n, horizon, spec.control_dim))
+    states[:, 0] = x
+    touched = np.full(n, horizon)  # each demo's first step in a region; horizon if none
+    reached = np.zeros(n, dtype=bool)
+    for t in range(horizon):
+        u = supervisor_actions(spec, x)
+        if jitter_sigma > 0.0:
+            u = envs.clip_control_batch(spec, u + noise[t])
+        x = envs.step_batch(spec, x, u)
+        touched = np.where(envs.check_constraint_batch(spec, x), touched,
+                           np.minimum(touched, t))
+        reached |= envs.reached_goal_batch(spec, x)
+        states[:, t + 1] = x
+        controls[:, t] = u
+    # The first failing demo fails the set, as it would one demo at a time.
+    failed = (touched < horizon) | ~reached
+    if failed.any():
+        k = int(np.argmax(failed))
+        if touched[k] < horizon:
             raise InvalidInputError(
-                f"supervisor rollout {k} (seed {tseed}) did not reach the goal "
-                f"within horizon {spec.horizon} with jitter sigma={jitter_sigma:g}"
+                f"supervisor rollout {k} (seed {traj_seeds[k]}) touched a constraint "
+                f"region at step {touched[k]} with jitter sigma={jitter_sigma:g}; lower "
+                "the jitter or fix the environment spec"
             )
-        trajectories.append(
-            Trajectory(
-                states=np.stack(states),
-                controls=np.stack(controls),
-                seed=tseed,
-                outcome="completed",
-            )
+        raise InvalidInputError(
+            f"supervisor rollout {k} (seed {traj_seeds[k]}) did not reach the goal "
+            f"within horizon {horizon} with jitter sigma={jitter_sigma:g}"
         )
+    trajectories = [
+        Trajectory(states=states[k], controls=controls[k], seed=tseed, outcome="completed")
+        for k, tseed in enumerate(traj_seeds)
+    ]
     demos = DemoSet(trajectories=trajectories)
     _check_slice_variance(spec, demos, jitter_sigma)
     return demos

@@ -3,11 +3,14 @@ artifacts, exit codes, and config/flag precedence."""
 
 import csv
 import json
+import os
+import platform
 import shutil
 import subprocess
 import sys
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
 from dfrlab.cli import build_parser
@@ -340,6 +343,32 @@ def test_gate_failure_exits_4_but_writes_outputs(tmp_path):
     assert len(rows) == 2
     assert all(row["completed"] == "8" for row in rows)
     assert len((out / "records.jsonl").read_text().splitlines()) == 16
+
+
+def test_manifest_names_the_platform(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    _null_disturbance_config(cfg_path)
+    # environment variables of these runs' own processes only
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    blocks = []
+    for name, extra in (("a", {}), ("b", {}), ("haswell", {"OPENBLAS_CORETYPE": "Haswell"})):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "dfrlab.cli", "exp-disturbance", "--config", str(cfg_path),
+             "--out", str(out), "--jobs", "1"],
+            env={**env, **extra}, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 4, proc.stderr  # the null run fails its gates
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["numpy_version"] == np.__version__
+        blocks.append(manifest["platform"])
+    a, b, haswell = blocks
+    assert a == b
+    assert a["blas"]["name"] and a["simd"]["found"] is not None
+    assert a["libc"] == list(platform.libc_ver())
+    assert a["environment"]["OPENBLAS_CORETYPE"] is None
+    assert haswell["environment"]["OPENBLAS_CORETYPE"] == "Haswell"
+    assert {**haswell, "environment": a["environment"]} == a
 
 
 def test_config_file_beats_flags(tmp_path):

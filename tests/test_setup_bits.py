@@ -12,6 +12,11 @@ numpy's own loops, with no BLAS call that could fuse a multiply and an add.
 Every model, every centre set and every control must come out with
 identical bits, so fitted supports, policies and demo sets depend only on
 the rules, not on how the loops are written or on the BLAS kernel.
+
+The batch supervisor and env kernels that generate_demos advances a demo
+set through are checked against the scalar functions row for row, and the
+lockstep generator against one scalar rollout per demo, written out below
+as the reference: same sets, same errors.
 """
 
 import dataclasses
@@ -24,9 +29,20 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from dfrlab import kernel_ocsvm
-from dfrlab.controllers import _farthest_point_indices
-from dfrlab.envs import builtin_env_spec
-from dfrlab.errors import SolverNonConvergenceError
+from dfrlab.controllers import _farthest_point_indices, empirical_loss, fit_policy
+from dfrlab.envs import (
+    _clip_control,
+    builtin_env_spec,
+    check_constraint,
+    check_constraint_batch,
+    clip_control_batch,
+    reached_goal,
+    reached_goal_batch,
+    reset,
+    step,
+    step_batch,
+)
+from dfrlab.errors import InvalidInputError, SolverNonConvergenceError
 from dfrlab.harness import load_experiment_config
 from dfrlab.kernel_ocsvm import (
     KernelParams,
@@ -48,7 +64,9 @@ from dfrlab.supervisor import (
     demo_prefix,
     generate_demos,
     supervisor_action,
+    supervisor_actions,
 )
+from dfrlab.support import Trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +257,9 @@ def assert_same_indices(X, k):
     assert new.dtype == ref.dtype and new.tolist() == ref.tolist(), (X.shape, k)
 
 
-def test_farthest_points_match_reference_on_every_learning_curve_cell():
+@pytest.fixture(scope="module")
+def learning_curve_cells():
+    """The shipped learning curve's config and its 12 cells' demo sets."""
     cfg = load_experiment_config(
         str(files("dfrlab").joinpath("data", "exp_point_push_learning_curve.json")))
     spec = builtin_env_spec(cfg.env)
@@ -249,12 +269,25 @@ def test_farthest_points_match_reference_on_every_learning_curve_cell():
         largest[seed] = max(n, largest.get(seed, 0))
     sets = {seed: generate_demos(spec, n, seed, jitter_sigma=cfg.demo_jitter)
             for seed, n in largest.items()}
+    return cfg, [demo_prefix(spec, sets[seed], n, cfg.demo_jitter) for seed, n in cells]
+
+
+def test_farthest_points_match_reference_on_every_learning_curve_cell(learning_curve_cells):
+    cfg, cells = learning_curve_cells
     assert len(cells) == 12
-    for seed, n in cells:
-        demos = demo_prefix(spec, sets[seed], n, cfg.demo_jitter)
+    for demos in cells:
         X = np.concatenate([t.states[:-1] for t in demos.trajectories])
         assert len(X) > cfg.policy_centers
         assert_same_indices(X, cfg.policy_centers)
+
+
+def test_fit_train_loss_is_the_empirical_loss_on_every_learning_curve_cell(
+        learning_curve_cells):
+    cfg, cells = learning_curve_cells
+    for demos in cells:
+        policy = fit_policy(demos, cfg.policy_config())
+        assert policy.train_loss == pytest.approx(empirical_loss(policy, demos),
+                                                  rel=1e-12, abs=0.0)
 
 
 # Every ordering of one coordinate vector: the distances from the origin row
@@ -401,3 +434,250 @@ def test_supervisor_matches_the_numpy_form():
         assert u.dtype == ref.dtype and u.shape == ref.shape
         assert u.tobytes() == ref.tobytes(), state
     assert hits == {"goal", "deflection", "capture", "capture-lateral", "circling", "repulsion"}
+
+
+# ---------------------------------------------------------------------------
+# batch kernels against the scalar ones, row for row
+
+
+def _rows_bits(batch, scalar_rows):
+    """batch's bytes, and the bytes of the scalar results stacked as rows."""
+    expected = np.array(scalar_rows)
+    assert batch.dtype == expected.dtype and batch.shape == expected.shape
+    return batch.tobytes(), expected.tobytes()
+
+
+def assert_kernels_match(spec, X, U):
+    """Every batch kernel on the rows of X (and U) equals the scalar one, and
+    none of them warns: a branch's division must be guarded on the rows the
+    branch does not select."""
+    X = np.asarray(X, dtype=float)
+    U = np.asarray(U, dtype=float)
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        batch = (supervisor_actions(spec, X), clip_control_batch(spec, U),
+                 step_batch(spec, X, U), check_constraint_batch(spec, X),
+                 reached_goal_batch(spec, X))
+    actions, clipped, stepped, safe, reached = batch
+    got, want = _rows_bits(actions, [supervisor_action(spec, x) for x in X])
+    assert got == want, "supervisor"
+    got, want = _rows_bits(clipped, [_clip_control(spec, u)[0] for u in U])
+    assert got == want, "clip"
+    got, want = _rows_bits(stepped, [step(spec, x, u) for x, u in zip(X, U)])
+    assert got == want, "step"
+    assert safe.tolist() == [bool(check_constraint(spec, x)) for x in X]
+    assert reached.tolist() == [bool(reached_goal(spec, x)) for x in X]
+
+
+_PP = builtin_env_spec("point_push")
+_LT = builtin_env_spec("line_track")
+# Below _CAPTURE_LATERAL, u_max caps the lateral correction of a capture.
+_PP_SLOW = dataclasses.replace(_PP, u_max=0.02)
+_PP_CONTACT = _PP.robot_radius + _PP.object_radius
+
+
+def _signed(values):
+    return st.sampled_from([v for x in values for v in (x, -x)])
+
+
+_coord = st.one_of(st.floats(-0.1, 1.1), _signed([0.0, 1.0, 0.5]))
+_control = st.one_of(st.floats(-0.12, 0.12), _signed([0.0, _PP.u_max, 0.03]))
+
+
+@st.composite
+def _point_push_row(draw):
+    """A state and a control, the state placed where a branch turns: robot
+    and object in contact or coincident, object at the goal's edge, a disc
+    at a keep-out region's edge, or the robot on the workspace box."""
+    goal = np.array(_PP.goal_center, dtype=float)
+    where = draw(st.sampled_from(["anywhere", "contact", "coincident", "goal", "region",
+                                  "box"]))
+    angle = draw(st.floats(0.0, 2.0 * np.pi))
+    ring = np.array([np.cos(angle), np.sin(angle)])
+    slack = draw(st.one_of(st.just(0.0), st.floats(-0.01, 0.01)))
+    o = np.array([draw(_coord), draw(_coord)])
+    r = np.array([draw(_coord), draw(_coord)])
+    if where == "contact":
+        r = o + (_PP_CONTACT + slack) * ring
+    elif where == "coincident":
+        r = o.copy()
+    elif where == "goal":
+        o = goal + (_PP.goal_radius + slack) * ring
+        r = o + draw(st.floats(0.0, 0.2)) * ring[::-1]
+    elif where == "region":
+        (cx, cy), radius = draw(st.sampled_from(_PP.constraint_regions))
+        disc = draw(st.sampled_from(["robot", "object"]))
+        reach = radius + (_PP.robot_radius if disc == "robot" else _PP.object_radius)
+        at = np.array([cx, cy]) + (reach + slack) * ring
+        if disc == "robot":
+            r = at
+        else:
+            o = at
+    elif where == "box":
+        r[draw(st.integers(0, 1))] = draw(_signed([0.0, 1.0]))
+    return np.concatenate([r, o, goal]), np.array([draw(_control), draw(_control)])
+
+
+@given(st.lists(_point_push_row(), min_size=1, max_size=24), st.booleans())
+def test_point_push_kernels_match_the_scalar_ones(rows, slow):
+    X, U = zip(*rows)
+    assert_kernels_match(_PP_SLOW if slow else _PP, X, U)
+
+
+_lt_coord = st.one_of(st.floats(-15.0, 15.0),
+                      _signed([0.0, _LT.deviation_limit, _LT.goal_progress]))
+_lt_control = st.one_of(st.floats(-2.0 * _LT.u_max, 2.0 * _LT.u_max),
+                        _signed([0.0, _LT.u_max, _LT.nominal_step]))
+
+
+@given(st.lists(st.tuples(st.tuples(_lt_coord, _lt_coord), st.tuples(_lt_control, _lt_control)),
+                min_size=1, max_size=24))
+def test_line_track_kernels_match_the_scalar_ones(rows):
+    X, U = zip(*rows)
+    assert_kernels_match(_LT, X, U)
+
+
+def test_box_edges_with_signed_zeros_clip_as_the_scalar_step():
+    # np.clip's comparisons decide which zero a robot on the box keeps
+    X, U = [], []
+    for edge in (0.0, -0.0, 1.0):
+        for u in (0.0, -0.0, 0.01, -0.01):
+            for axis in (0, 1):
+                r = [0.5, 0.5]
+                r[axis] = edge
+                X.append(r + [0.7, 0.2, 0.8, 0.5])
+                U.append([u if axis == 0 else 0.0, u if axis == 1 else 0.0])
+    assert_kernels_match(_PP, X, U)
+
+
+# Geometry in powers of two, so that states can sit exactly on a boundary:
+# the object at the goal's radius, a disc at a region's reach, and an object
+# level with a region's centre on a level push, where the deflection's
+# along-axis distance is exactly 0.
+_DYADIC = dataclasses.replace(
+    _PP, u_max=0.03125, robot_radius=0.03125, object_radius=0.0625,
+    goal_center=(0.75, 0.5), goal_radius=0.0625,
+    constraint_regions=(((0.5, 0.25), 0.0625), ((0.5, 0.75), 0.0625)),
+)
+
+
+def test_exact_boundaries_decide_as_the_scalar_ones():
+    X = [
+        [0.5, 0.5, 0.8125, 0.5, 0.75, 0.5],  # object at the goal's radius
+        [0.5, 0.5, 0.75, 0.4375, 0.75, 0.5],
+        [0.59375, 0.25, 0.25, 0.5, 0.75, 0.5],  # robot at a region's reach
+        [0.25, 0.5, 0.5, 0.875, 0.75, 0.5],  # object at a region's reach
+        [0.25, 0.375, 0.5, 0.375, 0.75, 0.375],  # along = 0 for the lower region
+        [0.4375, 0.40625, 0.5, 0.375, 0.75, 0.375],  # captured at lateral u_max
+    ]
+    U = [[0.0, 0.0], [0.03125, 0.0], [-0.03125, 0.0], [0.0, 0.0625], [0.0, -0.0], [0.02, 0.02]]
+    assert_kernels_match(_DYADIC, X, U)
+    assert_kernels_match(_PP, X, U)
+
+
+@pytest.fixture(scope="module")
+def shipped_demo_sets():
+    return [generate_demos(_PP, 120, seed) for seed in (5, 6, 7)]
+
+
+def test_kernels_match_on_every_state_of_the_shipped_demo_sets(shipped_demo_sets):
+    rng = np.random.default_rng(1)
+    X = [t.states for demos in shipped_demo_sets for t in demos.trajectories]
+    # each state's own control, and a random one for the last state of a demo
+    U = [np.concatenate([t.controls, rng.uniform(-0.08, 0.08, size=(1, 2))])
+         for demos in shipped_demo_sets for t in demos.trajectories]
+    # and the probe states of the numpy-form test above, which take the
+    # branches the demos never need
+    probes = np.array(_probe_states(_PP, rng, 2000))
+    X = np.concatenate(X + [probes])
+    U = np.concatenate(U + [rng.uniform(-0.08, 0.08, size=(len(probes), 2))])
+    hits = set()
+    for spec in (_PP, _PP_SLOW):
+        assert_kernels_match(spec, X, U)
+        for x in X[::5]:
+            ref_point_push_action(spec, x, hits)
+    assert hits == {"goal", "deflection", "capture", "capture-lateral", "circling", "repulsion"}
+
+
+# ---------------------------------------------------------------------------
+# the lockstep generator against one supervisor rollout at a time
+
+
+def ref_generate_demos(spec, n, seed, jitter_sigma=0.0):
+    """generate_demos as one scalar rollout per demo, in demo order."""
+    root = np.random.default_rng(seed)
+    traj_seeds = [int(s) for s in root.integers(0, 2**62, size=n)]
+    trajectories = []
+    for k, tseed in enumerate(traj_seeds):
+        reset_seq, jitter_seq = np.random.SeedSequence(tseed).spawn(2)
+        state = reset(spec, reset_seq)
+        jitter_rng = np.random.default_rng(jitter_seq)
+        states = [state]
+        controls = []
+        reached = False
+        for t in range(spec.horizon):
+            u = supervisor_action(spec, state)
+            if jitter_sigma > 0.0:
+                u = _clip_control(spec, u + jitter_rng.normal(0.0, jitter_sigma, size=2))[0]
+            state = step(spec, state, u, stream=None)
+            if not check_constraint(spec, state):
+                raise InvalidInputError(
+                    f"supervisor rollout {k} (seed {tseed}) touched a constraint "
+                    f"region at step {t} with jitter sigma={jitter_sigma:g}; lower "
+                    "the jitter or fix the environment spec"
+                )
+            if reached_goal(spec, state):
+                reached = True
+            states.append(state)
+            controls.append(np.asarray(u, dtype=float))
+        if not reached:
+            raise InvalidInputError(
+                f"supervisor rollout {k} (seed {tseed}) did not reach the goal "
+                f"within horizon {spec.horizon} with jitter sigma={jitter_sigma:g}"
+            )
+        trajectories.append(Trajectory(states=np.stack(states), controls=np.stack(controls),
+                                       seed=tseed, outcome="completed"))
+    return trajectories
+
+
+@pytest.mark.parametrize("spec, n, seed, sigma", [
+    (_PP, 120, 5, 0.0), (_PP, 120, 6, 0.0), (_PP, 120, 7, 0.0), (_PP, 40, 5, 0.005),
+    (_LT, 50, 5, 0.0), (_LT, 50, 5, 0.1),
+], ids=["pp-5", "pp-6", "pp-7", "pp-5-jitter", "lt-5", "lt-5-jitter"])
+def test_lockstep_demos_equal_one_rollout_at_a_time(spec, n, seed, sigma):
+    new = generate_demos(spec, n, seed, sigma).trajectories
+    ref = ref_generate_demos(spec, n, seed, sigma)
+    assert len(new) == len(ref)
+    for a, b in zip(new, ref):
+        assert (a.seed, a.outcome) == (b.seed, b.outcome)
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.controls.tobytes() == b.controls.tobytes()
+
+
+# Seed 2 at sigma 0.03: demos 2, 4 and 8 touch a region, at steps 39, 21
+# and 18, so the lockstep run sees demo 8 first but must name demo 2.  Seed
+# 0 at sigma 0.03: demo 5 misses the goal before demo 8 touches a region.
+# Horizon 17: demos 8 to 11 miss the goal.
+@pytest.mark.parametrize("spec, seed, sigma", [
+    (_PP, 2, 0.03), (_PP, 0, 0.03), (dataclasses.replace(_PP, horizon=17), 0, 0.0),
+], ids=["touch-order", "miss-before-touch", "short-horizon"])
+def test_lockstep_demos_fail_with_the_one_at_a_time_error(spec, seed, sigma):
+    with pytest.raises(InvalidInputError) as ref:
+        ref_generate_demos(spec, 12, seed, sigma)
+    with pytest.raises(InvalidInputError) as new:
+        generate_demos(spec, 12, seed, sigma)
+    assert str(new.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("sigma, jitter_rngs", [(0.0, 0), (0.005, 6)])
+def test_jitter_generators_are_built_only_with_jitter(monkeypatch, sigma, jitter_rngs):
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting(seed=None):
+        made.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    generate_demos(_PP, 6, 5, sigma)
+    # the root generator, one per reset, and one per demo's jitter
+    assert len(made) == 1 + 6 + jitter_rngs
