@@ -37,7 +37,7 @@ from importlib.resources import files as _resource_files
 import numpy as np
 
 from .errors import InvalidInputError
-from .util import load_json, malformed, refuse_unknown_keys
+from .util import integer, load_json, malformed, refuse_unknown_keys
 
 POINT_PUSH = "point_push"
 LINE_TRACK = "line_track"
@@ -91,6 +91,7 @@ class EnvSpec:
     def __post_init__(self):
         if self.kind not in BUILTIN_ENV_NAMES:
             raise InvalidInputError(f"unknown environment kind {self.kind!r}")
+        object.__setattr__(self, "horizon", integer("horizon", self.horizon))
         if not (self.u_max > 0.0 and self.dyn_constant > 0.0 and self.horizon >= 1):
             raise InvalidInputError("u_max, dyn_constant must be positive and horizon >= 1")
         if self.dyn_constant < _PROVEN_K[self.kind]:
@@ -447,7 +448,7 @@ def env_spec_from_document(doc):
         refuse_unknown_keys("environment spec disturbance", dist, _DISTURBANCE_KEYS)
         common = dict(
             kind=doc["kind"], u_max=float(doc["u_max"]),
-            dyn_constant=float(doc["dyn_constant"]), horizon=int(doc["horizon"]),
+            dyn_constant=float(doc["dyn_constant"]), horizon=doc["horizon"],
             disturbance=DisturbanceSpec(
                 process=dist.get("process", "none"),
                 amplitude=float(dist.get("amplitude", 0.0)),

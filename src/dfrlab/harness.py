@@ -62,7 +62,8 @@ from .records import (
 from .supervisor import demo_prefix, generate_demos
 from .support import TimeVaryingSupport, fit_pooled, fit_time_varying
 from .util import (
-    atomic_write_chunks, atomic_write_text, dump_json, load_json, malformed, refuse_unknown_keys,
+    atomic_write_chunks, atomic_write_text, dump_json, integer, load_json, malformed,
+    refuse_unknown_keys,
 )
 
 Z_ONE_SIDED_95 = 1.6448536269514722
@@ -358,9 +359,9 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is int:
-                object.__setattr__(self, f.name, _integer(f.name, value))
+                object.__setattr__(self, f.name, integer(f.name, value))
             elif f.name in ("demo_grid", "demo_seeds", "projection") and value is not None:
-                object.__setattr__(self, f.name, tuple(_integer(f.name, v) for v in value))
+                object.__setattr__(self, f.name, tuple(integer(f.name, v) for v in value))
         grid = self.demo_grid
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidInputError(f"demo grid must be strictly increasing, got {list(grid)}")
@@ -385,7 +386,7 @@ class ExperimentConfig:
                 f"demo_seeds has {len(self.demo_seeds)} entries for {self.trials} trials"
             )
         if self.ascent_cells is not None:
-            cells = tuple((_integer("ascent_cells", s), _integer("ascent_cells", n))
+            cells = tuple((integer("ascent_cells", s), integer("ascent_cells", n))
                           for s, n in self.ascent_cells)
             object.__setattr__(self, "ascent_cells", cells)
         ascent_seeds = [s for s, _ in self.ascent_cells or ()]
@@ -429,15 +430,6 @@ class ExperimentConfig:
             max_recovery_iters=self.max_recovery_iters,
             lambda_mode=self.lambda_mode,
         )
-
-
-def _integer(name, value):
-    """value as an int: an int or an integral float; a bool or anything else is refused."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise InvalidInputError(f"{name}: expected an integer, got {value!r}")
 
 
 CONFIG_FORMAT = "experiment-config"

@@ -1,7 +1,11 @@
 """Rollout records and their records.jsonl format, version 5, which stores
-each fact once.  A recovery iteration's controls are the u of its probe and
-recovery motions, and the g it started from is the step's g for the first
-iteration and the previous iteration's g_after after that.  A step's end
+each fact once but two: recovery_iterations repeats the count of the
+recovery entries, and each step's t repeats its index in steps, as rollout
+appends one step per t from 0.  A later format change could drop both.
+
+A recovery iteration's controls are the u of its probe and recovery
+motions, and the g it started from is the step's g for the first iteration
+and the previous iteration's g_after after that.  A step's end
 (collided or completed, set as its motions are applied) and its halt (where
 the recovery loop stopped) have no keys: only an episode's last step can
 have either, and then it is the outcome or the halt reason, from which the

@@ -12,10 +12,12 @@ The PointPush supervisor computes in Python floats: its norms are
 envs._dist and its dot products ax*bx + ay*by, so a demo set depends on
 no BLAS kernel.
 
-supervisor_action serves one state (rollouts and the supervisor arm);
-supervisor_actions is the same rule over the rows of an (n, d) state
-array, bit for bit, and generate_demos advances all n demonstrations of a
-set together through it and the env's batch kernels.
+The PointPush supervisor is written once, as a rule for one state:
+supervisor_action applies it to one state (rollouts and the supervisor
+arm), and supervisor_actions to each row of an (n, d) state array in turn.
+The LineTrack rule is one comparison, so supervisor_actions takes it over
+all rows at once.  generate_demos advances all n demonstrations of a set
+together, through supervisor_actions and the env's batch kernels.
 
 Demo sets are stored as line-delimited JSON, one trajectory per line with
 fields in the order (seed, outcome, states, controls).  The format is
@@ -32,7 +34,6 @@ from .envs import (
     LINE_TRACK,
     POINT_PUSH,
     _dist,
-    _dists,
     reset,
     step,  # not called here; perfbench/tracer.py wraps supervisor.step
 )
@@ -86,10 +87,10 @@ def _push_direction(spec, ox, oy, gx, gy):
     return _unit(dx, dy)
 
 
-def _point_push_action(spec, state):
-    rx, ry, ox, oy, gx, gy = state.tolist()
+def _point_push_rule(spec, rx, ry, ox, oy, gx, gy):
+    """The point_push control for one state, as a 2-tuple of floats."""
     if _dist(ox - gx, oy - gy) <= spec.goal_radius:
-        return np.zeros(2)
+        return 0.0, 0.0
     dx, dy = _push_direction(spec, ox, oy, gx, gy)
     contact = spec.push.contact
     relx, rely = rx - ox, ry - oy
@@ -109,9 +110,9 @@ def _point_push_action(spec, state):
         lat = _dist(lat_x, lat_y)
         if lat >= spec.u_max:
             ux, uy = _unit(lat_x, lat_y)
-            return np.array((spec.u_max * ux, spec.u_max * uy))
+            return spec.u_max * ux, spec.u_max * uy
         forward = math.sqrt(spec.u_max**2 - lat**2)
-        return np.array((lat_x + forward * dx, lat_y + forward * dy))
+        return lat_x + forward * dx, lat_y + forward * dy
 
     standoff = contact + _STANDOFF
     to_wx, to_wy = ox - dx * standoff - rx, oy - dy * standoff - ry
@@ -141,7 +142,11 @@ def _point_push_action(spec, state):
             k = 2.0 * weight
             dir_x, dir_y = _unit(dir_x + k * ux, dir_y + k * uy)
     s = min(spec.u_max, dist_w)
-    return np.array((s * dir_x, s * dir_y))
+    return s * dir_x, s * dir_y
+
+
+def _point_push_action(spec, state):
+    return np.array(_point_push_rule(spec, *state.tolist()))
 
 
 def _line_track_action(spec, state):
@@ -159,105 +164,6 @@ def supervisor_action(spec, state):
     raise InvalidInputError(f"no supervisor for environment kind {spec.kind!r}")
 
 
-# Batch forms of the supervisors, over the rows of an (n, d) state array.
-# As with the env's batch kernels, each equals the scalar supervisor row for
-# row, bit for bit: a branch that some row takes is computed for every row,
-# np.where keeps its value where the scalar code would take it, and every
-# division is guarded so that a row the branch does not select cannot warn.
-
-
-def _over_rows(x, y, n):
-    """_over for each row."""
-    big = n > 1e-12
-    n = np.where(big, n, 1.0)
-    return np.where(big, x / n, 1.0), np.where(big, y / n, 0.0)
-
-
-def _unit_rows(x, y):
-    return _over_rows(x, y, _dists(x, y))
-
-
-def _push_direction_rows(spec, ox, oy, gx, gy):
-    """_push_direction for each row."""
-    dist_goal = _dists(gx - ox, gy - oy)
-    d0x, d0y = _over_rows(gx - ox, gy - oy, dist_goal)
-    dx, dy = d0x, d0y
-    for cx, cy, _, object_reach in spec.push.keep_out:
-        cleared = object_reach + _PUSH_CLEARANCE
-        along = (cx - ox) * d0x + (cy - oy) * d0y
-        s = np.where(dist_goal < along, dist_goal, along)  # min(along, dist_goal)
-        perp = _dists(ox + s * d0x - cx, oy + s * d0y - cy)
-        bent = ~((along <= 0.0) | (along >= dist_goal + cleared) | (perp >= cleared))
-        if not bent.any():
-            continue
-        deficit = (cleared - perp) / cleared
-        sx, sy = _unit(0.5 - cx, 0.5 - cy)
-        k = _DEFLECT_GAIN * deficit
-        dx, dy = np.where(bent, dx + k * sx, dx), np.where(bent, dy + k * sy, dy)
-    return _unit_rows(dx, dy)
-
-
-def _point_push_actions(spec, X):
-    """_point_push_action for each row of X."""
-    rx, ry, ox, oy, gx, gy = X.T
-    at_goal = _dists(ox - gx, oy - gy) <= spec.goal_radius
-    dx, dy = _push_direction_rows(spec, ox, oy, gx, gy)
-    contact = spec.push.contact
-    relx, rely = rx - ox, ry - oy
-    behind_dist = relx * -dx + rely * -dy
-    bx, by = behind_dist * -dx, behind_dist * -dy
-    captured = (
-        (behind_dist > 0.0)
-        & (_dists(relx - bx, rely - by) <= _CAPTURE_LATERAL)
-        & (_dists(relx, rely) <= contact + _STANDOFF + _CAPTURE_SLACK)
-    )
-    standoff = contact + _STANDOFF
-    to_wx, to_wy = ox - dx * standoff - rx, oy - dy * standoff - ry
-    dist_w = _dists(to_wx, to_wy)
-    dir_x, dir_y = _over_rows(to_wx, to_wy, dist_w)
-    to_ox, to_oy = ox - rx, oy - ry
-    near = _dists(to_ox, to_oy)
-    ux, uy = _over_rows(to_ox, to_oy, near)
-    circling = ((near < standoff + 0.01) & (behind_dist < contact - 1e-9)
-                & (dir_x * ux + dir_y * uy > 0.3))
-    if circling.any():
-        m = np.where(1e-12 > near, 1e-12, near)  # max(near, 1e-12)
-        tx, ty = -to_oy / m, to_ox / m
-        flip = tx * to_wx + ty * to_wy < 0
-        tx, ty = np.where(flip, -tx, tx), np.where(flip, -ty, ty)
-        circle_x, circle_y = _unit_rows(0.3 * dir_x + tx, 0.3 * dir_y + ty)
-        dir_x, dir_y = np.where(circling, circle_x, dir_x), np.where(circling, circle_y, dir_y)
-        dist_w = np.where(circling, spec.u_max, dist_w)
-    margin = _REGION_CLEARANCE_RADII * spec.robot_radius
-    for cx, cy, robot_reach, _ in spec.push.keep_out:
-        ax, ay = rx - cx, ry - cy
-        dist_c = _dists(ax, ay)
-        repelled = dist_c - robot_reach < margin
-        if not repelled.any():
-            continue
-        weight = (margin - (dist_c - robot_reach)) / margin
-        ux, uy = _over_rows(ax, ay, dist_c)
-        k = 2.0 * weight
-        away_x, away_y = _unit_rows(dir_x + k * ux, dir_y + k * uy)
-        dir_x, dir_y = np.where(repelled, away_x, dir_x), np.where(repelled, away_y, dir_y)
-    s = np.where(dist_w < spec.u_max, dist_w, spec.u_max)  # min(spec.u_max, dist_w)
-
-    act_x, act_y = s * dir_x, s * dir_y
-    if captured.any():
-        lat_x, lat_y = bx - relx, by - rely
-        lat = _dists(lat_x, lat_y)
-        capped = lat >= spec.u_max
-        cap_x, cap_y = _unit_rows(lat_x, lat_y)
-        # The scalar squares lat with Python's float **, which is libm's pow:
-        # it rounds differently from lat * lat (and from np.power(lat, 2),
-        # which squares) in about one case in 1,200; np.float_power calls pow.
-        forward = np.sqrt(np.where(capped, 0.0, spec.u_max**2 - np.float_power(lat, 2.0)))
-        press_x = np.where(capped, spec.u_max * cap_x, lat_x + forward * dx)
-        press_y = np.where(capped, spec.u_max * cap_y, lat_y + forward * dy)
-        act_x, act_y = np.where(captured, press_x, act_x), np.where(captured, press_y, act_y)
-    return np.column_stack((np.where(at_goal, 0.0, act_x), np.where(at_goal, 0.0, act_y)))
-
-
 def _line_track_actions(spec, X):
     done = X[:, 0] >= spec.goal_progress
     return np.column_stack((np.where(done, 0.0, spec.nominal_step), np.zeros(len(X))))
@@ -266,7 +172,7 @@ def _line_track_actions(spec, X):
 def supervisor_actions(spec, X):
     """supervisor_action(spec, x) for each row x of X, as an (n, 2) array."""
     if spec.kind == POINT_PUSH:
-        return _point_push_actions(spec, X)
+        return np.array([_point_push_rule(spec, *row) for row in X.tolist()])
     if spec.kind == LINE_TRACK:
         return _line_track_actions(spec, X)
     raise InvalidInputError(f"no supervisor for environment kind {spec.kind!r}")
@@ -276,10 +182,11 @@ def generate_demos(spec, n, seed, jitter_sigma=0.0):
     """Roll out the supervisor n times (disturbance off) and collect demos.
 
     The n rollouts advance in lockstep, as the rows of one (n, d) state
-    array, one call per horizon step to each batch kernel; each kernel
-    equals its scalar function row for row, so the set is the one that n
-    scalar rollouts in demo order give.  Each demo draws its start, and
-    its jitter in step order, from its own generators.
+    array.  Each horizon step applies the supervisor's per-state rule to
+    each row, then makes one call to each of the env's batch kernels,
+    which equal their scalar functions row for row; so the set is the one
+    that n scalar rollouts in demo order give.  Each demo draws its start,
+    and its jitter in step order, from its own generators.
 
     Every rollout must reach the goal within the horizon without touching a
     constraint region; anything else is an input error (of the jitter or the

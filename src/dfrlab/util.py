@@ -1,4 +1,5 @@
-"""Small shared helpers: JSON documents, atomic file writes, float lists."""
+"""Small shared helpers: JSON documents, integer fields, atomic file writes,
+float lists."""
 
 import contextlib
 import json
@@ -20,6 +21,15 @@ def load_json(path, what):
     if not isinstance(doc, dict):
         raise InvalidInputError(f"cannot read {what} {path}: not a JSON object")
     return doc
+
+
+def integer(name, value):
+    """value as an int: an int or an integral float; a bool or anything else is refused."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InvalidInputError(f"{name}: expected an integer, got {value!r}")
 
 
 def refuse_unknown_keys(what, doc, known):

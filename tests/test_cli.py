@@ -234,6 +234,13 @@ def _non_integer_demo_grid(work, d):
     return ("exp-learning-curve", "--config", str(d / "cfg.json"), "--out", str(d / "run"))
 
 
+def _fractional_horizon(work, d):
+    doc = json.loads(files("dfrlab").joinpath("data", "line_track.json").read_text())
+    doc["horizon"] = 40.7
+    (d / "spec.json").write_text(json.dumps(doc))
+    return ("rollout", "--env", str(d / "spec.json"), "--controller", "supervisor")
+
+
 def _ragged_demo_states(work, d):
     lines = work["demos"].read_text().splitlines()
     rec = json.loads(lines[0])
@@ -248,6 +255,7 @@ MALFORMED_INPUTS = {
     "bundle-manifest-without-slices": _manifest_without_slices,
     "config-non-integer-demo-grid": _non_integer_demo_grid,
     "demos-ragged-states": _ragged_demo_states,
+    "env-spec-fractional-horizon": _fractional_horizon,
 }
 
 

@@ -2,6 +2,7 @@
 bounds, disturbance stream laws, and spec serialization."""
 
 import dataclasses
+from importlib.resources import files
 import json
 import math
 import re
@@ -18,6 +19,7 @@ from dfrlab.envs import (
     builtin_env_spec,
     check_constraint,
     dynamics_constant,
+    env_spec_from_document,
     env_spec_to_document,
     load_env_spec,
     object_pos,
@@ -283,6 +285,38 @@ def test_spec_document_refuses_unknown_keys(tmp_path, line_track_spec, block, ke
     path.write_text(json.dumps(doc))
     with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
         load_env_spec(path)
+
+
+# horizon went through int(): 40.7 loaded as 40, true as 1 and "40" as 40.
+@pytest.mark.parametrize("horizon", [40.7, True, "40", math.inf, math.nan],
+                         ids=["fraction", "bool", "string", "inf", "nan"])
+def test_spec_refuses_a_horizon_that_is_not_an_integer(point_push_spec, line_track_spec,
+                                                        horizon):
+    message = "^horizon: expected an integer, got "
+    for spec in (point_push_spec, line_track_spec):
+        doc = env_spec_to_document(spec)
+        doc["horizon"] = horizon
+        with pytest.raises(InvalidInputError, match=message):
+            env_spec_from_document(doc)
+        with pytest.raises(InvalidInputError, match=message):
+            dataclasses.replace(spec, horizon=horizon)
+
+
+def test_spec_takes_an_integral_float_horizon_as_an_int(point_push_spec):
+    doc = env_spec_to_document(point_push_spec)
+    doc["horizon"] = 40.0
+    spec = env_spec_from_document(doc)
+    assert type(spec.horizon) is int and spec.horizon == 40
+    assert spec == point_push_spec
+
+
+@pytest.mark.parametrize("name", ["point_push", "line_track"])
+def test_shipped_specs_load_unchanged(name):
+    with open(files("dfrlab").joinpath("data", f"{name}.json")) as fh:
+        doc = json.load(fh)
+    spec = builtin_env_spec(name)
+    assert type(spec.horizon) is int and spec.horizon == doc["horizon"]
+    assert env_spec_to_document(spec) == doc
 
 
 def test_load_env_spec_by_name(point_push_spec):

@@ -13,10 +13,11 @@ Every model, every centre set and every control must come out with
 identical bits, so fitted supports, policies and demo sets depend only on
 the rules, not on how the loops are written or on the BLAS kernel.
 
-The batch supervisor and env kernels that generate_demos advances a demo
-set through are checked against the scalar functions row for row, and the
-lockstep generator against one scalar rollout per demo, written out below
-as the reference: same sets, same errors.
+supervisor_actions, which applies the per-state rule to each row, and the
+env's batch kernels, which generate_demos advances a demo set through, are
+checked against the scalar functions row for row, and the lockstep
+generator against one scalar rollout per demo, written out below as the
+reference: same sets, same errors.
 """
 
 import dataclasses

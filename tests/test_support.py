@@ -1,10 +1,15 @@
 """Time-sliced support estimation: slicing, projection, the pooled-vs-sliced
-failure construction, and bundle serialization."""
+failure construction, the second-order decision bound, and bundle
+serialization."""
 
 import json
 
+from hypothesis import given
+from hypothesis import strategies as st
 import numpy as np
 import pytest
+
+from dfrlab.envs import builtin_env_spec
 
 from dfrlab.errors import InsufficientDataError, InvalidInputError
 from dfrlab.kernel_ocsvm import KernelParams, OcsvmParams, decision_value, lipschitz_bound
@@ -18,6 +23,7 @@ from dfrlab.support import (
     make_failure_demo,
     save_support,
 )
+from dfrlab.supervisor import generate_demos
 
 
 def _params(nu=0.5, gamma=1.0):
@@ -210,3 +216,54 @@ def test_unknown_bundle_version_is_rejected(tmp_path, small_demos, version):
     path.write_text(json.dumps(manifest))
     with pytest.raises(InvalidInputError, match="bundle version"):
         load_support(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# the second-order decision bound
+
+
+@pytest.fixture(scope="module")
+def shipped_slices():
+    """The 120-demo point_push set of demo seed 5, its per-slice supports at
+    the shipped nu and gamma, and the env's reach K * u_max."""
+    spec = builtin_env_spec("point_push")
+    demos = generate_demos(spec, 120, seed=5)
+    support = fit_time_varying(demos, _params(nu=0.05, gamma=15.0))
+    return demos, support, spec.dyn_constant * spec.u_max
+
+
+def _decision_gradient(model, x):
+    """The analytic gradient of g at x: sum_i alpha_i k(sv_i, x) 2 gamma (sv_i - x)."""
+    gamma = model.kernel.gamma
+    diff = model.support_vectors - x
+    k = np.exp(-gamma * (diff * diff).sum(axis=1))
+    return 2.0 * gamma * ((model.alphas * k) @ diff)
+
+
+def _unit(rng):
+    v = rng.normal(size=6)
+    return v / np.linalg.norm(v)
+
+
+# Each Gaussian kernel's Hessian has norm at most 2 gamma, so
+# g(y) >= g(x) - ||grad g(x)|| delta - gamma * sum(alpha) * delta^2 for
+# delta = ||y - x||.  Pairs: x near a demo state of the slice, and y within
+# one step's reach K * u_max of it, half of them straight down the gradient,
+# where the first-order term is tight.
+@given(t=st.integers(0, 39), seed=st.integers(0, 2**32 - 1))
+def test_second_order_bound_holds_within_a_step_of_the_demo_states(shipped_slices, t, seed):
+    demos, support, reach = shipped_slices
+    model = support.estimators[t]
+    states = demos.states_at(t)
+    curvature = model.kernel.gamma * float(model.alphas.sum())
+    rng = np.random.default_rng(seed)
+    for pair in range(16):
+        x = states[rng.integers(len(states))] + rng.uniform(0.0, reach) * _unit(rng)
+        grad = _decision_gradient(model, x)
+        grad_norm = float(np.linalg.norm(grad))
+        delta = rng.uniform(0.0, reach)
+        toward = -grad / grad_norm if pair % 2 and grad_norm > 0.0 else _unit(rng)
+        y = x + delta * toward
+        delta = float(np.linalg.norm(y - x))
+        bound = decision_value(model, x) - grad_norm * delta - curvature * delta**2
+        assert decision_value(model, y) >= bound - 1e-12, (t, x, y)
