@@ -37,7 +37,7 @@ from importlib.resources import files as _resource_files
 import numpy as np
 
 from .errors import InvalidInputError
-from .util import integer, load_json, malformed, refuse_unknown_keys
+from .util import integer, load_json, malformed, real, refuse_unknown_keys
 
 POINT_PUSH = "point_push"
 LINE_TRACK = "line_track"
@@ -446,34 +446,49 @@ def env_spec_from_document(doc):
         if not isinstance(dist, dict):
             raise InvalidInputError(f"environment spec disturbance must be an object, got {dist!r}")
         refuse_unknown_keys("environment spec disturbance", dist, _DISTURBANCE_KEYS)
+        enabled = dist.get("enabled", False)
+        if not isinstance(enabled, bool):
+            raise InvalidInputError(
+                f"disturbance.enabled: expected true or false, got {enabled!r}")
         common = dict(
-            kind=doc["kind"], u_max=float(doc["u_max"]),
-            dyn_constant=float(doc["dyn_constant"]), horizon=doc["horizon"],
+            kind=doc["kind"], u_max=real("u_max", doc["u_max"]),
+            dyn_constant=real("dyn_constant", doc["dyn_constant"]), horizon=doc["horizon"],
             disturbance=DisturbanceSpec(
                 process=dist.get("process", "none"),
-                amplitude=float(dist.get("amplitude", 0.0)),
-                bound=float(dist.get("bound", 0.0)),
-                enabled=bool(dist.get("enabled", False)),
+                amplitude=real("disturbance.amplitude", dist.get("amplitude", 0.0)),
+                bound=real("disturbance.bound", dist.get("bound", 0.0)),
+                enabled=enabled,
             ),
         )
         if doc["kind"] == POINT_PUSH:
+            lo, hi = doc["workspace"]
+            box_lo, box_hi = doc["object_start_box"]
             return EnvSpec(
-                workspace=(tuple(doc["workspace"][0]), tuple(doc["workspace"][1])),
-                robot_radius=float(doc["robot_radius"]),
-                object_radius=float(doc["object_radius"]),
-                goal_center=tuple(doc["goal_center"]),
-                goal_radius=float(doc["goal_radius"]),
-                constraint_regions=tuple((tuple(c), float(r)) for c, r in doc["constraint_regions"]),
-                robot_start=tuple(doc["robot_start"]),
-                object_start_box=(tuple(doc["object_start_box"][0]), tuple(doc["object_start_box"][1])),
+                workspace=(_point("workspace", lo), _point("workspace", hi)),
+                robot_radius=real("robot_radius", doc["robot_radius"]),
+                object_radius=real("object_radius", doc["object_radius"]),
+                goal_center=_point("goal_center", doc["goal_center"]),
+                goal_radius=real("goal_radius", doc["goal_radius"]),
+                constraint_regions=tuple(
+                    (_point("constraint_regions", c), real("constraint_regions", r))
+                    for c, r in doc["constraint_regions"]),
+                robot_start=_point("robot_start", doc["robot_start"]),
+                object_start_box=(_point("object_start_box", box_lo),
+                                  _point("object_start_box", box_hi)),
                 **common,
             )
         return EnvSpec(
-            deviation_limit=float(doc["deviation_limit"]),
-            goal_progress=float(doc["goal_progress"]),
-            nominal_step=float(doc["nominal_step"]),
+            deviation_limit=real("deviation_limit", doc["deviation_limit"]),
+            goal_progress=real("goal_progress", doc["goal_progress"]),
+            nominal_step=real("nominal_step", doc["nominal_step"]),
             **common,
         )
+
+
+def _point(name, value):
+    """A document's 2-d point as a tuple of two finite floats."""
+    x, y = value
+    return (real(name, x), real(name, y))
 
 
 def builtin_env_spec(name):

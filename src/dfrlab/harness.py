@@ -516,11 +516,18 @@ def _fit_cell(config, demos, timing):
 
 def _solver_block(supports):
     """Solver step counts and support-vector counts over every estimator the
-    run fitted (a slice's g costs in proportion to its support vectors):
-    deterministic, so they sit in the aggregates, not under timing."""
+    run fitted (a slice's g costs in proportion to its support vectors), the
+    alphas at the box bound C = 1/(nu m) (the solver's own at-bound test)
+    and the range of the offsets rho: deterministic, so they sit in the
+    aggregates, not under timing."""
     estimators = [est for support in supports for est in support.estimators]
     its = [est.iterations for est in estimators]
     svs = [len(est.alphas) for est in estimators]
+    at_bound = 0
+    for est in estimators:
+        C = 1.0 / (est.nu * est.train_count)
+        at_bound += int((est.alphas >= C * (1.0 - 1e-9)).sum())
+    rhos = [est.rho for est in estimators]
     return {
         "slices": len(its),
         "total_iterations": sum(its),
@@ -528,6 +535,9 @@ def _solver_block(supports):
         "max_iterations": max(its),
         "total_support_vectors": sum(svs),
         "max_support_vectors": max(svs),
+        "total_at_bound": at_bound,
+        "min_rho": min(rhos),
+        "max_rho": max(rhos),
     }
 
 
@@ -591,6 +601,9 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
             chunks = _contiguous_chunks(seeds, jobs)
             arms.append((cell, kind, len(chunks)))
             tasks[kind].extend((spec, kind, sup, pol, c, scfg, disturbance) for c in chunks)
+    # Set-up is done: free the demo sets, each with its stacked states,
+    # before the pools fork workers that would inherit them.
+    demo_sets = demos = None
     done = {}
     for kind, arm_tasks in tasks.items():
         with _stage(timing["rollouts_s"], kind):

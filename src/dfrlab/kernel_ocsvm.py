@@ -33,6 +33,8 @@ _ROW_CACHE_SIZE = 512
 # Floor of the pair curvature K_ii + K_jj - 2 K_ij in the working-set rule,
 # so duplicated points (curvature 0) still rank by their gradient gap.
 _TAU = 1e-12
+# How far a start's alphas may sum from 1 (see _check_start).
+_START_MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -265,7 +267,35 @@ def _finalize_model(X, alpha, grad, C, params):
     )
 
 
-def train_ocsvm(points, params):
+def _check_start(start, m, C):
+    """Refuse a start that is not a feasible point of the dual: a float64
+    vector of m finite alphas in the box [0, C] whose sum is 1.
+
+    The sum may be off 1 by _START_MASS_TOL: each SMO step adds t to one
+    alpha and takes it from another, and each of those two roundings moves
+    the sum by at most half an ulp of C <= 1, so even max_solver_iters =
+    200,000 steps leave a solution's sum within 1e-10 of 1.  The top of the
+    box takes the solver's own at-cap slack, C * 1e-12, within which an
+    alpha counts as capped and may only shrink."""
+    if not (isinstance(start, np.ndarray) and start.dtype == np.float64
+            and start.shape == (m,)):
+        raise InvalidInputError(
+            f"start must be a float64 array of shape ({m},), got "
+            f"{getattr(start, 'dtype', type(start).__name__)} of shape {np.shape(start)}"
+        )
+    if not np.isfinite(start).all():
+        raise InvalidInputError("start alphas contain non-finite values")
+    if start.min() < 0.0 or start.max() > C * (1.0 + 1e-12):
+        raise InvalidInputError(
+            f"start alphas must lie in [0, C = {C:.17g}], got [{start.min():.17g}, "
+            f"{start.max():.17g}]"
+        )
+    mass = math.fsum(start.tolist())
+    if abs(mass - 1.0) > _START_MASS_TOL:
+        raise InvalidInputError(f"start alphas must sum to 1, got {mass:.17g}")
+
+
+def train_ocsvm(points, params, start=None):
     """Fit the estimator by two-coordinate descent (SMO) on the dual.
 
     Each iteration moves mass from j to i along e_i - e_j.  i is the index
@@ -279,15 +309,29 @@ def train_ocsvm(points, params):
     solver_tol.  The model carries the step count and that final gap.
     Raises SolverNonConvergenceError (carrying the best iterate) if
     max_solver_iters steps have not reached solver_tol.
+
+    The solve starts from _alpha_init's cold alphas, or from start: a
+    float64 array of m alphas that is checked to be feasible (see
+    _check_start; InvalidInputError if not).  start is updated in place to
+    the solve's last alphas, so a chain of fits can pass each solution on
+    as the next one's start (alpha seeding: DeCoste & Wagstaff, "Alpha
+    seeding for support vector machines", KDD 2000).  On a degenerate
+    (all-identical) set any feasible alpha is optimal, and start is reset
+    to the cold alphas.
     """
     X = _validate_training_points(points, params.nu)
     m = X.shape[0]
-    if np.ptp(X, axis=0).max() == 0.0:
-        return _degenerate_model(X, params)
     C = 1.0 / (params.nu * m)
+    if start is not None:
+        _check_start(start, m, C)
+    if np.ptp(X, axis=0).max() == 0.0:
+        if start is not None:
+            start[:] = _alpha_init(m, C)
+        return _degenerate_model(X, params)
     rows = _KernelRows(X, params.kernel.gamma)
-    alpha = _alpha_init(m, C)
-    # grad = K @ alpha; the initial alpha touches only the first few rows.
+    alpha = _alpha_init(m, C) if start is None else start
+    # grad = K @ alpha, summed over the rows of the nonzero alphas: the
+    # cold alphas touch only the first few rows, a solution its support.
     grad = np.zeros(m)
     for j in np.flatnonzero(alpha):
         grad += alpha[j] * rows.row(j)
@@ -356,6 +400,8 @@ def train_ocsvm(points, params):
         iterations += 1
 
     alpha = np.array(alpha)
+    if start is not None:
+        start[:] = alpha
     model = replace(
         _finalize_model(X, alpha, grad, C, params), iterations=iterations, gap=gap
     )

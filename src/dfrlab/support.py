@@ -7,13 +7,14 @@ time slices, and any region visited only during a small fraction of the
 horizon can fall below the nu quantile and be rejected outright.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 import os
 
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidInputError
 from .kernel_ocsvm import (
+    _alpha_init,
     _decision_sum,
     decision_value,  # not called here; perfbench/tracer.py wraps support.decision_value
     lipschitz_bound,
@@ -52,9 +53,18 @@ class Trajectory:
 
 @dataclass
 class DemoSet:
-    """A bag of demonstration trajectories with a shared state dimension."""
+    """A bag of demonstration trajectories with a shared state dimension.
+
+    At construction the states are also stacked into one (n, T+1, d) array,
+    T+1 the longest trajectory's length, beside each trajectory's length; a
+    shorter trajectory's rows past its end are zero and never read.  Time
+    slices and the pooled states are read from that array, by one path for
+    equal-length and ragged sets alike.
+    """
 
     trajectories: list
+    _states: np.ndarray = field(init=False, repr=False, compare=False)
+    _lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.trajectories:
@@ -62,27 +72,31 @@ class DemoSet:
         dims = {traj.states.shape[1] for traj in self.trajectories}
         if len(dims) != 1:
             raise InvalidInputError(f"trajectories disagree on state dimension: {sorted(dims)}")
+        self._lengths = np.array([len(traj) for traj in self.trajectories])
+        self._states = np.zeros((len(self.trajectories), self._lengths.max(), dims.pop()))
+        for k, traj in enumerate(self.trajectories):
+            self._states[k, :len(traj)] = traj.states
 
     def __len__(self):
         return len(self.trajectories)
 
     @property
     def state_dim(self):
-        return self.trajectories[0].states.shape[1]
+        return self._states.shape[2]
 
     @property
     def horizon(self):
-        return max(1, max(len(t) for t in self.trajectories) - 1)
+        return max(1, self._states.shape[1] - 1)
 
     def states_at(self, t):
-        """All demonstration states observed at time index t."""
-        rows = [traj.states[t] for traj in self.trajectories if len(traj) > t]
-        if not rows:
-            return np.empty((0, self.state_dim))
-        return np.stack(rows)
+        """All demonstration states observed at time index t, in trajectory order
+        (none past every trajectory's end, where the column index is clamped
+        only to stay in bounds)."""
+        return self._states[self._lengths > t, min(t, self._states.shape[1] - 1)]
 
     def all_states(self):
-        return np.concatenate([traj.states for traj in self.trajectories])
+        """Every demonstration state, trajectory by trajectory."""
+        return self._states[np.arange(self._states.shape[1]) < self._lengths[:, None]]
 
 
 @dataclass
@@ -159,16 +173,33 @@ def _resolve_projection(projection, state_dim):
 
 
 def fit_time_varying(demos, params, projection=None):
-    """Fit one estimator per time slice t = 0 .. horizon-1."""
+    """Fit one estimator per time slice t = 0 .. horizon-1.
+
+    The slices are fitted in time order, and each solve starts from the
+    alphas the previous slice's solve ended at (train_ocsvm's start, updated
+    in place), since adjacent slices differ little.  A slice starts from the
+    cold alphas instead when it is the first, when its point count m (and
+    so its box C = 1/(nu m)) differs from the previous slice's, and after a
+    degenerate (all-identical) slice.  A slice whose points equal the
+    previous slice's, as they do once every demonstration has come to rest,
+    is not solved again: it shares that slice's model, with no step taken.
+    """
     projection = _resolve_projection(projection, demos.state_dim)
     estimators = []
+    alpha = pts = None
     for t in range(demos.horizon):
-        pts = demos.states_at(t)
-        if len(pts) < 2:
+        prev, pts = pts, demos.states_at(t)[:, projection]
+        m = len(pts)
+        if m < 2:
             raise InsufficientDataError(
-                f"time slice {t} has {len(pts)} demonstration state(s); need at least 2"
+                f"time slice {t} has {m} demonstration state(s); need at least 2"
             )
-        estimators.append(train_ocsvm(pts[:, projection], params))
+        if prev is not None and np.array_equal(pts, prev):
+            estimators.append(replace(estimators[-1], iterations=0))
+            continue
+        if alpha is None or alpha.size != m:
+            alpha = _alpha_init(m, 1.0 / (params.nu * m))
+        estimators.append(train_ocsvm(pts, params, start=alpha))
     return TimeVaryingSupport(estimators=estimators, projection=projection)
 
 

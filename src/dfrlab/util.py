@@ -1,8 +1,9 @@
-"""Small shared helpers: JSON documents, integer fields, atomic file writes,
-float lists."""
+"""Small shared helpers: JSON documents, integer and real fields, atomic file
+writes, float lists."""
 
 import contextlib
 import json
+import math
 import os
 import tempfile
 
@@ -30,6 +31,16 @@ def integer(name, value):
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise InvalidInputError(f"{name}: expected an integer, got {value!r}")
+
+
+def real(name, value):
+    """value as a float: a finite int or float; a bool, a string, nan, inf or
+    anything else is refused."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int too large for a float
+            if math.isfinite(x := float(value)):
+                return x
+    raise InvalidInputError(f"{name}: expected a finite real number, got {value!r}")
 
 
 def refuse_unknown_keys(what, doc, known):

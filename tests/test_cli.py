@@ -165,6 +165,21 @@ def test_env_spec_understating_k_exits_2_and_names_the_bound(tmp_path):
     assert proc.stderr.startswith("error:") and "bound 1.4142135623730951" in proc.stderr
 
 
+@pytest.mark.parametrize("name, block, key, value", [
+    ("line_track", "disturbance", "enabled", "false"),
+    ("point_push", None, "u_max", True),
+    ("point_push", None, "robot_radius", "0.03"),
+])
+def test_env_spec_field_of_the_wrong_type_exits_2_and_names_it(tmp_path, name, block, key,
+                                                                value):
+    doc = json.loads((files("dfrlab") / "data" / f"{name}.json").read_text())
+    (doc if block is None else doc[block])[key] = value
+    (tmp_path / "spec.json").write_text(json.dumps(doc))
+    proc = run_cli("rollout", "--env", str(tmp_path / "spec.json"), "--controller", "supervisor")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and key in proc.stderr
+
+
 def test_missing_input_exits_2(tmp_path):
     proc = run_cli("fit-policy", "--demos", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "p.json"))

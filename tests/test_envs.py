@@ -310,6 +310,33 @@ def test_spec_takes_an_integral_float_horizon_as_an_int(point_push_spec):
     assert spec == point_push_spec
 
 
+# Float fields went through float() and enabled through bool(): "false"
+# loaded the disturbance on, true as a u_max loaded as 1.0 and "0.03" as a
+# robot radius loaded as 0.03.
+@pytest.mark.parametrize("kind, block, key, value, message", [
+    ("line_track", "disturbance", "enabled", "false",
+     "disturbance.enabled: expected true or false, got 'false'"),
+    ("point_push", "disturbance", "enabled", 0, "disturbance.enabled: expected true or false"),
+    ("point_push", None, "u_max", True, "u_max: expected a finite real number, got True"),
+    ("point_push", None, "robot_radius", "0.03",
+     "robot_radius: expected a finite real number, got '0.03'"),
+    ("line_track", None, "nominal_step", math.nan, "nominal_step: expected a finite real number"),
+    ("line_track", None, "dyn_constant", math.inf, "dyn_constant: expected a finite real number"),
+    ("point_push", None, "goal_radius", -math.inf, "goal_radius: expected a finite real number"),
+    ("line_track", "disturbance", "amplitude", "0.5",
+     "disturbance.amplitude: expected a finite real number"),
+    ("point_push", None, "goal_center", [0.8, math.nan],
+     "goal_center: expected a finite real number"),
+    ("point_push", None, "constraint_regions", [[[0.5, 0.28], "0.08"]],
+     "constraint_regions: expected a finite real number"),
+])
+def test_spec_refuses_a_field_of_the_wrong_type(kind, block, key, value, message):
+    doc = env_spec_to_document(builtin_env_spec(kind))
+    (doc if block is None else doc[block])[key] = value
+    with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
+        env_spec_from_document(doc)
+
+
 @pytest.mark.parametrize("name", ["point_push", "line_track"])
 def test_shipped_specs_load_unchanged(name):
     with open(files("dfrlab").joinpath("data", f"{name}.json")) as fh:

@@ -1019,21 +1019,30 @@ def test_summary_times_each_stage(tmp_path):
 
 
 def test_summary_counts_the_solver_steps_of_every_fitted_slice(tmp_path):
-    cfg = _mini_config(demo_grid=(20, 30), eval_samples=1)
+    # nu = 0.2 puts some alphas at the box bound C = 1/(nu m)
+    cfg = _mini_config(demo_grid=(20, 30), eval_samples=1, nu=0.2)
     run_experiment("learning-curve", cfg, out_dir=tmp_path)
     solver = json.loads((tmp_path / "summary.json").read_text())["aggregates"]["solver"]
     spec = builtin_env_spec(cfg.env)
-    its, svs = [], []
+    its, svs, at_bound, rhos = [], [], 0, []
     for n in cfg.demo_grid:
         demos = generate_demos(spec, n, cfg.demo_seeds[0])
         support = fit_support(demos, cfg.ocsvm_params(), cfg.projection, cfg.pooled)
         assert len(support.estimators) == demos.horizon
+        # a slice warm-started from the one before may take no step; the
+        # first slice of a cell starts cold
+        assert support.estimators[0].iterations > 0
         its += [est.iterations for est in support.estimators]
         svs += [est.support_vectors.shape[0] for est in support.estimators]
-    assert min(its) > 0 and min(svs) > 0
+        for est in support.estimators:
+            C = 1.0 / (cfg.nu * n)
+            at_bound += sum(a >= C * (1.0 - 1e-9) for a in est.alphas.tolist())
+            rhos.append(est.rho)
+    assert min(svs) > 0 and 0 < at_bound < sum(svs)
     assert solver == {"slices": len(its), "total_iterations": sum(its),
                       "median_iterations": float(np.median(its)), "max_iterations": max(its),
-                      "total_support_vectors": sum(svs), "max_support_vectors": max(svs)}
+                      "total_support_vectors": sum(svs), "max_support_vectors": max(svs),
+                      "total_at_bound": at_bound, "min_rho": min(rhos), "max_rho": max(rhos)}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ full masks rebuilt with np.where every iteration and the second-order pair
 rule written out, np.linalg.norm over the state rows, and numpy 2-vectors,
 whose norms and dot products are np.sqrt((v * v).sum()) and (a * b).sum():
 numpy's own loops, with no BLAS call that could fuse a multiply and an add.
+The solver is checked from the cold start and along each time chain of
+slices, where every solve starts from the alphas the one before ended at.
 Every model, every centre set and every control must come out with
 identical bits, so fitted supports, policies and demo sets depend only on
 the rules, not on how the loops are written or on the BLAS kernel.
@@ -49,6 +51,7 @@ from dfrlab.kernel_ocsvm import (
     KernelParams,
     OcsvmParams,
     _alpha_init,
+    _check_start,
     _degenerate_model,
     _finalize_model,
     _KernelRows,
@@ -67,25 +70,30 @@ from dfrlab.supervisor import (
     supervisor_action,
     supervisor_actions,
 )
-from dfrlab.support import Trajectory
+from dfrlab.support import DemoSet, Trajectory, fit_pooled, fit_time_varying
 
 
 # ---------------------------------------------------------------------------
 # reference dual solver
 
 
-def ref_train_ocsvm(points, params, box_hits=None):
+def ref_train_ocsvm(points, params, box_hits=None, start=None):
     """train_ocsvm with array alphas, masks rebuilt every iteration and the
     second-order pair rule written out in full.
 
-    box_hits, when given, gets one entry per step that hit the box."""
+    box_hits, when given, gets one entry per step that hit the box.  start,
+    when given, is the first iterate, and is left holding the last one."""
     X = _validate_training_points(points, params.nu)
     m = X.shape[0]
-    if np.ptp(X, axis=0).max() == 0.0:
-        return _degenerate_model(X, params)
     C = 1.0 / (params.nu * m)
+    if start is not None:
+        _check_start(start, m, C)
+    if np.ptp(X, axis=0).max() == 0.0:
+        if start is not None:
+            start[:] = _alpha_init(m, C)
+        return _degenerate_model(X, params)
     rows = _KernelRows(X, params.kernel.gamma)
-    alpha = _alpha_init(m, C)
+    alpha = _alpha_init(m, C) if start is None else start.copy()
     grad = np.zeros(m)
     for j in np.flatnonzero(alpha):
         grad += alpha[j] * rows.row(j)
@@ -129,6 +137,8 @@ def ref_train_ocsvm(points, params, box_hits=None):
         grad += t * (row_i - row_j)
         iterations += 1
 
+    if start is not None:
+        start[:] = alpha
     model = dataclasses.replace(_finalize_model(X, alpha, grad, C, params),
                                 iterations=iterations, gap=gap)
     if gap > params.solver_tol:
@@ -146,6 +156,14 @@ def assert_same_model(a, b):
     assert np.float64(a.gap).tobytes() == np.float64(b.gap).tobytes()
 
 
+def assert_shares_model(a, b):
+    """a holds b's arrays and values, but a step count of 0."""
+    assert a.support_vectors is b.support_vectors and a.alphas is b.alphas
+    assert (a.rho, a.kernel, a.nu, a.train_count, a.gap) == (b.rho, b.kernel, b.nu,
+                                                             b.train_count, b.gap)
+    assert a.iterations == 0
+
+
 def fit_both(points, params, box_hits=None):
     """(train_ocsvm's model, the reference's), or both best_models."""
     models = []
@@ -161,24 +179,27 @@ def fit_both(points, params, box_hits=None):
     return new, ref
 
 
-def _ascent_slices():
-    """Every time slice of every shipped ascent cell, with its params."""
+def _ascent_cells():
+    """The demo set of every shipped ascent cell, with the fit's params."""
     cfg = load_experiment_config(str(files("dfrlab").joinpath("data", "exp_point_push_ascent.json")))
     spec = builtin_env_spec(cfg.env)
     largest = {}
     for seed, n in cfg.ascent_cells:
         largest[seed] = max(n, largest.get(seed, 0))
     sets = {seed: generate_demos(spec, n, seed) for seed, n in largest.items()}
-    slices = []
-    for seed, n in cfg.ascent_cells:
-        demos = demo_prefix(spec, sets[seed], n)
-        slices.extend(demos.states_at(t) for t in range(demos.horizon))
-    return cfg.ocsvm_params(), slices
+    return cfg.ocsvm_params(), [demo_prefix(spec, sets[seed], n) for seed, n in cfg.ascent_cells]
 
 
 @pytest.fixture(scope="module")
-def ascent_slices():
-    return _ascent_slices()
+def ascent_cells():
+    return _ascent_cells()
+
+
+@pytest.fixture(scope="module")
+def ascent_slices(ascent_cells):
+    """Every time slice of every shipped ascent cell, with its params."""
+    params, cells = ascent_cells
+    return params, [demos.states_at(t) for demos in cells for t in range(demos.horizon)]
 
 
 def test_solver_matches_reference_on_every_ascent_slice(ascent_slices):
@@ -232,6 +253,144 @@ def test_solver_matches_reference_where_it_hits_the_box(seed, m, dim, nu_scale, 
     new, ref = fit_both(X, params, hits)
     assume(hits)
     assert_same_model(new, ref)
+
+
+# ---------------------------------------------------------------------------
+# warm starts: each time slice's solve starts from the previous slice's alphas
+
+
+def cold_start(m, params):
+    return _alpha_init(m, 1.0 / (params.nu * m))
+
+
+def test_warm_chains_match_reference_on_every_ascent_cell(ascent_cells):
+    params, cells = ascent_cells
+    for demos in cells:
+        slices = [demos.states_at(t) for t in range(demos.horizon)]
+        new_alpha = cold_start(len(slices[0]), params)
+        ref_alpha = new_alpha.copy()
+        chain = []
+        for pts in slices:
+            new = train_ocsvm(pts, params, start=new_alpha)
+            ref = ref_train_ocsvm(pts, params, start=ref_alpha)
+            assert_same_model(new, ref)
+            assert new_alpha.tobytes() == ref_alpha.tobytes()
+            chain.append(new)
+        # fit_time_varying runs this chain, but a slice equal to the one
+        # before (there the chain's solve takes no step) shares its model
+        est = fit_time_varying(demos, params).estimators
+        assert len(est) == len(chain)
+        for t, model in enumerate(chain):
+            if t and np.array_equal(slices[t], slices[t - 1]):
+                assert model.iterations == est[t].iterations == 0
+                assert_shares_model(est[t], est[t - 1])
+            else:
+                assert_same_model(est[t], model)
+
+
+def test_cold_start_given_as_start_is_the_cold_solve(ascent_slices):
+    params, slices = ascent_slices
+    for pts in slices[::10]:
+        alpha = cold_start(len(pts), params)
+        assert_same_model(train_ocsvm(pts, params, start=alpha), train_ocsvm(pts, params))
+
+
+def _feasible_start():
+    X = np.random.default_rng(0).normal(size=(20, 2))
+    params = OcsvmParams(nu=0.1, kernel=KernelParams(gamma=1.0))
+    return X, params, cold_start(20, params)  # C = 0.5: two alphas at C
+
+
+def _mass_moved(alpha, i, j, amount):
+    alpha[i] -= amount
+    alpha[j] += amount
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda a: a[:-1], r"start must be a float64 array of shape \(20,\)"),
+    (lambda a: a.tolist(), r"start must be a float64 array of shape \(20,\)"),
+    (lambda a: _mass_moved(a, 2, 3, 0.01), r"start alphas must lie in \[0, C"),
+    (lambda a: _mass_moved(a, 1, 0, 0.01), r"start alphas must lie in \[0, C"),
+    (lambda a: a.__setitem__(5, 1e-6), "start alphas must sum to 1"),
+    (lambda a: a.__setitem__(5, np.nan), "start alphas contain non-finite values"),
+    (lambda a: a.__setitem__(5, -np.inf), "start alphas contain non-finite values"),
+], ids=["short", "list", "negative", "above-C", "mass-off-1", "nan", "inf"])
+def test_solver_refuses_an_infeasible_start(spoil, message):
+    X, params, alpha = _feasible_start()
+    spoilt = spoil(alpha)
+    start = alpha if spoilt is None else spoilt
+    kept = np.array(start, dtype=float)
+    with pytest.raises(InvalidInputError, match=message):
+        train_ocsvm(X, params, start=start)
+    # a refused start is left as it was, degenerate set or not
+    with pytest.raises(InvalidInputError, match=message):
+        train_ocsvm(np.zeros((20, 2)), params, start=start)
+    assert np.array_equal(np.array(start, dtype=float), kept, equal_nan=True)
+
+
+def test_solver_takes_a_start_whose_mass_is_within_tolerance():
+    X, params, alpha = _feasible_start()
+    alpha[5] = 1e-10
+    train_ocsvm(X, params, start=alpha)
+    assert abs(alpha.sum() - 1.0) < 1e-9
+
+
+def _chain_demos(slices_by_t):
+    """A demo set whose slice t holds the rows of slices_by_t[t]: trajectory
+    k has a state at t while k < len(slices_by_t[t])."""
+    n = len(slices_by_t[0])
+    trajectories = []
+    for k in range(n):
+        states = np.array([s[k] for s in slices_by_t if k < len(s)])
+        trajectories.append(Trajectory(states=states, controls=np.zeros((len(states) - 1, 2))))
+    return DemoSet(trajectories=trajectories)
+
+
+def test_first_slice_degenerate_slice_and_new_point_count_start_cold():
+    rng = np.random.default_rng(3)
+    params = OcsvmParams(nu=0.2, kernel=KernelParams(gamma=2.0))
+    # slice 1 is one point ten times, slice 3 repeats slice 2, and slice 4
+    # has 8 points, not 10; the last state of a trajectory starts no slice
+    # of its own
+    s2 = rng.normal(size=(10, 2))
+    slices = [rng.normal(size=(10, 2)), np.tile([[0.3, -0.2]], (10, 1)), s2, s2.copy(),
+              rng.normal(size=(8, 2)), rng.normal(size=(8, 2)), rng.normal(size=(8, 2))]
+    demos = _chain_demos(slices)
+    assert demos.horizon == 6
+    assert [len(demos.states_at(t)) for t in range(7)] == [10, 10, 10, 10, 8, 8, 8]
+    est = fit_time_varying(demos, params).estimators
+    for t in (0, 2, 4):
+        assert_same_model(est[t], train_ocsvm(slices[t], params))
+    assert_same_model(est[1], _degenerate_model(slices[1], params))
+    assert_shares_model(est[3], est[2])
+    alpha = cold_start(8, params)
+    train_ocsvm(slices[4], params, start=alpha)
+    assert_same_model(est[5], train_ocsvm(slices[5], params, start=alpha))
+    # slice 0's alphas, had they crossed the degenerate slice, would have
+    # fed slice 2 a different start: the test can tell the two apart
+    alpha = cold_start(10, params)
+    train_ocsvm(slices[0], params, start=alpha)
+    assert train_ocsvm(slices[2], params, start=alpha).iterations != est[2].iterations
+    # a degenerate set leaves the cold alphas in start
+    train_ocsvm(slices[1], params, start=alpha)
+    assert alpha.tobytes() == cold_start(10, params).tobytes()
+
+
+def test_pooled_fit_starts_cold(ascent_cells):
+    params, cells = ascent_cells
+    demos = cells[0]
+    assert_same_model(fit_pooled(demos, params), train_ocsvm(demos.all_states(), params))
+
+
+def test_warm_chain_takes_fewer_steps_than_cold_on_a_learning_curve_cell(learning_curve_cells):
+    cfg, cells = learning_curve_cells
+    assert cfg.projection is None and not cfg.pooled
+    demos = max(cells, key=len)
+    params = cfg.ocsvm_params()
+    warm = [est.iterations for est in fit_time_varying(demos, params).estimators]
+    cold = [train_ocsvm(demos.states_at(t), params).iterations for t in range(demos.horizon)]
+    assert cold[0] == warm[0] > 0
+    assert sum(warm) < sum(cold)
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,19 @@ def test_demo_set_horizon_and_slices(small_demos):
     assert small_demos.all_states().shape == (24, 2)
 
 
+def test_ragged_demo_set_reads_each_trajectorys_own_rows(rng):
+    lengths = [4, 1, 6, 4, 2]
+    trajs = [_traj(rng.normal(size=(n, 3)), seed=i) for i, n in enumerate(lengths)]
+    demos = DemoSet(trajectories=trajs)
+    assert demos.horizon == 5 and demos.state_dim == 3
+    for t in range(8):
+        rows = [traj.states[t] for traj in trajs if len(traj) > t]
+        want = np.stack(rows) if rows else np.empty((0, 3))
+        got = demos.states_at(t)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert demos.all_states().tobytes() == np.concatenate([t.states for t in trajs]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # fitting
 
