@@ -15,10 +15,11 @@ reordering and shared across controllers so start states and disturbance
 streams are paired between arms.
 
 Experiments: a learning curve over demonstration counts, normalized recovery
-ascent traces, and a disturbance robustness comparison, each of which writes
-a manifest, line-delimited rollout records, CSV metrics and a summary into
-an output directory; and a certified-mode audit, run_certified, which
-returns its result and writes nothing.
+ascent traces, and a disturbance robustness comparison, each its cells run
+through _arm_runs and then judged by a pure function of the records' facts,
+so that the manifest, line-delimited rollout records, CSV metrics and
+summary it writes can be judged again from the records; and a certified-mode
+audit, run_certified, which returns its result and writes nothing.
 """
 
 from dataclasses import dataclass, fields
@@ -26,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 import contextlib
 import hashlib
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 import json
 import math
 import os
@@ -269,15 +270,12 @@ def halt_reason_counts(reasons):
 
 
 def summarize(records):
-    """Per-controller outcome and halt-reason counts, fractions, timing, and
-    recovery histograms.  Timing lives under its own key so deterministic
-    consumers can drop it.
-    """
+    """Per-controller outcome and halt-reason counts, fractions and recovery
+    histograms, from the records' facts alone: a judge's summary."""
     by_kind = {}
     for rec in records:
         by_kind.setdefault(rec.controller, []).append(rec)
     controllers = {}
-    timing = {}
     for kind in sorted(by_kind):
         recs = by_kind[kind]
         n, counts, fractions = tally([r.outcome for r in recs])
@@ -291,11 +289,19 @@ def summarize(records):
             "halt_reasons": halt_reason_counts([r.halt_reason for r in recs]),
             "recovery_iterations": {str(k): hist[k] for k in sorted(hist)},
         }
-        walls = [r.wall_clock_s for r in recs if r.wall_clock_s is not None]
-        timing[kind] = {
-            "mean_wall_clock_s": sum(walls) / len(walls) if walls else None,
-        }
-    return {"controllers": controllers, "timing": timing}
+    return {"controllers": controllers}
+
+
+def episode_timing(records):
+    """Mean episode wall time per controller (None where no record has one):
+    the summary's clock block, which a run adds to its judge's summary."""
+    walls = {}
+    for rec in records:
+        walls.setdefault(rec.controller, [])
+        if rec.wall_clock_s is not None:
+            walls[rec.controller].append(rec.wall_clock_s)
+    return {kind: {"mean_wall_clock_s": sum(w) / len(w) if w else None}
+            for kind, w in sorted(walls.items())}
 
 
 def _outcome_row(base, outcomes):
@@ -388,6 +394,8 @@ class ExperimentConfig:
         if self.ascent_cells is not None:
             cells = tuple((integer("ascent_cells", s), integer("ascent_cells", n))
                           for s, n in self.ascent_cells)
+            if not cells:
+                raise InvalidInputError("ascent_cells must list at least one cell, or be null")
             object.__setattr__(self, "ascent_cells", cells)
         ascent_seeds = [s for s, _ in self.ascent_cells or ()]
         if min([self.seed, *self.demo_seeds, *ascent_seeds]) < 0:
@@ -560,9 +568,9 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
 
     Each cell (seed key, demo seed, demo count) is fitted once, all of them
     in this process before any rollout; every arm in kinds then rolls out on
-    the cell's paired seeds [master seed, *seed key, episode].  Returns
-    ((cell, kind, records) per arm, cell by cell; the stage wall times; the
-    solver counts of the fits).
+    the cell's paired seeds [master seed, *seed key, episode].  Returns (the
+    records, arm by arm within each cell, cell by cell; the stage wall
+    times; the solver counts of the fits).
     The oracle arm steps with oracle_eta when it is set.
 
     Demo sets are nested, so each demo seed's set is generated once, at the
@@ -599,7 +607,7 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
             sup = support if CONTROLLERS[kind].uses_support else None
             pol = policy if CONTROLLERS[kind].uses_policy else None
             chunks = _contiguous_chunks(seeds, jobs)
-            arms.append((cell, kind, len(chunks)))
+            arms.append((kind, len(chunks)))
             tasks[kind].extend((spec, kind, sup, pol, c, scfg, disturbance) for c in chunks)
     # Set-up is done: free the demo sets, each with its stacked states,
     # before the pools fork workers that would inherit them.
@@ -612,19 +620,131 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
                     done[kind] = iter(list(pool.map(_rollout_task, arm_tasks)))
             else:
                 done[kind] = iter([_rollout_task(t) for t in arm_tasks])
-    runs = [(cell, kind, list(chain.from_iterable(islice(done[kind], n_chunks))))
-            for cell, kind, n_chunks in arms]
-    return runs, timing, _solver_block(supports)
+    records = [rec for kind, n_chunks in arms for chunk in islice(done[kind], n_chunks)
+               for rec in chunk]
+    return records, timing, _solver_block(supports)
 
 
-def _require_gates(gates):
-    failed = [name for name, v in gates.items() if v["passed"] is False]
-    if failed:
-        raise GateFailureError(f"experiment gates failed: {', '.join(sorted(failed))}")
+def _gate(passed, **detail):
+    return {"passed": passed, "detail": detail}
+
+
+# ---------------------------------------------------------------------------
+# experiments: cells -> _arm_runs -> judge
+
+
+def _run(plan, judge, config, jobs):
+    """Roll out the plan's cells with _arm_runs and judge their records.  The
+    result gains what only a run has: the records, the stage wall times, the
+    fits' solver counts and the episode wall times."""
+    records, timing, solver = _arm_runs(load_env_spec(config.env), config, *plan(config), jobs)
+    result = judge(config, records)
+    result["aggregates"]["solver"] = solver
+    result["summary"]["timing"] = episode_timing(records)
+    return dict(result, records=records, timing=timing)
+
+
+def _judged_runs(config, plan, records):
+    """(cell, kind, records) per arm, in _arm_runs's order, regrouped by
+    the records' seeds [master seed, *cell key, episode].
+
+    Records read back from a file are outside input, so every (cell,
+    controller) of the plan must have its eval_samples episodes, once each,
+    and no record may name another cell or controller; otherwise
+    InvalidInputError names them.  Seeds compare as JSON: 3.0 is not 3.
+    """
+    cells, kinds, _ = plan
+    episodes = {(kind, json.dumps([config.seed, *key, i])): []
+                for key, _, _ in cells for kind in kinds for i in range(config.eval_samples)}
+    for rec in records:
+        seed = json.dumps(rec.seed)
+        if (rec.controller, seed) not in episodes:
+            raise InvalidInputError(
+                f"a record of controller {rec.controller!r} with seed {seed} ([master seed, "
+                "*cell, episode]) is no episode of the config's cells and controllers"
+            )
+        episodes[rec.controller, seed].append(rec)
+    runs = []
+    for key, demo_seed, n in cells:
+        for kind in kinds:
+            recs = [episodes[kind, json.dumps([config.seed, *key, i])]
+                    for i in range(config.eval_samples)]
+            if any(len(r) != 1 for r in recs):
+                raise InvalidInputError(
+                    f"cell {list(key)} ({n} demos of demo seed {demo_seed}), controller "
+                    f"{kind!r}: of its {config.eval_samples} episodes, {recs.count([])} have no "
+                    f"record and {sum(len(r) > 1 for r in recs)} more than one"
+                )
+            runs.append(((key, demo_seed, n), kind, [rec for rec, in recs]))
+    return runs
 
 
 # ---------------------------------------------------------------------------
 # experiment: learning curve
+
+
+def _learning_curve_plan(config):
+    """One cell per (trial, demo count), each trial on its own demo seed."""
+    cells = [((trial, gi), config.demo_seeds[trial], n)
+             for trial in range(config.trials) for gi, n in enumerate(config.demo_grid)]
+    return cells, config.controllers, config.disturbance
+
+
+def judge_learning_curve(config, records):
+    """Rows per (controller, demo count, trial), pooled gates and aggregates."""
+    rows = [
+        _outcome_row({"controller": kind, "demo_count": n, "trial": trial,
+                      "demo_seed": demo_seed}, [r.outcome for r in recs])
+        for ((trial, _), demo_seed, n), kind, recs
+        in _judged_runs(config, _learning_curve_plan(config), records)
+    ]
+    summary = summarize(records)
+    pooled = {kind: summary["controllers"][kind]["counts"] for kind in config.controllers}
+    total = config.trials * len(config.demo_grid) * config.eval_samples
+    gates = {}
+    aggregates = {"per_controller": {kind: dict(pooled[kind], n=total) for kind in pooled},
+                  "solver": None}  # from the fits: a run fills it in
+    if "baseline" in pooled and "dfr" in pooled:
+        k_b, k_d = pooled["baseline"][COLLIDED], pooled["dfr"][COLLIDED]
+        upper_d = wilson_upper(k_d, total)
+        lower_b = wilson_lower(k_b, total)
+        gates["collision_halving"] = _gate(upper_d <= 0.5 * lower_b,
+                                           dfr_upper=upper_d, baseline_lower=lower_b)
+        p_b = pooled["baseline"][COMPLETED] / total
+        p_d = pooled["dfr"][COMPLETED] / total
+        gates["completion_ratio"] = _gate(p_d >= 0.5 * p_b, dfr=p_d, needed=0.5 * p_b)
+        aggregates["collision_reduction_ratio"] = (
+            None if k_b == 0 else 1.0 - (k_d / total) / (k_b / total)
+        )
+        # Per-count completion intervals of dfr vs baseline can overlap at the
+        # protocol's small cell sizes; flag those counts rather than widening it.
+        overlap = {}
+        cell_n = config.trials * config.eval_samples
+        for n in config.demo_grid:
+            done_d, done_b = (
+                sum(r[COMPLETED] for r in rows if r["controller"] == kind and r["demo_count"] == n)
+                for kind in ("dfr", "baseline")
+            )
+            lo_d, hi_d = wilson_interval(done_d, cell_n)
+            lo_b, hi_b = wilson_interval(done_b, cell_n)
+            overlap[str(n)] = bool(lo_d <= hi_b and lo_b <= hi_d)
+        aggregates["completion_interval_overlap"] = overlap
+    if "es" in pooled and "dfr" in pooled:
+        lo_es = wilson_interval(pooled["es"][COLLIDED], total)[0]
+        hi_d = wilson_interval(pooled["dfr"][COLLIDED], total)[1]
+        gates["es_collisions_not_above_dfr"] = _gate(lo_es <= hi_d, es_lower=lo_es, dfr_upper=hi_d)
+    if "supervisor" in pooled:
+        completed = pooled["supervisor"][COMPLETED]
+        gates["supervisor_sanity"] = _gate(completed == total, completed=completed, n=total)
+
+    return {
+        "experiment": "learning-curve",
+        "columns": ["controller", "demo_count", "trial", "demo_seed"] + OUTCOME_COLUMNS,
+        "rows": rows,
+        "gates": gates,
+        "aggregates": aggregates,
+        "summary": summary,
+    }
 
 
 def run_learning_curve(config, jobs=1):
@@ -634,87 +754,7 @@ def run_learning_curve(config, jobs=1):
     every grid count, fits the support and the policy, and evaluates every
     controller on eval_samples paired rollouts.
     """
-    spec = load_env_spec(config.env)
-    cells = [
-        ((trial, gi), config.demo_seeds[trial], n)
-        for trial in range(config.trials)
-        for gi, n in enumerate(config.demo_grid)
-    ]
-    rows = []
-    records = []
-    runs, timing, solver = _arm_runs(
-        spec, config, cells, config.controllers, config.disturbance, jobs
-    )
-    for ((trial, _), demo_seed, n), kind, recs in runs:
-        base = {"controller": kind, "demo_count": n, "trial": trial, "demo_seed": demo_seed}
-        rows.append(_outcome_row(base, [r.outcome for r in recs]))
-        records.extend(recs)
-
-    summary = summarize(records)
-    pooled = {kind: summary["controllers"][kind]["counts"] for kind in config.controllers}
-    total = config.trials * len(config.demo_grid) * config.eval_samples
-    gates = {}
-    aggregates = {
-        "per_controller": {
-            kind: dict(pooled[kind], n=total) for kind in config.controllers
-        },
-        "solver": solver,
-    }
-    if "baseline" in pooled and "dfr" in pooled:
-        k_b, k_d = pooled["baseline"][COLLIDED], pooled["dfr"][COLLIDED]
-        upper_d = wilson_upper(k_d, total)
-        lower_b = wilson_lower(k_b, total)
-        gates["collision_halving"] = {
-            "passed": upper_d <= 0.5 * lower_b,
-            "detail": {"dfr_upper": upper_d, "baseline_lower": lower_b},
-        }
-        p_b = pooled["baseline"][COMPLETED] / total
-        p_d = pooled["dfr"][COMPLETED] / total
-        gates["completion_ratio"] = {
-            "passed": p_d >= 0.5 * p_b,
-            "detail": {"dfr": p_d, "needed": 0.5 * p_b},
-        }
-        aggregates["collision_reduction_ratio"] = (
-            None if k_b == 0 else 1.0 - (k_d / total) / (k_b / total)
-        )
-    if "es" in pooled and "dfr" in pooled:
-        lo_es = wilson_interval(pooled["es"][COLLIDED], total)[0]
-        hi_d = wilson_interval(pooled["dfr"][COLLIDED], total)[1]
-        gates["es_collisions_not_above_dfr"] = {
-            "passed": lo_es <= hi_d,
-            "detail": {"es_lower": lo_es, "dfr_upper": hi_d},
-        }
-    if "supervisor" in pooled:
-        gates["supervisor_sanity"] = {
-            "passed": pooled["supervisor"][COMPLETED] == total,
-            "detail": {"completed": pooled["supervisor"][COMPLETED], "n": total},
-        }
-    # Per-count completion intervals of dfr vs baseline can overlap at the
-    # protocol's small cell sizes; flag those counts rather than widening it.
-    if "baseline" in pooled and "dfr" in pooled:
-        overlap = {}
-        cell_n = config.trials * config.eval_samples
-        for n in config.demo_grid:
-            k_d, k_b = (
-                sum(r[COMPLETED] for r in rows if r["controller"] == kind and r["demo_count"] == n)
-                for kind in ("dfr", "baseline")
-            )
-            lo_d, hi_d = wilson_interval(k_d, cell_n)
-            lo_b, hi_b = wilson_interval(k_b, cell_n)
-            overlap[str(n)] = bool(lo_d <= hi_b and lo_b <= hi_d)
-        aggregates["completion_interval_overlap"] = overlap
-
-    columns = ["controller", "demo_count", "trial", "demo_seed"] + OUTCOME_COLUMNS
-    return {
-        "experiment": "learning-curve",
-        "columns": columns,
-        "rows": rows,
-        "gates": gates,
-        "aggregates": aggregates,
-        "summary": summary,
-        "records": records,
-        "timing": timing,
-    }
+    return _run(_learning_curve_plan, judge_learning_curve, config, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -755,14 +795,9 @@ def activation_split(records, points):
     its traces that reach 0.9 without the hand-back anchor, and the largest
     decrease of its mean curve (the traces resampled onto points, no
     anchor); None for both in an empty group."""
-    return _split([a for rec in records for a in rec.activations], points)
-
-
-def _split(activations, points):
-    """activation_split over (ending, values) pairs."""
     groups = {band: {ending: [] for ending in (HAND_BACK, *STEP_HALTS)}
               for band in ACTIVATION_BANDS}
-    for ending, values in activations:
+    for ending, values in (a for rec in records for a in rec.activations):
         n = len(values)
         band = ACTIVATION_BANDS[0 if n == 1 else 1 if n <= 4 else 2]
         groups[band].setdefault(ending, []).append(values)
@@ -796,81 +831,54 @@ def resample_trace(values, points):
     return np.interp(xs, xp, values)
 
 
-def run_ascent_traces(config, jobs=1):
-    """Averaged normalized recovery curves for the dfr and oracle arms."""
-    spec = load_env_spec(config.env)
+def _ascent_plan(config):
+    """One cell per ascent cell (demo seed, demo count), by default the
+    demo_seeds x demo_grid cross; the dfr and oracle arms only."""
     pairs = config.ascent_cells
     if pairs is None:
-        pairs = tuple(
-            (config.demo_seeds[t], n)
-            for t in range(config.trials)
-            for n in config.demo_grid
-        )
+        pairs = [(config.demo_seeds[t], n) for t in range(config.trials) for n in config.demo_grid]
     arms = tuple(k for k in config.controllers if k in ("dfr", "oracle"))
     if not arms:
         raise InvalidInputError("ascent experiment needs the dfr and/or oracle controller")
     cells = [((ci, 0), demo_seed, n) for ci, (demo_seed, n) in enumerate(pairs)]
-    traces = {arm: [] for arm in arms}
-    activations = {arm: [] for arm in arms}
-    records = []
-    runs, timing, solver = _arm_runs(spec, config, cells, arms, config.disturbance, jobs)
-    for _, arm, recs in runs:
-        for rec in recs:
-            traces[arm].extend(activation_traces(rec))
-            activations[arm].extend(rec.activations)
-        records.extend(recs)
+    return cells, arms, config.disturbance
 
-    curves = {}
-    rows = []
-    for arm in arms:
-        if traces[arm]:
-            curves[arm] = _mean_curve(traces[arm], config.trace_points)
-        else:
-            curves[arm] = np.full(config.trace_points, np.nan)
-        for k in range(config.trace_points):
-            rows.append(
-                {
-                    "arm": arm,
-                    "point": k,
-                    "axis": k / (config.trace_points - 1),
-                    "mean_value": float(curves[arm][k]),
-                    "n_traces": len(traces[arm]),
-                }
-            )
+
+def judge_ascent(config, records):
+    """Mean normalized recovery curves per arm, their gates, and each arm's
+    traces and activation split."""
+    plan = _ascent_plan(config)
+    by_arm = {arm: [] for arm in plan[1]}
+    for _, arm, recs in _judged_runs(config, plan, records):
+        by_arm[arm].extend(recs)
+    traces = {arm: [t for rec in recs for t in activation_traces(rec)]
+              for arm, recs in by_arm.items()}
+    points = config.trace_points
+    curves = {arm: _mean_curve(v, points) if v else np.full(points, np.nan)
+              for arm, v in traces.items()}
+    rows = [{"arm": arm, "point": k, "axis": k / (points - 1), "mean_value": float(curve[k]),
+             "n_traces": len(traces[arm])} for arm, curve in curves.items() for k in range(points)]
 
     gates = {}
-    aggregates = {"activations": {arm: len(traces[arm]) for arm in arms}, "solver": solver}
-    if "dfr" in arms:
+    aggregates = {"activations": {arm: len(v) for arm, v in traces.items()}, "solver": None}
+    if "dfr" in traces:
         n_act = len(traces["dfr"])
-        gates["enough_activations"] = {
-            "passed": n_act >= config.min_activations,
-            "detail": {"activations": n_act, "needed": config.min_activations},
-        }
+        gates["enough_activations"] = _gate(n_act >= config.min_activations,
+                                            activations=n_act, needed=config.min_activations)
         if n_act:
             max_decrease = _max_decrease(curves["dfr"])
             reach = _fraction_reaching(traces["dfr"])
-            starts = [v[0] for v in traces["dfr"]]
             aggregates["dfr_max_decrease"] = max_decrease
             aggregates["dfr_fraction_reaching_0.9"] = reach
-            aggregates["dfr_max_start_value"] = float(max(starts))
-            gates["nearly_monotone"] = {
-                "passed": max_decrease <= 0.02,
-                "detail": {"max_decrease": max_decrease},
-            }
-            gates["reaches_threshold"] = {
-                "passed": reach >= 0.8,
-                "detail": {"fraction": reach},
-            }
-    if "dfr" in arms and "oracle" in arms and traces["dfr"] and traces["oracle"]:
+            aggregates["dfr_max_start_value"] = float(max(v[0] for v in traces["dfr"]))
+            gates["nearly_monotone"] = _gate(max_decrease <= 0.02, max_decrease=max_decrease)
+            gates["reaches_threshold"] = _gate(reach >= 0.8, fraction=reach)
+    if traces.get("dfr") and traces.get("oracle"):
         margin = float(np.min(curves["oracle"] - curves["dfr"]))
         aggregates["oracle_minus_dfr_min"] = margin
-        gates["oracle_dominates"] = {
-            "passed": margin >= -0.02,
-            "detail": {"min_pointwise_margin": margin},
-        }
-    aggregates["activation_split"] = {
-        arm: _split(activations[arm], config.trace_points) for arm in arms
-    }
+        gates["oracle_dominates"] = _gate(margin >= -0.02, min_pointwise_margin=margin)
+    aggregates["activation_split"] = {arm: activation_split(recs, points)
+                                      for arm, recs in by_arm.items()}
 
     return {
         "experiment": "ascent",
@@ -879,15 +887,56 @@ def run_ascent_traces(config, jobs=1):
         "gates": gates,
         "aggregates": aggregates,
         "summary": summarize(records),
-        "records": records,
-        "timing": timing,
         "curves": curves,
         "traces": traces,
     }
 
 
+def run_ascent_traces(config, jobs=1):
+    """Averaged normalized recovery curves for the dfr and oracle arms."""
+    return _run(_ascent_plan, judge_ascent, config, jobs)
+
+
 # ---------------------------------------------------------------------------
 # experiment: disturbance robustness
+
+
+def _disturbance_plan(config):
+    """One cell, demo_grid[-1] demos of demo_seeds[0], with the stream on
+    unless the config turns it off."""
+    disturbance = True if config.disturbance is None else config.disturbance
+    return [((0, 0), config.demo_seeds[0], config.demo_grid[-1])], config.controllers, disturbance
+
+
+def judge_disturbance(config, records):
+    """Rows per controller and the baseline-vs-dfr gates."""
+    plan = _disturbance_plan(config)
+    rows = [
+        _outcome_row({"controller": kind, "demo_count": n, "demo_seed": demo_seed},
+                     [r.outcome for r in recs])
+        for (_, demo_seed, n), kind, recs in _judged_runs(config, plan, records)
+    ]
+    counts = {row["controller"]: row for row in rows}
+
+    gates = {}
+    if "baseline" in counts and "dfr" in counts:
+        n_arm = config.eval_samples
+        upper_d = wilson_upper(counts["dfr"][COLLIDED], n_arm)
+        lower_b = wilson_lower(counts["baseline"][COLLIDED], n_arm)
+        gates["collision_third"] = _gate(upper_d <= 0.33 * lower_b,
+                                         dfr_upper=upper_d, threshold=0.33 * lower_b)
+        passed, detail = proportion_margin_test(
+            counts["dfr"][COMPLETED], n_arm, counts["baseline"][COMPLETED], n_arm, 0.1
+        )
+        gates["completion_margin"] = _gate(passed, **detail)
+    return {
+        "experiment": "disturbance",
+        "columns": ["controller", "demo_count", "demo_seed"] + OUTCOME_COLUMNS,
+        "rows": rows,
+        "gates": gates,
+        "aggregates": {"disturbance_enabled": bool(plan[2]), "solver": None},
+        "summary": summarize(records),
+    }
 
 
 def run_disturbance_eval(config, jobs=1):
@@ -898,49 +947,7 @@ def run_disturbance_eval(config, jobs=1):
     across arms, so both controllers face identical start states and
     identical disturbance streams.
     """
-    spec = load_env_spec(config.env)
-    n = config.demo_grid[-1]
-    demo_seed = config.demo_seeds[0]
-    disturbance = True if config.disturbance is None else config.disturbance
-    rows = []
-    records = []
-    runs, timing, solver = _arm_runs(
-        spec, config, [((0, 0), demo_seed, n)], config.controllers, disturbance, jobs
-    )
-    for _, kind, recs in runs:
-        base = {"controller": kind, "demo_count": n, "demo_seed": demo_seed}
-        rows.append(_outcome_row(base, [r.outcome for r in recs]))
-        records.extend(recs)
-    counts = {row["controller"]: row for row in rows}
-
-    gates = {}
-    aggregates = {"disturbance_enabled": bool(disturbance), "solver": solver}
-    if "baseline" in counts and "dfr" in counts:
-        n_arm = config.eval_samples
-        k_b = counts["baseline"][COLLIDED]
-        k_d = counts["dfr"][COLLIDED]
-        upper_d = wilson_upper(k_d, n_arm)
-        lower_b = wilson_lower(k_b, n_arm)
-        gates["collision_third"] = {
-            "passed": upper_d <= 0.33 * lower_b,
-            "detail": {"dfr_upper": upper_d, "threshold": 0.33 * lower_b},
-        }
-        passed, detail = proportion_margin_test(
-            counts["dfr"][COMPLETED], n_arm, counts["baseline"][COMPLETED], n_arm, 0.1
-        )
-        gates["completion_margin"] = {"passed": passed, "detail": detail}
-
-    columns = ["controller", "demo_count", "demo_seed"] + OUTCOME_COLUMNS
-    return {
-        "experiment": "disturbance",
-        "columns": columns,
-        "rows": rows,
-        "gates": gates,
-        "aggregates": aggregates,
-        "summary": summarize(records),
-        "records": records,
-        "timing": timing,
-    }
+    return _run(_disturbance_plan, judge_disturbance, config, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -993,12 +1000,7 @@ def run_certified(config):
         if rec.g_min is not None and rec.g_min < min_g:
             min_g = rec.g_min
     lam0 = effective_lambda(scfg, support, 0, spec)
-    gates = {
-        "no_support_exit": {
-            "passed": min_g >= -1e-9,
-            "detail": {"min_g": min_g, "tolerance": -1e-9},
-        }
-    }
+    gates = {"no_support_exit": _gate(min_g >= -1e-9, min_g=min_g, tolerance=-1e-9)}
     return {
         "experiment": "certified",
         "columns": ["controller", "demo_count", "demo_seed"] + OUTCOME_COLUMNS,
@@ -1110,13 +1112,8 @@ def write_experiment_outputs(out_dir, config, result):
     records_write_s = time.perf_counter() - t0
     name = "traces.csv" if result["experiment"] == "ascent" else "metrics.csv"
     write_csv(os.path.join(out_dir, name), result["columns"], result["rows"])
-    summary_doc = {
-        "experiment": result["experiment"],
-        "gates": result["gates"],
-        "aggregates": result["aggregates"],
-    }
-    if result.get("summary") is not None:
-        summary_doc["summary"] = result["summary"]
+    summary_doc = {key: result[key] for key in ("experiment", "gates", "aggregates", "summary")
+                   if result.get(key) is not None}
     summary_doc["timing"] = {**(result.get("timing") or {}), "records_write_s": records_write_s}
     atomic_write_text(os.path.join(out_dir, "summary.json"), dump_json(_json_safe(summary_doc)))
     return manifest
@@ -1152,6 +1149,7 @@ def run_experiment(name, config, out_dir=None, jobs=1, enforce_gates=False):
     result = EXPERIMENT_RUNNERS[name](config, jobs=jobs)
     if out_dir is not None:
         write_experiment_outputs(out_dir, config, result)
-    if enforce_gates:
-        _require_gates(result["gates"])
+    failed = sorted(name for name, gate in result["gates"].items() if gate["passed"] is False)
+    if enforce_gates and failed:
+        raise GateFailureError(f"experiment gates failed: {', '.join(failed)}")
     return result

@@ -249,6 +249,13 @@ def _non_integer_demo_grid(work, d):
     return ("exp-learning-curve", "--config", str(d / "cfg.json"), "--out", str(d / "run"))
 
 
+def _empty_ascent_cells(work, d):
+    doc = json.loads(files("dfrlab").joinpath("data", "exp_point_push_ascent.json").read_text())
+    doc["ascent_cells"] = []
+    (d / "cfg.json").write_text(json.dumps(doc))
+    return ("exp-ascent", "--config", str(d / "cfg.json"), "--out", str(d / "run"))
+
+
 def _fractional_horizon(work, d):
     doc = json.loads(files("dfrlab").joinpath("data", "line_track.json").read_text())
     doc["horizon"] = 40.7
@@ -269,6 +276,7 @@ MALFORMED_INPUTS = {
     "estimator-ragged-support-vectors": _ragged_estimator,
     "bundle-manifest-without-slices": _manifest_without_slices,
     "config-non-integer-demo-grid": _non_integer_demo_grid,
+    "config-empty-ascent-cells": _empty_ascent_cells,
     "demos-ragged-states": _ragged_demo_states,
     "env-spec-fractional-horizon": _fractional_horizon,
 }

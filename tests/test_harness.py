@@ -12,7 +12,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from dfrlab import controllers, harness, records
+from dfrlab import controllers, envs, harness, records
 from dfrlab.controllers import Policy, SwitchConfig
 from dfrlab.envs import builtin_env_spec
 from dfrlab.errors import InvalidInputError
@@ -22,6 +22,7 @@ from dfrlab.harness import (
     activation_split,
     activation_traces,
     classify_outcome,
+    episode_timing,
     experiment_config_from_document,
     experiment_config_to_document,
     fit_support,
@@ -37,6 +38,7 @@ from dfrlab.harness import (
     wilson_interval,
     wilson_lower,
     wilson_upper,
+    _json_safe,
     _strip_nondeterministic,
     write_csv,
     write_experiment_outputs,
@@ -55,6 +57,7 @@ from dfrlab.records import (
 )
 from dfrlab.supervisor import generate_demos
 from dfrlab.support import TimeVaryingSupport
+from dfrlab.util import dump_json
 
 
 def _norm(u):
@@ -183,8 +186,11 @@ def test_summarize_hand_values():
     assert d["recovery_iterations"] == {"0": 1, "4": 2}
     total = sum(d["fractions"].values())
     assert total == 1.0  # halted fraction defined by subtraction
-    assert out["timing"]["baseline"]["mean_wall_clock_s"] == pytest.approx(0.2)
-    assert out["timing"]["dfr"]["mean_wall_clock_s"] is None
+    # the clock stays out of summarize, which judges call: a run adds it
+    assert list(out) == ["controllers"]
+    timing = episode_timing(recs)
+    assert timing["baseline"]["mean_wall_clock_s"] == pytest.approx(0.2)
+    assert timing["dfr"]["mean_wall_clock_s"] is None
 
 
 def test_summarize_counts_halt_reasons():
@@ -744,6 +750,17 @@ def test_experiment_config_rejects_negative_seeds_and_bad_jitter(fields):
         ExperimentConfig(**fields)
 
 
+def test_experiment_config_refuses_empty_ascent_cells():
+    # null falls back to the demo_seeds x demo_grid cross; an empty list
+    # would run no cell and leave the solver block nothing to count
+    with pytest.raises(InvalidInputError, match="ascent_cells must list at least one cell"):
+        ExperimentConfig(ascent_cells=())
+    doc = experiment_config_to_document(ExperimentConfig())
+    doc["ascent_cells"] = []
+    with pytest.raises(InvalidInputError, match="ascent_cells"):
+        experiment_config_from_document(doc)
+
+
 def test_experiment_config_seed_defaults():
     cfg = ExperimentConfig(trials=3, seed=7)
     assert cfg.demo_seeds == (7000, 7001, 7002)
@@ -936,6 +953,97 @@ def test_parallel_parent_never_decodes_records(monkeypatch, tmp_path, experiment
         assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
     for kind, entry in out["summary"]["controllers"].items():
         assert sum(entry["halt_reasons"].values()) == entry["n"], kind
+
+
+# ---------------------------------------------------------------------------
+# judging a written run again from its records.jsonl
+
+
+JUDGES = {"learning-curve": harness.judge_learning_curve, "ascent": harness.judge_ascent,
+          "disturbance": harness.judge_disturbance}
+
+# Two trials of two counts, and two ascent cells, so that the judges regroup
+# records over more than one cell key.
+ROUND_TRIP_RUNS = [
+    ("learning-curve", _mini_config(demo_grid=(20, 30), trials=2, demo_seeds=(5, 6),
+                                    eval_samples=3, controllers=("supervisor", "baseline",
+                                                                 "es", "dfr"))),
+    ("ascent", _shipped_config("exp_point_push_ascent.json", eval_samples=8,
+                               ascent_cells=((5, 30), (7, 20)))),
+    ("disturbance", _shipped_config("exp_line_track_disturbance.json", eval_samples=8)),
+]
+
+# What a judge must never call: rollouts, fits, demo generation and the env.
+NOT_JUDGING = ("_arm_runs", "rollout", "_fit_cell", "fit_support", "fit_time_varying",
+               "fit_pooled", "fit_policy", "generate_demos", "demo_prefix", "load_env_spec",
+               "reset", "step", "check_constraint", "reached_goal", "classify_outcome")
+
+
+def _read_back(run_dir):
+    with open(run_dir / "records.jsonl") as fh:
+        return [record_from_document(json.loads(line)) for line in fh]
+
+
+def _refuse_everything_but_judging(monkeypatch):
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"a judge called {name}")
+        return refused
+
+    for module in (harness, envs, controllers):
+        for name in NOT_JUDGING:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+    monkeypatch.setattr(TimeVaryingSupport, "g_at", refuse("g_at"))
+
+
+@pytest.mark.parametrize("experiment, cfg", ROUND_TRIP_RUNS, ids=[e for e, _ in ROUND_TRIP_RUNS])
+def test_a_written_run_is_judged_again_from_its_records(monkeypatch, tmp_path, experiment, cfg):
+    run = tmp_path / "run"
+    run_experiment(experiment, cfg, out_dir=run)
+    written = _strip_nondeterministic(json.loads((run / "summary.json").read_text()))
+    config = experiment_config_from_document(
+        json.loads((run / "manifest.json").read_text())["config"])
+    _refuse_everything_but_judging(monkeypatch)
+    judged = JUDGES[experiment](config, _read_back(run))
+    # the solver counts come from the fits, which the records do not hold
+    assert judged["aggregates"]["solver"] is None
+    judged["aggregates"]["solver"] = written["aggregates"]["solver"]
+    doc = {key: judged[key] for key in ("experiment", "gates", "aggregates", "summary")}
+    assert dump_json(_json_safe(doc)) == dump_json(written)
+    table = "traces.csv" if experiment == "ascent" else "metrics.csv"
+    write_csv(tmp_path / table, judged["columns"], judged["rows"])
+    assert (tmp_path / table).read_bytes() == (run / table).read_bytes()
+
+
+def test_the_judge_refuses_records_that_are_not_the_configs_episodes(tmp_path):
+    cfg = _mini_config(demo_grid=(20, 30), eval_samples=3)
+    run_experiment("learning-curve", cfg, out_dir=tmp_path)
+    lines = (tmp_path / "records.jsonl").read_text().splitlines()
+
+    def judge(lines, config=cfg):
+        return harness.judge_learning_curve(
+            config, [record_from_document(json.loads(line)) for line in lines])
+
+    judge(lines)
+    # cell by cell, baseline then dfr: the last line is dfr's episode 2 of cell [0, 1]
+    truncated = ("cell [0, 1] (30 demos of demo seed 5), controller 'dfr': of its 3 "
+                 "episodes, 1 have no record and 0 more than one")
+    with pytest.raises(InvalidInputError, match=re.escape(truncated)):
+        judge(lines[:-1])
+    duplicated = ("cell [0, 0] (20 demos of demo seed 5), controller 'baseline': of its 3 "
+                  "episodes, 0 have no record and 1 more than one")
+    with pytest.raises(InvalidInputError, match=re.escape(duplicated)):
+        judge(lines + lines[:1])
+    stray = "controller 'dfr' with seed [0, 0, 0, 0]"
+    with pytest.raises(InvalidInputError, match=re.escape(stray)):
+        judge(lines, dataclasses.replace(cfg, controllers=("baseline",)))
+    renamed = lines[0].replace('"controller":"baseline"', '"controller":"es"')
+    with pytest.raises(InvalidInputError, match=re.escape("controller 'es' with seed [0, 0, 0, 0]")):
+        judge([renamed] + lines[1:])
+    with pytest.raises(InvalidInputError,
+                       match=re.escape("controller 'baseline' with seed [0, 0, 0, 0]")):
+        judge(lines, dataclasses.replace(cfg, seed=1))
 
 
 def test_run_certified_refuses_a_manual_config():
