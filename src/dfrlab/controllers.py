@@ -54,7 +54,7 @@ from .records import (
     COLLIDED, COMPLETED, OUTSIDE_SUPPORT, RECOVERY_CAP, AppliedRecord, RecoveryStep, StepRecord,
 )
 from .supervisor import supervisor_action
-from .util import atomic_write_text, dump_json, float_list, load_json, malformed
+from .util import atomic_write_text, dump_json, float_list, load_json, malformed, real
 
 # Control offset of the oracle's central differences.
 FD_DELTA = 1e-4
@@ -67,6 +67,8 @@ class PolicyConfig:
     ridge: float = 1e-6
 
     def __post_init__(self):
+        object.__setattr__(self, "bandwidth", real("bandwidth", self.bandwidth))
+        object.__setattr__(self, "ridge", real("ridge", self.ridge))
         if self.centers < 1 or not self.bandwidth > 0.0 or self.ridge < 0.0:
             raise InvalidInputError(
                 f"bad policy config: centers={self.centers}, "
@@ -310,6 +312,11 @@ class SwitchConfig:
     lambda_mode: str = "manual"
 
     def __post_init__(self):
+        if self.lam is not None:
+            object.__setattr__(self, "lam", real("lam", self.lam))
+        if self.eta is not None:
+            object.__setattr__(self, "eta", real("eta", self.eta))
+        object.__setattr__(self, "epsilon", real("epsilon", self.epsilon))
         if self.lambda_mode not in ("manual", "certified"):
             raise InvalidInputError(f"unknown lambda_mode {self.lambda_mode!r}")
         certified = self.lambda_mode == "certified"

@@ -6,10 +6,9 @@ out), a constraint predicate, and a dynamics constant K such that a single
 applied control u moves the state vector by at most K * ||u|| (plus the
 disturbance amplitude where a disturbance is enabled).  A spec whose K is
 below its kind's proven bound (sqrt(2) for PointPush, 1 for LineTrack) is
-refused, since certified lambda = L_t * K relies on it.  step (with no
-stream), the control clip and the two predicates also have batch forms
-over the rows of an (n, d) state array, with the same bits row for row;
-demo generation uses them, and rollouts the scalar ones.
+refused, since certified lambda = L_t * K relies on it.  Demo generation
+and rollouts call the same step, control clip and predicates, one state at
+a time.
 
 Every 2-vector norm is _dist(dx, dy) = sqrt(dx*dx + dy*dy) in Python floats:
 IEEE 754 rounds each operation once, so a norm, and every threshold test on
@@ -272,83 +271,6 @@ def step(spec, state, u, stream=None):
     delta = stream.increment() if stream is not None else 0.0
     x = state.tolist()
     return np.array((x[0] + ux, x[1] + uy - delta))
-
-
-# Batch forms of _clip_control, step, check_constraint and reached_goal,
-# over the rows of an (n, d) state array.  Each equals its scalar function
-# row for row, bit for bit: the same IEEE +, -, *, / and sqrt in the same
-# order, each branch's value kept by np.where in the scalar's order, and
-# every division guarded so that a row its branch does not select cannot
-# warn.
-
-
-def _dists(dx, dy):
-    """_dist for each row: np.sqrt(dx*dx + dy*dy), elementwise."""
-    return np.sqrt(dx * dx + dy * dy)
-
-
-def clip_control_batch(spec, U):
-    """_clip_control(spec, u)[0] for each row u of U."""
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[1] != spec.control_dim or not np.isfinite(U).all():
-        raise InvalidInputError(f"control must be a finite vector of length {spec.control_dim}")
-    norm = _dists(U[:, 0], U[:, 1])
-    over = norm > spec.u_max
-    scaled = U * (spec.u_max / np.where(over, norm, 1.0))[:, None]
-    return np.where(over[:, None], scaled, U)
-
-
-def step_batch(spec, X, U):
-    """step(spec, x, u, stream=None) for each row pair (x, u) of X and U."""
-    U = clip_control_batch(spec, U)
-    ux, uy = U[:, 0], U[:, 1]
-    if spec.kind == POINT_PUSH:
-        geo = spec.push
-        lo_x, lo_y, hi_x, hi_y = geo.box
-        rx = X[:, 0] + ux
-        ry = X[:, 1] + uy
-        rx = np.where(rx > lo_x, rx, lo_x)
-        ry = np.where(ry > lo_y, ry, lo_y)
-        rx = np.where(rx < hi_x, rx, hi_x)
-        ry = np.where(ry < hi_y, ry, hi_y)
-        ox, oy = X[:, 2], X[:, 3]
-        dx = ox - rx
-        dy = oy - ry
-        dist = _dists(dx, dy)
-        depth = geo.contact - dist
-        apart = dist > 1e-12
-        un = _dists(ux, uy)
-        moving = un > 0
-        un = np.where(moving, un, 1.0)
-        dist = np.where(apart, dist, 1.0)
-        nx = np.where(apart, dx / dist, np.where(moving, ux / un, 1.0))
-        ny = np.where(apart, dy / dist, np.where(moving, uy / un, 0.0))
-        pushed = depth > 0.0
-        ox = np.where(pushed, ox + depth * nx, ox)
-        oy = np.where(pushed, oy + depth * ny, oy)
-        return np.column_stack((rx, ry, ox, oy, X[:, 4], X[:, 5]))
-    # step's delta is 0.0 with no stream
-    return np.column_stack((X[:, 0] + ux, X[:, 1] + uy - 0.0))
-
-
-def check_constraint_batch(spec, X):
-    """check_constraint(spec, x) for each row x of X, as a bool array."""
-    if spec.kind == POINT_PUSH:
-        rx, ry, ox, oy = X[:, 0], X[:, 1], X[:, 2], X[:, 3]
-        ok = np.ones(len(X), dtype=bool)
-        for cx, cy, robot_reach, object_reach in spec.push.keep_out:
-            ok &= ~((_dists(rx - cx, ry - cy) <= robot_reach)
-                    | (_dists(ox - cx, oy - cy) <= object_reach))
-        return ok
-    return np.abs(X[:, 1]) < spec.deviation_limit
-
-
-def reached_goal_batch(spec, X):
-    """reached_goal(spec, x) for each row x of X, as a bool array."""
-    if spec.kind == POINT_PUSH:
-        gx, gy, radius = spec.push.goal
-        return _dists(X[:, 2] - gx, X[:, 3] - gy) <= radius
-    return X[:, 0] >= spec.goal_progress
 
 
 def random_state(spec, rng):

@@ -63,7 +63,7 @@ from .records import (
 from .supervisor import demo_prefix, generate_demos
 from .support import TimeVaryingSupport, fit_pooled, fit_time_varying
 from .util import (
-    atomic_write_chunks, atomic_write_text, dump_json, integer, load_json, malformed,
+    atomic_write_chunks, atomic_write_text, dump_json, integer, load_json, malformed, real,
     refuse_unknown_keys,
 )
 
@@ -366,8 +366,17 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.type is int:
                 object.__setattr__(self, f.name, integer(f.name, value))
+            elif f.type is float and value is not None:
+                real(f.name, value)  # named as in the config; the derived configs convert
             elif f.name in ("demo_grid", "demo_seeds", "projection") and value is not None:
                 object.__setattr__(self, f.name, tuple(integer(f.name, v) for v in value))
+        if not isinstance(self.env, str):
+            raise InvalidInputError(f"env: expected a name or a spec path, got {self.env!r}")
+        if not isinstance(self.pooled, bool):
+            raise InvalidInputError(f"pooled: expected true or false, got {self.pooled!r}")
+        if not isinstance(self.disturbance, (bool, type(None))):
+            raise InvalidInputError(
+                f"disturbance: expected true, false or null, got {self.disturbance!r}")
         grid = self.demo_grid
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidInputError(f"demo grid must be strictly increasing, got {list(grid)}")
@@ -403,7 +412,7 @@ class ExperimentConfig:
                 f"seeds must be non-negative: seed={self.seed}, "
                 f"demo_seeds={list(self.demo_seeds)}, ascent cell seeds={ascent_seeds}"
             )
-        if not 0.0 <= self.demo_jitter < math.inf:
+        if real("demo_jitter", self.demo_jitter) < 0.0:
             raise InvalidInputError(f"demo_jitter must be finite and >= 0, got {self.demo_jitter}")
         if self.trace_points < 2:
             raise InvalidInputError("trace_points must be >= 2")

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError, SolverNonConvergenceError
-from .util import atomic_write_text, dump_json, float_list, load_json, malformed
+from .util import atomic_write_text, dump_json, float_list, load_json, malformed, real
 
 # Training sets up to this size get a dense precomputed kernel matrix; larger
 # ones fall back to an LRU row cache.
@@ -44,8 +44,9 @@ class KernelParams:
     gamma: float = 5.0
 
     def __post_init__(self):
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise InvalidInputError(f"gamma must be positive and finite, got {self.gamma}")
+        object.__setattr__(self, "gamma", real("gamma", self.gamma))
+        if not self.gamma > 0.0:
+            raise InvalidInputError(f"gamma must be positive, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,8 @@ class OcsvmParams:
     max_solver_iters: int = 200_000
 
     def __post_init__(self):
+        object.__setattr__(self, "nu", real("nu", self.nu))
+        object.__setattr__(self, "solver_tol", real("solver_tol", self.solver_tol))
         if not (0.0 < self.nu <= 1.0):
             raise InvalidInputError(f"nu must lie in (0, 1], got {self.nu}")
         if not (self.solver_tol > 0.0):

@@ -12,12 +12,8 @@ The PointPush supervisor computes in Python floats: its norms are
 envs._dist and its dot products ax*bx + ay*by, so a demo set depends on
 no BLAS kernel.
 
-The PointPush supervisor is written once, as a rule for one state:
-supervisor_action applies it to one state (rollouts and the supervisor
-arm), and supervisor_actions to each row of an (n, d) state array in turn.
-The LineTrack rule is one comparison, so supervisor_actions takes it over
-all rows at once.  generate_demos advances all n demonstrations of a set
-together, through supervisor_actions and the env's batch kernels.
+generate_demos rolls out one demonstration at a time, through the same
+supervisor_action, step and predicates that rollouts call.
 
 Demo sets are stored as line-delimited JSON, one trajectory per line with
 fields in the order (seed, outcome, states, controls).  The format is
@@ -30,13 +26,7 @@ import math
 import numpy as np
 
 from . import envs
-from .envs import (
-    LINE_TRACK,
-    POINT_PUSH,
-    _dist,
-    reset,
-    step,  # not called here; perfbench/tracer.py wraps supervisor.step
-)
+from .envs import LINE_TRACK, POINT_PUSH, _dist, reset, step
 from .errors import InvalidInputError
 from .support import DemoSet, Trajectory
 from .util import atomic_write_text, float_list, malformed
@@ -164,37 +154,23 @@ def supervisor_action(spec, state):
     raise InvalidInputError(f"no supervisor for environment kind {spec.kind!r}")
 
 
-def _line_track_actions(spec, X):
-    done = X[:, 0] >= spec.goal_progress
-    return np.column_stack((np.where(done, 0.0, spec.nominal_step), np.zeros(len(X))))
-
-
-def supervisor_actions(spec, X):
-    """supervisor_action(spec, x) for each row x of X, as an (n, 2) array."""
-    if spec.kind == POINT_PUSH:
-        return np.array([_point_push_rule(spec, *row) for row in X.tolist()])
-    if spec.kind == LINE_TRACK:
-        return _line_track_actions(spec, X)
-    raise InvalidInputError(f"no supervisor for environment kind {spec.kind!r}")
-
-
 def generate_demos(spec, n, seed, jitter_sigma=0.0):
     """Roll out the supervisor n times (disturbance off) and collect demos.
 
-    The n rollouts advance in lockstep, as the rows of one (n, d) state
-    array.  Each horizon step applies the supervisor's per-state rule to
-    each row, then makes one call to each of the env's batch kernels,
-    which equal their scalar functions row for row; so the set is the one
-    that n scalar rollouts in demo order give.  Each demo draws its start,
-    and its jitter in step order, from its own generators.
+    Every start is reset first, so a start that reset refuses fails the set
+    before any rollout runs.  Then each demo in turn is rolled out through
+    supervisor_action and step, drawing its jitter, in step order, from its
+    own generator.  Without jitter, a demo whose next state has the same
+    bytes as its state has reached a fixed point: the supervisor and the
+    stream-free step are pure, so its later states and controls repeat, and
+    they are filled in without being stepped.  (Bytes, not ==, which takes
+    -0.0 for 0.0.)
 
     Every rollout must reach the goal within the horizon without touching a
     constraint region; anything else is an input error (of the jitter or the
     environment spec) rather than a silently dropped trajectory, and names
-    the first failing demo, its seed and step, as one rollout at a time
-    would.  A start that reset refuses fails the set before any rollout.
-    jitter_sigma > 0 adds Gaussian control noise, widening the demonstrated
-    support.
+    the first failing demo, its seed and step.  jitter_sigma > 0 adds
+    Gaussian control noise, widening the demonstrated support.
     """
     if n < 1:
         raise InvalidInputError(f"need at least one demonstration, got n={n}")
@@ -206,41 +182,39 @@ def generate_demos(spec, n, seed, jitter_sigma=0.0):
     traj_seeds = [int(s) for s in root.integers(0, 2**62, size=n)]
     streams = [np.random.SeedSequence(tseed).spawn(2) for tseed in traj_seeds]
     horizon = spec.horizon
-    x = np.stack([reset(spec, reset_seq) for reset_seq, _ in streams])
-    if jitter_sigma > 0.0:
-        # each demo's draws, in step order, from its own generator
-        noise = np.stack([np.random.default_rng(jitter_seq).normal(0.0, jitter_sigma,
-                                                                    size=(horizon, 2))
-                          for _, jitter_seq in streams], axis=1)
     states = np.empty((n, horizon + 1, spec.state_dim))
     controls = np.empty((n, horizon, spec.control_dim))
-    states[:, 0] = x
-    touched = np.full(n, horizon)  # each demo's first step in a region; horizon if none
-    reached = np.zeros(n, dtype=bool)
-    for t in range(horizon):
-        u = supervisor_actions(spec, x)
+    for k, (reset_seq, _) in enumerate(streams):
+        states[k, 0] = reset(spec, reset_seq)
+    for k, (tseed, (_, jitter_seq)) in enumerate(zip(traj_seeds, streams)):
         if jitter_sigma > 0.0:
-            u = envs.clip_control_batch(spec, u + noise[t])
-        x = envs.step_batch(spec, x, u)
-        touched = np.where(envs.check_constraint_batch(spec, x), touched,
-                           np.minimum(touched, t))
-        reached |= envs.reached_goal_batch(spec, x)
-        states[:, t + 1] = x
-        controls[:, t] = u
-    # The first failing demo fails the set, as it would one demo at a time.
-    failed = (touched < horizon) | ~reached
-    if failed.any():
-        k = int(np.argmax(failed))
-        if touched[k] < horizon:
+            noise = np.random.default_rng(jitter_seq).normal(0.0, jitter_sigma, size=(horizon, 2))
+        x = states[k, 0]
+        reached = False
+        for t in range(horizon):
+            u = supervisor_action(spec, x)
+            if jitter_sigma > 0.0:
+                u = envs._clip_control(spec, u + noise[t])[0]
+            x_next = step(spec, x, u)
+            if not envs.check_constraint(spec, x_next):
+                raise InvalidInputError(
+                    f"supervisor rollout {k} (seed {tseed}) touched a constraint "
+                    f"region at step {t} with jitter sigma={jitter_sigma:g}; lower "
+                    "the jitter or fix the environment spec"
+                )
+            reached = reached or envs.reached_goal(spec, x_next)
+            states[k, t + 1] = x_next
+            controls[k, t] = u
+            if jitter_sigma == 0.0 and x_next.tobytes() == x.tobytes():
+                states[k, t + 2:] = x
+                controls[k, t + 1:] = u
+                break
+            x = x_next
+        if not reached:
             raise InvalidInputError(
-                f"supervisor rollout {k} (seed {traj_seeds[k]}) touched a constraint "
-                f"region at step {touched[k]} with jitter sigma={jitter_sigma:g}; lower "
-                "the jitter or fix the environment spec"
+                f"supervisor rollout {k} (seed {tseed}) did not reach the goal "
+                f"within horizon {horizon} with jitter sigma={jitter_sigma:g}"
             )
-        raise InvalidInputError(
-            f"supervisor rollout {k} (seed {traj_seeds[k]}) did not reach the goal "
-            f"within horizon {horizon} with jitter sigma={jitter_sigma:g}"
-        )
     trajectories = [
         Trajectory(states=states[k], controls=controls[k], seed=tseed, outcome="completed")
         for k, tseed in enumerate(traj_seeds)

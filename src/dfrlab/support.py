@@ -41,6 +41,8 @@ class Trajectory:
             self.controls = self.controls.reshape(0, 0)
         if not np.isfinite(self.states).all():
             raise InvalidInputError("trajectory states contain non-finite values")
+        if not np.isfinite(self.controls).all():
+            raise InvalidInputError("trajectory controls contain non-finite values")
         if len(self.controls) != len(self.states) - 1:
             raise InvalidInputError(
                 f"trajectory has {len(self.states)} states but "

@@ -197,6 +197,34 @@ def test_bad_flag_value_exits_2(work, tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("fit-support", "--solver-tol", "inf"), ("fit-support", "--gamma", "nan"),
+    ("fit-policy", "--ridge", "nan"), ("fit-policy", "--bandwidth", "inf"),
+], ids=["solver-tol-inf", "gamma-nan", "ridge-nan", "bandwidth-inf"])
+def test_non_finite_flag_values_exit_2_naming_the_flag(work, tmp_path, args):
+    command, flag, value = args
+    out = tmp_path / "out"
+    proc = run_cli(command, "--demos", str(work["demos"]), flag, value, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and flag[2:].replace("-", "_") in proc.stderr
+    assert not out.exists()
+
+
+def test_fit_policy_refuses_a_demo_file_with_a_non_finite_control(work, tmp_path):
+    lines = work["demos"].read_text().splitlines()
+    doc = json.loads(lines[3])
+    doc["controls"][7][1] = float("nan")
+    lines[3] = json.dumps(doc)
+    demos = tmp_path / "nan.jsonl"
+    demos.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "p.json"
+    proc = run_cli("fit-policy", "--demos", str(demos), "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert "controls contain non-finite values" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_rollout_refuses_a_policy_of_another_state_dimension(work):
     proc = run_cli("rollout", "--env", "line_track", "--controller", "baseline",
                    "--policy", str(work["policy"]), "--seed", "0")
@@ -329,7 +357,11 @@ def test_bad_seed_or_jitter_exits_2(tmp_path, args, message):
 
 
 @pytest.mark.parametrize("field, bad", [("seed", -1), ("demo_seeds", [-3]), ("demo_jitter", -0.5),
-                                        ("eval_samples", 2.5)])
+                                        ("eval_samples", 2.5), ("nu", True),
+                                        ("policy_ridge", float("nan")),
+                                        ("solver_tol", float("inf")), ("demo_jitter", True),
+                                        ("pooled", "0.5"), ("disturbance", "0.5"),
+                                        ("env", 0)])
 def test_bad_config_seed_or_jitter_exits_2_at_load(tmp_path, field, bad):
     cfg_path = tmp_path / "cfg.json"
     _null_disturbance_config(cfg_path)  # seed 0, demo_seeds [5]

@@ -153,6 +153,11 @@ def test_policy_config_validation():
         PolicyConfig(bandwidth=0.0)
     with pytest.raises(InvalidInputError):
         PolicyConfig(ridge=-1e-9)
+    # a bool, a string, nan or inf is refused, not coerced
+    for field, bad in (("bandwidth", True), ("bandwidth", math.inf), ("ridge", math.nan),
+                       ("ridge", "1e-6")):
+        with pytest.raises(InvalidInputError, match=f"{field}: expected a finite real number"):
+            PolicyConfig(**{field: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +187,11 @@ def test_switch_config_validation():
     # the unknown mode is named, whatever lam holds
     with pytest.raises(InvalidInputError, match="unknown lambda_mode 'Certified'"):
         SwitchConfig(lam=None, lambda_mode="Certified")
+    # a bool, a string, nan or inf is refused, not coerced; eta may be None
+    for field, bad in (("lam", True), ("lam", math.inf), ("eta", math.inf), ("eta", "0.1"),
+                       ("epsilon", math.nan), ("epsilon", None)):
+        with pytest.raises(InvalidInputError, match=f"{field}: expected a finite real number"):
+            SwitchConfig(**{field: bad})
 
 
 def test_switch_threshold_boundary():

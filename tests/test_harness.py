@@ -718,7 +718,14 @@ def test_experiment_config_rejects_duplicate_controllers():
      ("trials", False), ("max_solver_iters", math.inf), ("seed", math.nan),
      ("trace_points", "21"), ("min_activations", 49.9), ("max_recovery_iters", 10.5),
      ("demo_grid", (20, 30.5)), ("demo_grid", (True, 30)), ("demo_seeds", (5.5,)),
-     ("ascent_cells", ((5, 30.5),)), ("ascent_cells", ((False, 30),)), ("projection", (0.5,))],
+     ("ascent_cells", ((5, 30.5),)), ("ascent_cells", ((False, 30),)), ("projection", (0.5,)),
+     # float fields take finite reals only: no bool, no string, no nan or inf
+     ("nu", True), ("gamma", "15"), ("solver_tol", math.inf), ("policy_ridge", math.nan),
+     ("policy_bandwidth", False), ("lam", True), ("eta", math.inf), ("epsilon", "0.1"),
+     ("oracle_eta", math.inf), ("demo_jitter", True), ("nu", None),
+     # pooled is a boolean, disturbance a boolean or null, env a string
+     ("pooled", "0.5"), ("pooled", 1), ("disturbance", "0.5"), ("disturbance", 0),
+     ("env", 0), ("env", None)],
 )
 def test_experiment_config_checks_derived_configs_at_load(field, bad):
     with pytest.raises(InvalidInputError):

@@ -208,6 +208,20 @@ def test_invalid_nu_rejected():
             train_ocsvm(X, _params(nu=bad))
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("nu", True), ("nu", "0.5"), ("solver_tol", math.inf), ("solver_tol", math.nan),
+    ("gamma", True), ("gamma", "15"),
+])
+def test_params_take_finite_real_numbers_only(field, bad):
+    # a bool or a string is not coerced, and nan and inf are not numbers here
+    with pytest.raises(InvalidInputError, match=f"{field}: expected a finite real number"):
+        if field == "gamma":
+            KernelParams(gamma=bad)
+        else:
+            OcsvmParams(**{field: bad})
+    assert type(OcsvmParams(nu=1, kernel=KernelParams(gamma=15)).kernel.gamma) is float
+
+
 def test_m_nu_product_must_reach_one(rng):
     X = rng.normal(size=(5, 2))
     with pytest.raises(InvalidInputError, match="m \\* nu"):

@@ -15,11 +15,9 @@ Every model, every centre set and every control must come out with
 identical bits, so fitted supports, policies and demo sets depend only on
 the rules, not on how the loops are written or on the BLAS kernel.
 
-supervisor_actions, which applies the per-state rule to each row, and the
-env's batch kernels, which generate_demos advances a demo set through, are
-checked against the scalar functions row for row, and the lockstep
-generator against one scalar rollout per demo, written out below as the
-reference: same sets, same errors.
+generate_demos, whose rollouts stop stepping a demo at a fixed point, is
+checked against one scalar rollout per demo over the whole horizon,
+written out below as the reference: same sets, same errors.
 """
 
 import dataclasses
@@ -31,19 +29,15 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from dfrlab import kernel_ocsvm
+from dfrlab import kernel_ocsvm, supervisor
 from dfrlab.controllers import _farthest_point_indices, empirical_loss, fit_policy
 from dfrlab.envs import (
     _clip_control,
     builtin_env_spec,
     check_constraint,
-    check_constraint_batch,
-    clip_control_batch,
     reached_goal,
-    reached_goal_batch,
     reset,
     step,
-    step_batch,
 )
 from dfrlab.errors import InvalidInputError, SolverNonConvergenceError
 from dfrlab.harness import load_experiment_config
@@ -68,7 +62,6 @@ from dfrlab.supervisor import (
     demo_prefix,
     generate_demos,
     supervisor_action,
-    supervisor_actions,
 )
 from dfrlab.support import DemoSet, Trajectory, fit_pooled, fit_time_varying
 
@@ -580,134 +573,10 @@ def _probe_states(spec, rng, count):
     return states
 
 
-def test_supervisor_matches_the_numpy_form():
-    spec = builtin_env_spec("point_push")
-    demos = generate_demos(spec, 120, seed=5)
-    states = [s for traj in demos.trajectories for s in traj.states]
-    states += _probe_states(spec, np.random.default_rng(0), 4000)
-    # Below _CAPTURE_LATERAL, u_max caps the lateral correction of a capture.
-    slow = dataclasses.replace(spec, u_max=0.02)
-    hits = set()
-    for env, state in [(spec, s) for s in states] + [(slow, s) for s in states[-2000:]]:
-        u = supervisor_action(env, state)
-        ref = ref_point_push_action(env, state, hits)
-        assert u.dtype == ref.dtype and u.shape == ref.shape
-        assert u.tobytes() == ref.tobytes(), state
-    assert hits == {"goal", "deflection", "capture", "capture-lateral", "circling", "repulsion"}
-
-
-# ---------------------------------------------------------------------------
-# batch kernels against the scalar ones, row for row
-
-
-def _rows_bits(batch, scalar_rows):
-    """batch's bytes, and the bytes of the scalar results stacked as rows."""
-    expected = np.array(scalar_rows)
-    assert batch.dtype == expected.dtype and batch.shape == expected.shape
-    return batch.tobytes(), expected.tobytes()
-
-
-def assert_kernels_match(spec, X, U):
-    """Every batch kernel on the rows of X (and U) equals the scalar one, and
-    none of them warns: a branch's division must be guarded on the rows the
-    branch does not select."""
-    X = np.asarray(X, dtype=float)
-    U = np.asarray(U, dtype=float)
-    with np.errstate(divide="raise", invalid="raise", over="raise"):
-        batch = (supervisor_actions(spec, X), clip_control_batch(spec, U),
-                 step_batch(spec, X, U), check_constraint_batch(spec, X),
-                 reached_goal_batch(spec, X))
-    actions, clipped, stepped, safe, reached = batch
-    got, want = _rows_bits(actions, [supervisor_action(spec, x) for x in X])
-    assert got == want, "supervisor"
-    got, want = _rows_bits(clipped, [_clip_control(spec, u)[0] for u in U])
-    assert got == want, "clip"
-    got, want = _rows_bits(stepped, [step(spec, x, u) for x, u in zip(X, U)])
-    assert got == want, "step"
-    assert safe.tolist() == [bool(check_constraint(spec, x)) for x in X]
-    assert reached.tolist() == [bool(reached_goal(spec, x)) for x in X]
-
-
 _PP = builtin_env_spec("point_push")
 _LT = builtin_env_spec("line_track")
 # Below _CAPTURE_LATERAL, u_max caps the lateral correction of a capture.
 _PP_SLOW = dataclasses.replace(_PP, u_max=0.02)
-_PP_CONTACT = _PP.robot_radius + _PP.object_radius
-
-
-def _signed(values):
-    return st.sampled_from([v for x in values for v in (x, -x)])
-
-
-_coord = st.one_of(st.floats(-0.1, 1.1), _signed([0.0, 1.0, 0.5]))
-_control = st.one_of(st.floats(-0.12, 0.12), _signed([0.0, _PP.u_max, 0.03]))
-
-
-@st.composite
-def _point_push_row(draw):
-    """A state and a control, the state placed where a branch turns: robot
-    and object in contact or coincident, object at the goal's edge, a disc
-    at a keep-out region's edge, or the robot on the workspace box."""
-    goal = np.array(_PP.goal_center, dtype=float)
-    where = draw(st.sampled_from(["anywhere", "contact", "coincident", "goal", "region",
-                                  "box"]))
-    angle = draw(st.floats(0.0, 2.0 * np.pi))
-    ring = np.array([np.cos(angle), np.sin(angle)])
-    slack = draw(st.one_of(st.just(0.0), st.floats(-0.01, 0.01)))
-    o = np.array([draw(_coord), draw(_coord)])
-    r = np.array([draw(_coord), draw(_coord)])
-    if where == "contact":
-        r = o + (_PP_CONTACT + slack) * ring
-    elif where == "coincident":
-        r = o.copy()
-    elif where == "goal":
-        o = goal + (_PP.goal_radius + slack) * ring
-        r = o + draw(st.floats(0.0, 0.2)) * ring[::-1]
-    elif where == "region":
-        (cx, cy), radius = draw(st.sampled_from(_PP.constraint_regions))
-        disc = draw(st.sampled_from(["robot", "object"]))
-        reach = radius + (_PP.robot_radius if disc == "robot" else _PP.object_radius)
-        at = np.array([cx, cy]) + (reach + slack) * ring
-        if disc == "robot":
-            r = at
-        else:
-            o = at
-    elif where == "box":
-        r[draw(st.integers(0, 1))] = draw(_signed([0.0, 1.0]))
-    return np.concatenate([r, o, goal]), np.array([draw(_control), draw(_control)])
-
-
-@given(st.lists(_point_push_row(), min_size=1, max_size=24), st.booleans())
-def test_point_push_kernels_match_the_scalar_ones(rows, slow):
-    X, U = zip(*rows)
-    assert_kernels_match(_PP_SLOW if slow else _PP, X, U)
-
-
-_lt_coord = st.one_of(st.floats(-15.0, 15.0),
-                      _signed([0.0, _LT.deviation_limit, _LT.goal_progress]))
-_lt_control = st.one_of(st.floats(-2.0 * _LT.u_max, 2.0 * _LT.u_max),
-                        _signed([0.0, _LT.u_max, _LT.nominal_step]))
-
-
-@given(st.lists(st.tuples(st.tuples(_lt_coord, _lt_coord), st.tuples(_lt_control, _lt_control)),
-                min_size=1, max_size=24))
-def test_line_track_kernels_match_the_scalar_ones(rows):
-    X, U = zip(*rows)
-    assert_kernels_match(_LT, X, U)
-
-
-def test_box_edges_with_signed_zeros_clip_as_the_scalar_step():
-    # np.clip's comparisons decide which zero a robot on the box keeps
-    X, U = [], []
-    for edge in (0.0, -0.0, 1.0):
-        for u in (0.0, -0.0, 0.01, -0.01):
-            for axis in (0, 1):
-                r = [0.5, 0.5]
-                r[axis] = edge
-                X.append(r + [0.7, 0.2, 0.8, 0.5])
-                U.append([u if axis == 0 else 0.0, u if axis == 1 else 0.0])
-    assert_kernels_match(_PP, X, U)
-
 
 # Geometry in powers of two, so that states can sit exactly on a boundary:
 # the object at the goal's radius, a disc at a region's reach, and an object
@@ -718,20 +587,14 @@ _DYADIC = dataclasses.replace(
     goal_center=(0.75, 0.5), goal_radius=0.0625,
     constraint_regions=(((0.5, 0.25), 0.0625), ((0.5, 0.75), 0.0625)),
 )
-
-
-def test_exact_boundaries_decide_as_the_scalar_ones():
-    X = [
-        [0.5, 0.5, 0.8125, 0.5, 0.75, 0.5],  # object at the goal's radius
-        [0.5, 0.5, 0.75, 0.4375, 0.75, 0.5],
-        [0.59375, 0.25, 0.25, 0.5, 0.75, 0.5],  # robot at a region's reach
-        [0.25, 0.5, 0.5, 0.875, 0.75, 0.5],  # object at a region's reach
-        [0.25, 0.375, 0.5, 0.375, 0.75, 0.375],  # along = 0 for the lower region
-        [0.4375, 0.40625, 0.5, 0.375, 0.75, 0.375],  # captured at lateral u_max
-    ]
-    U = [[0.0, 0.0], [0.03125, 0.0], [-0.03125, 0.0], [0.0, 0.0625], [0.0, -0.0], [0.02, 0.02]]
-    assert_kernels_match(_DYADIC, X, U)
-    assert_kernels_match(_PP, X, U)
+_EXACT_BOUNDARIES = [np.array(x) for x in [
+    [0.5, 0.5, 0.8125, 0.5, 0.75, 0.5],  # object at the goal's radius
+    [0.5, 0.5, 0.75, 0.4375, 0.75, 0.5],
+    [0.59375, 0.25, 0.25, 0.5, 0.75, 0.5],  # robot at a region's reach
+    [0.25, 0.5, 0.5, 0.875, 0.75, 0.5],  # object at a region's reach
+    [0.25, 0.375, 0.5, 0.375, 0.75, 0.375],  # along = 0 for the lower region
+    [0.4375, 0.40625, 0.5, 0.375, 0.75, 0.375],  # captured at lateral u_max
+]]
 
 
 @pytest.fixture(scope="module")
@@ -739,31 +602,52 @@ def shipped_demo_sets():
     return [generate_demos(_PP, 120, seed) for seed in (5, 6, 7)]
 
 
+def assert_supervisor_matches(cases, hits):
+    """supervisor_action on each (spec, state) equals the numpy form, bit for
+    bit; hits collects the branches the numpy form took."""
+    for env, state in cases:
+        u = supervisor_action(env, state)
+        ref = ref_point_push_action(env, state, hits)
+        assert u.dtype == ref.dtype and u.shape == ref.shape
+        assert u.tobytes() == ref.tobytes(), state
+
+
+def test_supervisor_matches_the_numpy_form(shipped_demo_sets):
+    states = [s for traj in shipped_demo_sets[0].trajectories for s in traj.states]
+    probes = _probe_states(_PP, np.random.default_rng(0), 4000)
+    hits = set()
+    assert_supervisor_matches([(_PP, s) for s in states + probes]
+                              + [(_PP_SLOW, s) for s in probes[-2000:]], hits)
+    assert hits == {"goal", "deflection", "capture", "capture-lateral", "circling", "repulsion"}
+
+
+def test_exact_boundaries_decide_as_the_scalar_ones():
+    X = _EXACT_BOUNDARIES
+    assert_supervisor_matches([(env, x) for env in (_DYADIC, _PP) for x in X], set())
+    # a disc or object exactly at its boundary counts as touching it
+    assert reached_goal(_DYADIC, X[0])
+    assert not check_constraint(_DYADIC, X[2])
+    assert not check_constraint(_DYADIC, X[3])
+
+
 def test_kernels_match_on_every_state_of_the_shipped_demo_sets(shipped_demo_sets):
-    rng = np.random.default_rng(1)
-    X = [t.states for demos in shipped_demo_sets for t in demos.trajectories]
-    # each state's own control, and a random one for the last state of a demo
-    U = [np.concatenate([t.controls, rng.uniform(-0.08, 0.08, size=(1, 2))])
-         for demos in shipped_demo_sets for t in demos.trajectories]
+    X = [s for demos in shipped_demo_sets for t in demos.trajectories for s in t.states]
     # and the probe states of the numpy-form test above, which take the
     # branches the demos never need
-    probes = np.array(_probe_states(_PP, rng, 2000))
-    X = np.concatenate(X + [probes])
-    U = np.concatenate(U + [rng.uniform(-0.08, 0.08, size=(len(probes), 2))])
+    X += _probe_states(_PP, np.random.default_rng(1), 2000)
     hits = set()
     for spec in (_PP, _PP_SLOW):
-        assert_kernels_match(spec, X, U)
-        for x in X[::5]:
-            ref_point_push_action(spec, x, hits)
+        assert_supervisor_matches([(spec, x) for x in X], hits)
     assert hits == {"goal", "deflection", "capture", "capture-lateral", "circling", "repulsion"}
 
 
 # ---------------------------------------------------------------------------
-# the lockstep generator against one supervisor rollout at a time
+# generate_demos against one supervisor rollout at a time, over every step
 
 
 def ref_generate_demos(spec, n, seed, jitter_sigma=0.0):
-    """generate_demos as one scalar rollout per demo, in demo order."""
+    """generate_demos as one scalar rollout per demo, in demo order, each
+    stepped over the whole horizon."""
     root = np.random.default_rng(seed)
     traj_seeds = [int(s) for s in root.integers(0, 2**62, size=n)]
     trajectories = []
@@ -814,9 +698,9 @@ def test_lockstep_demos_equal_one_rollout_at_a_time(spec, n, seed, sigma):
 
 
 # Seed 2 at sigma 0.03: demos 2, 4 and 8 touch a region, at steps 39, 21
-# and 18, so the lockstep run sees demo 8 first but must name demo 2.  Seed
-# 0 at sigma 0.03: demo 5 misses the goal before demo 8 touches a region.
-# Horizon 17: demos 8 to 11 miss the goal.
+# and 18, and the error must name demo 2.  Seed 0 at sigma 0.03: demo 5
+# misses the goal before demo 8 touches a region.  Horizon 17: demos 8 to 11
+# miss the goal.
 @pytest.mark.parametrize("spec, seed, sigma", [
     (_PP, 2, 0.03), (_PP, 0, 0.03), (dataclasses.replace(_PP, horizon=17), 0, 0.0),
 ], ids=["touch-order", "miss-before-touch", "short-horizon"])
@@ -826,6 +710,36 @@ def test_lockstep_demos_fail_with_the_one_at_a_time_error(spec, seed, sigma):
     with pytest.raises(InvalidInputError) as new:
         generate_demos(spec, 12, seed, sigma)
     assert str(new.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.005])
+def test_only_unjittered_demos_stop_stepping_at_a_fixed_point(monkeypatch, sigma):
+    calls = []
+
+    def counting(spec, x, u, stream=None):
+        calls.append(stream)
+        return step(spec, x, u, stream)
+
+    monkeypatch.setattr(supervisor, "step", counting)
+    generate_demos(_PP, 12, 5, sigma)
+    assert set(calls) == {None}
+    if sigma:
+        assert len(calls) == 12 * _PP.horizon
+    else:
+        assert len(calls) < 12 * _PP.horizon / 2
+
+
+def test_a_step_from_minus_zero_to_zero_is_not_a_fixed_point():
+    # Each object starts inside the goal, so the supervisor sends 0; the
+    # first step takes the robot from x = -0.0 to 0.0, which == calls equal.
+    spec = dataclasses.replace(_PP, robot_start=(-0.0, 0.5),
+                               object_start_box=((0.78, 0.48), (0.82, 0.52)))
+    new = generate_demos(spec, 3, 0).trajectories
+    ref = ref_generate_demos(spec, 3, 0)
+    assert np.signbit(ref[0].states[0, 0]) and not np.signbit(ref[0].states[1:, 0]).any()
+    for a, b in zip(new, ref):
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a.controls.tobytes() == b.controls.tobytes()
 
 
 @pytest.mark.parametrize("sigma, jitter_rngs", [(0.0, 0), (0.005, 6)])

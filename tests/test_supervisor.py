@@ -95,6 +95,17 @@ def test_failed_demos_are_input_errors_naming_sigma(point_push_spec):
         generate_demos(fixed, 2, seed=0)
 
 
+def test_a_refused_start_fails_the_set_before_any_rollout(point_push_spec):
+    # Demo 0 cannot reach the goal in one step, but the start box also puts
+    # demos 7 and 11 onto the robot, and every start is reset first.
+    spec = dataclasses.replace(point_push_spec, horizon=1,
+                               object_start_box=((0.1, 0.45), (0.3, 0.55)))
+    with pytest.raises(InvalidInputError, match="did not reach the goal"):
+        generate_demos(spec, 7, seed=0)
+    with pytest.raises(InvalidInputError, match="robot and object overlapping"):
+        generate_demos(spec, 8, seed=0)
+
+
 def _same_demos(a, b):
     assert len(a) == len(b)
     for x, y in zip(a.trajectories, b.trajectories):
