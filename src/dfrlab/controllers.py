@@ -203,9 +203,10 @@ def _farthest_point_indices(X, k):
 def fit_policy(demos, config):
     """Fit the policy on all (state, control) pairs of the demo set."""
     X = np.concatenate([t.states[:-1] for t in demos.trajectories])
-    U = np.concatenate([t.controls for t in demos.trajectories])
     if len(X) == 0:
         raise InvalidInputError("demo set contains no (state, control) pairs")
+    # a one-state trajectory's empty controls have no width to concatenate
+    U = np.concatenate([t.controls for t in demos.trajectories if len(t.controls)])
     idx = _farthest_point_indices(X, config.centers)
     clip_norm = float(np.linalg.norm(U, axis=1).max())
     policy = Policy(

@@ -273,25 +273,6 @@ def step(spec, state, u, stream=None):
     return np.array((x[0] + ux, x[1] + uy - delta))
 
 
-def random_state(spec, rng):
-    """A uniformly drawn constraint-free state with no disc overlap (for sampling tests)."""
-    if spec.kind == POINT_PUSH:
-        (lo, hi) = np.asarray(spec.workspace[0]), np.asarray(spec.workspace[1])
-        for _ in range(10_000):
-            r = rng.uniform(lo, hi)
-            o = rng.uniform(lo, hi)
-            state = np.concatenate([r, o, np.asarray(spec.goal_center, dtype=float)])
-            if not check_constraint(spec, state):
-                continue
-            if _dist(*(o - r).tolist()) <= spec.push.contact:
-                continue
-            return state
-        raise RuntimeError("rejection sampling failed to find a valid state")
-    x = rng.uniform(0.0, spec.goal_progress)
-    y = rng.uniform(-spec.deviation_limit, spec.deviation_limit)
-    return np.array([x, y])
-
-
 class EnvHandle:
     """An environment plus its (optional) disturbance stream.
 
@@ -318,32 +299,6 @@ class EnvHandle:
 
 
 ENV_FORMAT = "env-spec"
-
-
-def env_spec_to_document(spec):
-    doc = {"format": ENV_FORMAT, "version": 1, "kind": spec.kind,
-           "u_max": spec.u_max, "dyn_constant": spec.dyn_constant, "horizon": spec.horizon}
-    if spec.kind == POINT_PUSH:
-        doc.update({
-            "workspace": [list(spec.workspace[0]), list(spec.workspace[1])],
-            "robot_radius": spec.robot_radius,
-            "object_radius": spec.object_radius,
-            "goal_center": list(spec.goal_center),
-            "goal_radius": spec.goal_radius,
-            "constraint_regions": [[list(c), r] for c, r in spec.constraint_regions],
-            "robot_start": list(spec.robot_start),
-            "object_start_box": [list(spec.object_start_box[0]), list(spec.object_start_box[1])],
-        })
-    else:
-        doc.update({
-            "deviation_limit": spec.deviation_limit,
-            "goal_progress": spec.goal_progress,
-            "nominal_step": spec.nominal_step,
-        })
-    d = spec.disturbance
-    doc["disturbance"] = {"process": d.process, "amplitude": d.amplitude,
-                          "bound": d.bound, "enabled": d.enabled}
-    return doc
 
 
 # The keys a spec document may hold, by kind.  point_push's state_bounds is

@@ -27,7 +27,6 @@ from concurrent.futures import ProcessPoolExecutor
 import contextlib
 import hashlib
 from functools import partial
-from itertools import islice
 import json
 import math
 import os
@@ -486,10 +485,6 @@ def load_experiment_config(path, overrides=None):
     return experiment_config_from_document(doc, overrides=overrides)
 
 
-def save_experiment_config(config, path):
-    atomic_write_text(path, dump_json(experiment_config_to_document(config)))
-
-
 def config_sha256(config):
     doc = experiment_config_to_document(config)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -585,10 +580,10 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
     Demo sets are nested, so each demo seed's set is generated once, at the
     largest count its cells need, and each cell fits on a prefix of it.
 
-    Each arm's seeds go out as jobs contiguous chunks per cell, and the
-    chunks of one arm, over every cell, run on one pool of jobs worker
-    processes (in this process at jobs=1).  Set-up stays here so that it is
-    timed and traced where it runs.
+    Each arm's seeds go out as min(jobs, eval_samples) contiguous chunks
+    per cell, and the chunks of one arm, over every cell, run on one pool of
+    jobs worker processes (in this process at jobs=1).  Set-up stays here so
+    that it is timed and traced where it runs.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
         raise InvalidInputError(f"jobs must be an int >= 1, got {jobs!r}")
@@ -598,7 +593,6 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
     timing = {"demos_s": 0.0, "support_fit_s": 0.0, "policy_fit_s": 0.0, "rollouts_s": {}}
     demo_sets = {}
     supports = []
-    arms = []
     tasks = {kind: [] for kind in kinds}
     for cell in cells:
         key, demo_seed, n = cell
@@ -615,9 +609,8 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
             scfg = config.switch_config(eta=config.oracle_eta if kind == "oracle" else None)
             sup = support if CONTROLLERS[kind].uses_support else None
             pol = policy if CONTROLLERS[kind].uses_policy else None
-            chunks = _contiguous_chunks(seeds, jobs)
-            arms.append((kind, len(chunks)))
-            tasks[kind].extend((spec, kind, sup, pol, c, scfg, disturbance) for c in chunks)
+            tasks[kind].extend((spec, kind, sup, pol, c, scfg, disturbance)
+                               for c in _contiguous_chunks(seeds, jobs))
     # Set-up is done: free the demo sets, each with its stacked states,
     # before the pools fork workers that would inherit them.
     demo_sets = demos = None
@@ -626,11 +619,12 @@ def _arm_runs(spec, config, cells, kinds, disturbance, jobs):
         with _stage(timing["rollouts_s"], kind):
             if jobs > 1:
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    done[kind] = iter(list(pool.map(_rollout_task, arm_tasks)))
+                    done[kind] = list(pool.map(_rollout_task, arm_tasks))
             else:
-                done[kind] = iter([_rollout_task(t) for t in arm_tasks])
-    records = [rec for kind, n_chunks in arms for chunk in islice(done[kind], n_chunks)
-               for rec in chunk]
+                done[kind] = [_rollout_task(t) for t in arm_tasks]
+    k = min(jobs, config.eval_samples)  # chunks per cell of each arm
+    records = [rec for c in range(len(cells)) for kind in kinds
+               for chunk in done[kind][c * k:(c + 1) * k] for rec in chunk]
     return records, timing, _solver_block(supports)
 
 
@@ -1057,17 +1051,6 @@ def write_csv(path, columns, rows):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _strip_nondeterministic(doc):
-    doc = dict(doc)
-    doc.pop("created", None)
-    doc.pop("timing", None)
-    if isinstance(doc.get("summary"), dict):
-        doc["summary"] = {
-            k: v for k, v in doc["summary"].items() if k != "timing"
-        }
-    return doc
-
-
 def platform_fingerprint():
     """What a run's bits depend on besides its config and the manifest's
     numpy_version, with no clock in it: the BLAS numpy was built with, the
@@ -1124,22 +1107,8 @@ def write_experiment_outputs(out_dir, config, result):
     summary_doc = {key: result[key] for key in ("experiment", "gates", "aggregates", "summary")
                    if result.get(key) is not None}
     summary_doc["timing"] = {**(result.get("timing") or {}), "records_write_s": records_write_s}
-    atomic_write_text(os.path.join(out_dir, "summary.json"), dump_json(_json_safe(summary_doc)))
+    atomic_write_text(os.path.join(out_dir, "summary.json"), dump_json(summary_doc))
     return manifest
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {str(k): _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 EXPERIMENT_RUNNERS = {

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from . import envs
-from .envs import LINE_TRACK, POINT_PUSH, _dist, reset, step
+from .envs import POINT_PUSH, _dist, reset, step
 from .errors import InvalidInputError
 from .support import DemoSet, Trajectory
 from .util import atomic_write_text, float_list, malformed
@@ -149,9 +149,7 @@ def supervisor_action(spec, state):
     """Deterministic scripted control for one state."""
     if spec.kind == POINT_PUSH:
         return _point_push_action(spec, state)
-    if spec.kind == LINE_TRACK:
-        return _line_track_action(spec, state)
-    raise InvalidInputError(f"no supervisor for environment kind {spec.kind!r}")
+    return _line_track_action(spec, state)
 
 
 def generate_demos(spec, n, seed, jitter_sigma=0.0):

@@ -39,6 +39,11 @@ class Trajectory:
         self.controls = np.asarray(self.controls, dtype=float)
         if self.controls.size == 0:
             self.controls = self.controls.reshape(0, 0)
+        if self.controls.ndim != 2:
+            raise InvalidInputError(
+                "trajectory controls must be a (steps, width) array, got shape "
+                f"{self.controls.shape}"
+            )
         if not np.isfinite(self.states).all():
             raise InvalidInputError("trajectory states contain non-finite values")
         if not np.isfinite(self.controls).all():
@@ -55,7 +60,8 @@ class Trajectory:
 
 @dataclass
 class DemoSet:
-    """A bag of demonstration trajectories with a shared state dimension.
+    """A bag of demonstration trajectories with a shared state dimension and
+    control width.
 
     At construction the states are also stacked into one (n, T+1, d) array,
     T+1 the longest trajectory's length, beside each trajectory's length; a
@@ -74,6 +80,10 @@ class DemoSet:
         dims = {traj.states.shape[1] for traj in self.trajectories}
         if len(dims) != 1:
             raise InvalidInputError(f"trajectories disagree on state dimension: {sorted(dims)}")
+        # a one-state trajectory's controls are empty and have no width
+        widths = {traj.controls.shape[1] for traj in self.trajectories if len(traj.controls)}
+        if len(widths) > 1:
+            raise InvalidInputError(f"trajectories disagree on control width: {sorted(widths)}")
         self._lengths = np.array([len(traj) for traj in self.trajectories])
         self._states = np.zeros((len(self.trajectories), self._lengths.max(), dims.pop()))
         for k, traj in enumerate(self.trajectories):

@@ -15,17 +15,16 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from dfrlab.envs import builtin_env_spec, dynamics_constant, random_state, step
+from dfrlab.envs import builtin_env_spec, dynamics_constant, step
 from dfrlab.harness import (
     ExperimentConfig,
-    _strip_nondeterministic,
     classify_outcome,
+    experiment_config_to_document,
     load_experiment_config,
     run_ascent_traces,
     run_certified,
     run_disturbance_eval,
     run_learning_curve,
-    save_experiment_config,
 )
 from dfrlab.kernel_ocsvm import (
     KernelParams,
@@ -38,6 +37,7 @@ from dfrlab.kernel_ocsvm import (
 )
 from dfrlab.records import STEP_HALTS
 from dfrlab.support import fit_pooled, fit_time_varying, make_failure_demo
+from dfrlab.util import dump_json
 
 CONFIG_DIR = files("dfrlab").joinpath("data")
 
@@ -158,7 +158,7 @@ def test_ac4_certified_mode_never_exits_support():
     )
 
 
-def test_ac5_quasi_static_displacement_bound():
+def test_ac5_quasi_static_displacement_bound(random_state):
     t0 = time.perf_counter()
     worst = {}
     for env in ("point_push", "line_track"):
@@ -272,20 +272,20 @@ def _run_cli(*args):
     )
 
 
-def _assert_same_exp_outputs(a, b):
+def _assert_same_exp_outputs(a, b, strip):
     assert (a / "records.jsonl").read_bytes() == (b / "records.jsonl").read_bytes()
     for name in ("metrics.csv", "traces.csv"):
         if (a / name).exists():
             assert (a / name).read_bytes() == (b / name).read_bytes()
-    man_a = _strip_nondeterministic(json.loads((a / "manifest.json").read_text()))
-    man_b = _strip_nondeterministic(json.loads((b / "manifest.json").read_text()))
+    man_a = strip(json.loads((a / "manifest.json").read_text()))
+    man_b = strip(json.loads((b / "manifest.json").read_text()))
     assert man_a == man_b
-    sum_a = _strip_nondeterministic(json.loads((a / "summary.json").read_text()))
-    sum_b = _strip_nondeterministic(json.loads((b / "summary.json").read_text()))
+    sum_a = strip(json.loads((a / "summary.json").read_text()))
+    sum_b = strip(json.loads((b / "summary.json").read_text()))
     assert sum_a == sum_b
 
 
-def test_ac9_every_command_is_deterministic(tmp_path):
+def test_ac9_every_command_is_deterministic(tmp_path, strip_nondeterministic):
     t0 = time.perf_counter()
     checked = []
 
@@ -336,13 +336,13 @@ def test_ac9_every_command_is_deterministic(tmp_path):
     }
     for command, config in mini.items():
         cfg_path = tmp_path / f"{command}.json"
-        save_experiment_config(config, cfg_path)
+        cfg_path.write_text(dump_json(experiment_config_to_document(config)))
         outs = [tmp_path / f"{command}-{i}" for i in (0, 1)]
         for out in outs:
             proc = _run_cli(command, "--config", str(cfg_path), "--out", str(out),
                             "--jobs", "1")
             assert proc.returncode in (0, 4), proc.stderr  # tiny runs may fail gates
-        _assert_same_exp_outputs(*outs)
+        _assert_same_exp_outputs(*outs, strip_nondeterministic)
         checked.append(command)
 
     elapsed = time.perf_counter() - t0

@@ -14,11 +14,8 @@ import numpy as np
 import pytest
 
 from dfrlab.cli import build_parser
-from dfrlab.harness import (
-    ExperimentConfig,
-    experiment_config_to_document,
-    save_experiment_config,
-)
+from dfrlab.harness import ExperimentConfig, experiment_config_to_document
+from dfrlab.util import dump_json
 
 SUBCOMMANDS = (
     "demos",
@@ -299,6 +296,23 @@ def _ragged_demo_states(work, d):
     return ("fit-policy", "--demos", str(d / "demos.jsonl"), "--out", str(d / "p.json"))
 
 
+# Both used to die in fit_policy's np.concatenate with a traceback.
+def _demo_control_widths_disagree(work, d):
+    lines = work["demos"].read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["controls"] = [[*u, 0.0] for u in rec["controls"]]
+    (d / "demos.jsonl").write_text("\n".join([lines[0], json.dumps(rec)] + lines[2:]) + "\n")
+    return ("fit-policy", "--demos", str(d / "demos.jsonl"), "--out", str(d / "p.json"))
+
+
+def _demo_flat_controls(work, d):
+    lines = work["demos"].read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["controls"] = [u[0] for u in rec["controls"]]
+    (d / "demos.jsonl").write_text("\n".join([lines[0], json.dumps(rec)] + lines[2:]) + "\n")
+    return ("fit-policy", "--demos", str(d / "demos.jsonl"), "--out", str(d / "p.json"))
+
+
 MALFORMED_INPUTS = {
     "policy-ragged-centers": _ragged_policy,
     "estimator-ragged-support-vectors": _ragged_estimator,
@@ -306,6 +320,8 @@ MALFORMED_INPUTS = {
     "config-non-integer-demo-grid": _non_integer_demo_grid,
     "config-empty-ascent-cells": _empty_ascent_cells,
     "demos-ragged-states": _ragged_demo_states,
+    "demos-control-widths-disagree": _demo_control_widths_disagree,
+    "demos-flat-controls": _demo_flat_controls,
     "env-spec-fractional-horizon": _fractional_horizon,
 }
 
@@ -330,7 +346,7 @@ def _null_disturbance_config(path):
         lam=0.1, pooled=True, projection=(1,), demo_jitter=0.1,
         demo_seeds=(5,), seed=0, disturbance=False,
     )
-    save_experiment_config(cfg, path)
+    path.write_text(dump_json(experiment_config_to_document(cfg)))
     return cfg
 
 

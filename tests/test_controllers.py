@@ -120,6 +120,14 @@ def test_empirical_loss_hand_value():
     assert empirical_loss(policy, demos) == pytest.approx(0.75, abs=1e-12)
 
 
+def test_fit_policy_takes_a_one_state_trajectory_as_no_pairs(pp_demos):
+    # its controls are empty and have no width: the concatenation used to refuse them
+    cfg = PolicyConfig(centers=50, bandwidth=0.15)
+    one = Trajectory(states=pp_demos.trajectories[0].states[:1], controls=[])
+    with_one = fit_policy(DemoSet(trajectories=[*pp_demos.trajectories, one]), cfg)
+    assert with_one.weights.tobytes() == fit_policy(pp_demos, cfg).weights.tobytes()
+
+
 def test_train_loss_pinned(pp_policy):
     assert pp_policy.train_loss == pytest.approx(0.1248, rel=0.2)
 

@@ -1,5 +1,5 @@
 """Environment unit tests: contact geometry closed forms, the displacement
-bounds, disturbance stream laws, and spec serialization."""
+bounds, disturbance stream laws, and spec documents."""
 
 import dataclasses
 from importlib.resources import files
@@ -20,10 +20,8 @@ from dfrlab.envs import (
     check_constraint,
     dynamics_constant,
     env_spec_from_document,
-    env_spec_to_document,
     load_env_spec,
     object_pos,
-    random_state,
     reached_goal,
     reset,
     robot_pos,
@@ -86,7 +84,7 @@ def test_control_shape_and_finiteness_validated(point_push_spec):
         step(point_push_spec, state, np.array([np.nan, 0.0]))
 
 
-def test_displacement_bound_monte_carlo(point_push_spec, line_track_spec):
+def test_displacement_bound_monte_carlo(point_push_spec, line_track_spec, random_state):
     # one applied control may move the full state by at most K * ||u||
     rng = np.random.default_rng(11)
     for spec in (point_push_spec, line_track_spec):
@@ -228,7 +226,7 @@ def test_reset_line_track_is_origin(line_track_spec):
     assert np.array_equal(reset(line_track_spec, 123), [0.0, 0.0])
 
 
-def test_random_state_is_always_valid(point_push_spec, rng):
+def test_random_state_is_always_valid(point_push_spec, rng, random_state):
     for _ in range(50):
         s = random_state(point_push_spec, rng)
         assert check_constraint(point_push_spec, s)
@@ -252,18 +250,23 @@ def test_handle_step_ticks_stream_micro_step_does_not(line_track_spec):
 
 
 # ---------------------------------------------------------------------------
-# spec serialization
+# spec documents: specs are read, never written, so these tests edit the
+# shipped documents
+
+
+def _shipped_doc(kind):
+    return json.loads(files("dfrlab").joinpath("data", f"{kind}.json").read_text())
 
 
 def test_spec_document_round_trip(tmp_path, point_push_spec, line_track_spec):
     for spec in (point_push_spec, line_track_spec):
         path = tmp_path / f"{spec.kind}.json"
-        path.write_text(json.dumps(env_spec_to_document(spec)))
+        path.write_text(json.dumps(_shipped_doc(spec.kind)))
         back = load_env_spec(path)
         assert back == spec
     # a document written before state_bounds was dropped still loads, as the
     # builtin spec: the reader ignores the key
-    doc = env_spec_to_document(point_push_spec)
+    doc = _shipped_doc("point_push")
     assert "state_bounds" not in doc
     doc["state_bounds"] = [[-0.2, -0.2], [1.2, 1.2]]
     path = tmp_path / "old_point_push.json"
@@ -278,7 +281,7 @@ def test_spec_document_round_trip(tmp_path, point_push_spec, line_track_spec):
     ("disturbance", "enable", "unknown environment spec disturbance key(s): enable"),
 ])
 def test_spec_document_refuses_unknown_keys(tmp_path, line_track_spec, block, key, message):
-    doc = env_spec_to_document(line_track_spec)
+    doc = _shipped_doc("line_track")
     where = doc if block is None else doc[block]
     where[key] = where.pop("enabled", 1)
     path = tmp_path / "spec.json"
@@ -294,7 +297,7 @@ def test_spec_refuses_a_horizon_that_is_not_an_integer(point_push_spec, line_tra
                                                         horizon):
     message = "^horizon: expected an integer, got "
     for spec in (point_push_spec, line_track_spec):
-        doc = env_spec_to_document(spec)
+        doc = _shipped_doc(spec.kind)
         doc["horizon"] = horizon
         with pytest.raises(InvalidInputError, match=message):
             env_spec_from_document(doc)
@@ -303,7 +306,7 @@ def test_spec_refuses_a_horizon_that_is_not_an_integer(point_push_spec, line_tra
 
 
 def test_spec_takes_an_integral_float_horizon_as_an_int(point_push_spec):
-    doc = env_spec_to_document(point_push_spec)
+    doc = _shipped_doc("point_push")
     doc["horizon"] = 40.0
     spec = env_spec_from_document(doc)
     assert type(spec.horizon) is int and spec.horizon == 40
@@ -331,19 +334,30 @@ def test_spec_takes_an_integral_float_horizon_as_an_int(point_push_spec):
      "constraint_regions: expected a finite real number"),
 ])
 def test_spec_refuses_a_field_of_the_wrong_type(kind, block, key, value, message):
-    doc = env_spec_to_document(builtin_env_spec(kind))
+    doc = _shipped_doc(kind)
     (doc if block is None else doc[block])[key] = value
     with pytest.raises(InvalidInputError, match="^" + re.escape(message)):
         env_spec_from_document(doc)
 
 
+def _as_lists(value):
+    return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
 @pytest.mark.parametrize("name", ["point_push", "line_track"])
 def test_shipped_specs_load_unchanged(name):
-    with open(files("dfrlab").joinpath("data", f"{name}.json")) as fh:
-        doc = json.load(fh)
+    doc = _shipped_doc(name)
     spec = builtin_env_spec(name)
     assert type(spec.horizon) is int and spec.horizon == doc["horizon"]
-    assert env_spec_to_document(spec) == doc
+    # field by field: the spec sets exactly the document's fields, to its values
+    given = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)
+             if f.init and getattr(spec, f.name) is not None}
+    assert set(given) == set(doc) - {"format", "version"}
+    for key, value in given.items():
+        if key == "disturbance":
+            assert dataclasses.asdict(value) == doc[key]
+        else:
+            assert _as_lists(value) == doc[key], key
 
 
 def test_load_env_spec_by_name(point_push_spec):

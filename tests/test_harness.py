@@ -38,8 +38,6 @@ from dfrlab.harness import (
     wilson_interval,
     wilson_lower,
     wilson_upper,
-    _json_safe,
-    _strip_nondeterministic,
     write_csv,
     write_experiment_outputs,
 )
@@ -1005,10 +1003,11 @@ def _refuse_everything_but_judging(monkeypatch):
 
 
 @pytest.mark.parametrize("experiment, cfg", ROUND_TRIP_RUNS, ids=[e for e, _ in ROUND_TRIP_RUNS])
-def test_a_written_run_is_judged_again_from_its_records(monkeypatch, tmp_path, experiment, cfg):
+def test_a_written_run_is_judged_again_from_its_records(monkeypatch, tmp_path, experiment, cfg,
+                                                        strip_nondeterministic):
     run = tmp_path / "run"
     run_experiment(experiment, cfg, out_dir=run)
-    written = _strip_nondeterministic(json.loads((run / "summary.json").read_text()))
+    written = strip_nondeterministic(json.loads((run / "summary.json").read_text()))
     config = experiment_config_from_document(
         json.loads((run / "manifest.json").read_text())["config"])
     _refuse_everything_but_judging(monkeypatch)
@@ -1017,7 +1016,7 @@ def test_a_written_run_is_judged_again_from_its_records(monkeypatch, tmp_path, e
     assert judged["aggregates"]["solver"] is None
     judged["aggregates"]["solver"] = written["aggregates"]["solver"]
     doc = {key: judged[key] for key in ("experiment", "gates", "aggregates", "summary")}
-    assert dump_json(_json_safe(doc)) == dump_json(written)
+    assert dump_json(doc) == dump_json(written)
     table = "traces.csv" if experiment == "ascent" else "metrics.csv"
     write_csv(tmp_path / table, judged["columns"], judged["rows"])
     assert (tmp_path / table).read_bytes() == (run / table).read_bytes()
@@ -1118,7 +1117,7 @@ def test_every_prefix_gets_the_zero_variance_check():
     assert str(cell.value) == str(alone.value)
 
 
-def test_summary_times_each_stage(tmp_path):
+def test_summary_times_each_stage(tmp_path, strip_nondeterministic):
     cfg = _mini_config(eval_samples=2)
     run_experiment("learning-curve", cfg, out_dir=tmp_path)
     summary = json.loads((tmp_path / "summary.json").read_text())
@@ -1128,7 +1127,7 @@ def test_summary_times_each_stage(tmp_path):
     assert set(timing["rollouts_s"]) == set(cfg.controllers)
     stages = [timing[k] for k in ("demos_s", "support_fit_s", "policy_fit_s", "records_write_s")]
     assert all(v > 0.0 for v in stages + list(timing["rollouts_s"].values()))
-    stripped = _strip_nondeterministic(summary)
+    stripped = strip_nondeterministic(summary)
     assert "timing" not in stripped and "timing" not in stripped["summary"]
     assert stripped["gates"] == summary["gates"]
 

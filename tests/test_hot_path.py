@@ -31,7 +31,6 @@ from dfrlab.controllers import _apply, switch_threshold
 from dfrlab.envs import (
     _dist,
     check_constraint,
-    env_spec_to_document,
     reached_goal,
     step,
 )
@@ -198,7 +197,6 @@ def test_control_checks_kept(point_push_spec):
 
 def test_spec_geometry_cache_is_not_part_of_the_spec(point_push_spec):
     assert "push=" not in repr(point_push_spec)
-    assert "push" not in env_spec_to_document(point_push_spec)
     other = copy.copy(point_push_spec)
     object.__setattr__(other, "push", None)
     assert other == point_push_spec and hash(other) == hash(point_push_spec)

@@ -140,9 +140,7 @@ def test_demo_prefix_keeps_the_zero_variance_check(point_push_spec):
             demo_prefix(point_push_spec, large, n)
 
 
-def test_supervisor_action_is_finite_and_capped(point_push_spec, rng):
-    from dfrlab.envs import random_state
-
+def test_supervisor_action_is_finite_and_capped(point_push_spec, rng, random_state):
     for _ in range(100):
         state = random_state(point_push_spec, rng)
         u = supervisor_action(point_push_spec, state)

@@ -58,6 +58,19 @@ def test_demo_set_dimension_mismatch():
         DemoSet(trajectories=trajs)
 
 
+def test_controls_must_be_a_steps_by_width_array():
+    with pytest.raises(InvalidInputError, match=r"\(steps, width\) array, got shape \(2,\)"):
+        Trajectory(states=np.zeros((3, 2)), controls=np.zeros(2))
+    # a one-state trajectory has no controls, and no control width
+    one = Trajectory(states=np.zeros((1, 2)), controls=[])
+    assert one.controls.shape == (0, 0)
+    trajs = [_traj(np.zeros((3, 2))), one,
+             Trajectory(states=np.zeros((3, 2)), controls=np.zeros((2, 3)))]
+    with pytest.raises(InvalidInputError, match=r"disagree on control width: \[2, 3\]$"):
+        DemoSet(trajectories=trajs)
+    assert len(DemoSet(trajectories=trajs[:2])) == 2
+
+
 def test_demo_set_horizon_and_slices(small_demos):
     assert small_demos.horizon == 3
     assert small_demos.states_at(0).shape == (6, 2)
