@@ -10,6 +10,7 @@ flags only fill fields the file omits.
 """
 
 import argparse
+import json
 import sys
 
 from .controllers import (
@@ -28,7 +29,6 @@ from .errors import (
 )
 from .harness import fit_support, load_experiment_config, rollout, run_experiment
 from .kernel_ocsvm import KernelParams, OcsvmParams
-from .records import record_to_document
 from .supervisor import generate_demos, load_demos, save_demos
 from .support import load_support, save_support
 from .util import atomic_write_text, dump_json
@@ -105,7 +105,7 @@ def _cmd_rollout(args):
         cfg=cfg, disturbance=disturbance,
     )
     if args.out:
-        atomic_write_text(args.out, dump_json(record_to_document(record)))
+        atomic_write_text(args.out, dump_json(json.loads(record.line)))
     reason = f" ({record.halt_reason})" if record.halt_reason else ""
     g_min = "n/a" if record.g_min is None else f"{record.g_min:.6g}"
     print(

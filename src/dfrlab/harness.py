@@ -57,7 +57,7 @@ from .errors import GateFailureError, InvalidInputError
 from .kernel_ocsvm import KernelParams, OcsvmParams
 from .records import (
     COLLIDED, COMPLETED, HALT_REASONS, HALTED, HAND_BACK, OUTCOMES, OUTSIDE_SUPPORT, STEP_HALTS,
-    RolloutRecord, finish_record, record_line,
+    RolloutRecord, encode_record, record_activations,
 )
 from .supervisor import demo_prefix, generate_demos
 from .support import TimeVaryingSupport, fit_pooled, fit_time_varying
@@ -148,7 +148,8 @@ def _seed_key(seed):
 
 
 def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None):
-    """Run one seeded episode and return its full record.
+    """Run one seeded episode and return its record: its facts, its
+    activations and its records.jsonl line, which holds every step.
 
     controller is a kind name; every episode gets a fresh instance, which
     matters for the stateful early-stop controller.  disturbance=None uses
@@ -159,7 +160,9 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
     its motions were applied, with classify_outcome's precedence) ends the
     episode with that outcome, and a step with a halt ends it halted for
     that reason.  Every step the controller returns is stored, a halting
-    one with the motions it applied before the halt.
+    one with the motions it applied before the halt.  wall_clock_s spans
+    reset through the last step; the activations and the line are
+    computed after it stops.
     """
     seed_key = _seed_key(seed)
     ctrl = make_controller(controller, cfg)
@@ -219,21 +222,16 @@ def rollout(spec, controller, support, policy, seed, cfg=None, disturbance=None)
             outcome = HALTED
             halt_reason = "horizon"
 
-    # g_min covers every (t, x) pair the episode occupied: the start gate,
-    # each step-start value, and every probe/recovery evaluation.
     wall = time.perf_counter() - t_start
 
-    return RolloutRecord(
-        seed=seed_key,
-        controller=kind,
-        outcome=outcome,
-        start_state=start_state,
-        steps=steps,
-        halt_reason=halt_reason,
-        recovery_iterations=sum(len(s.recovery) for s in steps),
-        g_min=min(g_seen) if g_seen else None,
-        wall_clock_s=wall,
-    )
+    # g_min covers every (t, x) pair the episode occupied: the start gate,
+    # each step-start value, and every probe/recovery evaluation.
+    facts = dict(seed=seed_key, controller=kind, outcome=outcome, halt_reason=halt_reason,
+                 recovery_iterations=sum(len(s.recovery) for s in steps),
+                 g_min=min(g_seen) if g_seen else None)
+    return RolloutRecord(**facts, activations=record_activations(steps),
+                         line=encode_record(**facts, start_state=start_state, steps=steps),
+                         wall_clock_s=wall)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +553,8 @@ def _solver_block(supports):
 
 def _rollout_task(args):
     spec, kind, support, policy, seeds, cfg, disturbance = args
-    return [finish_record(rollout(spec, kind, support, policy, s, cfg=cfg,
-                                  disturbance=disturbance)) for s in seeds]
+    return [rollout(spec, kind, support, policy, s, cfg=cfg, disturbance=disturbance)
+            for s in seeds]
 
 
 def _contiguous_chunks(items, n):
@@ -1072,8 +1070,7 @@ def platform_fingerprint():
 def write_experiment_outputs(out_dir, config, result):
     """Write manifest.json, records.jsonl, metrics.csv (+ traces.csv), summary.json.
 
-    records.jsonl is written a line at a time; a runner's records are
-    finished, so their lines exist and are written as they are.
+    records.jsonl is written a line at a time, each record's line as it is.
 
     Every file is byte-stable across re-runs on one platform (the
     manifest's "platform" block names it) except the manifest's "created"
@@ -1099,7 +1096,7 @@ def write_experiment_outputs(out_dir, config, result):
     t0 = time.perf_counter()
     atomic_write_chunks(
         os.path.join(out_dir, "records.jsonl"),
-        (chunk for rec in result.get("records", []) for chunk in (record_line(rec), "\n")),
+        (chunk for rec in result.get("records", []) for chunk in (rec.line, "\n")),
     )
     records_write_s = time.perf_counter() - t0
     name = "traces.csv" if result["experiment"] == "ascent" else "metrics.csv"

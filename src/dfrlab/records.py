@@ -1,7 +1,11 @@
-"""Rollout records and their records.jsonl format, version 5, which stores
-each fact once but two: recovery_iterations repeats the count of the
-recovery entries, and each step's t repeats its index in steps, as rollout
-appends one step per t from 0.  A later format change could drop both.
+"""Rollout records: a RolloutRecord per episode holds its facts, its
+activations and its records.jsonl line, which encode_record, the one
+encoder, writes and record_from_line, the one reader, keeps as it reads.
+
+The format, version 5, stores each fact once but two: recovery_iterations
+repeats the count of the recovery entries, and each step's t repeats its
+index in steps, as rollout appends one step per t from 0.  A later format
+change could drop both.
 
 A recovery iteration's controls are the u of its probe and recovery
 motions, and the g it started from is the step's g for the first iteration
@@ -10,10 +14,6 @@ and the previous iteration's g_after after that.  A step's end
 the recovery loop stopped) have no keys: only an episode's last step can
 have either, and then it is the outcome or the halt reason, from which the
 decoder rebuilds it.
-
-A finished record (finish_record) holds its facts and its line.  Each read
-of its start_state or steps decodes the line and keeps nothing, so a reader
-that walks many records holds one record's objects at a time.
 """
 
 from dataclasses import dataclass, field
@@ -71,55 +71,37 @@ class StepRecord:
 
 @dataclass(eq=False)
 class RolloutRecord:
-    """Full audit trail of one episode.
+    """One episode: its facts, its activations and its records.jsonl line.
 
-    The step types above have slots, as an episode can hold thousands of
-    them; a RolloutRecord keeps its __dict__, where a finished record
-    stores its line.  All three hold arrays, so they compare by identity;
-    record_line gives a record's value.
-
-    wall_clock_s is measured in-process and deliberately not serialized; re-
-    runs must produce byte-identical record files, and timing never is.
-
-    activations, the (ending, values) of each recovery activation (see
-    record_activations), is computed from the steps at its first read.
-
-    finish_record keeps a record's facts (every field but start_state and
-    steps, plus activations) and its records.jsonl line.  The finished
-    record decodes start_state and steps from that line at each read and
-    keeps neither, record_line returns the line, and it pickles as is.
+    start_state and steps are the line decoded at each read, and nothing
+    else is kept.  Records compare by identity, as their steps do; the line
+    is a record's value.  wall_clock_s (reset through the last step) is not
+    in the line, as timing is never byte-stable; a record read back has none.
     """
 
     seed: object  # int or list of ints, as given
     controller: str
     outcome: str
-    start_state: np.ndarray
-    steps: list
-    halt_reason: str = None  # one of HALT_REASONS when halted, else None
-    recovery_iterations: int = 0
-    g_min: float = None
+    halt_reason: str  # one of HALT_REASONS when halted, else None
+    recovery_iterations: int
+    g_min: float
+    activations: tuple  # (ending, values) per recovery activation: record_activations
+    line: str  # without its newline
     wall_clock_s: float = None
 
-    def __getattr__(self, name):
-        # Called only for attributes the instance lacks: activations until
-        # their first read, and on a finished record start_state and steps.
-        if name == "activations":
-            self.activations = record_activations(self.steps)
-            return self.activations
-        if name not in ("start_state", "steps") or "_line" not in self.__dict__:
-            raise AttributeError(name)
-        return getattr(self._decoded(), name)
+    @property
+    def start_state(self):
+        return _decode(self.line)[1]
 
-    def _decoded(self):
-        """The record with its steps in memory: itself, or a fresh decode of its line."""
-        line = self.__dict__.get("_line")
-        return self if line is None else record_from_document(json.loads(line))
+    @property
+    def steps(self):
+        return _decode(self.line)[2]
 
     def state_sequence(self):
         """Every visited state in order, starting from the reset state."""
-        record = self._decoded()
-        states = [record.start_state]
-        for step in record.steps:
+        _, start_state, steps = _decode(self.line)
+        states = [start_state]
+        for step in steps:
             states.extend(a.state for a in step.applied)
         return states
 
@@ -146,20 +128,6 @@ def record_activations(steps):
     return tuple(activations)
 
 
-def record_to_document(record):
-    """The record as the JSON document its records.jsonl line holds: the
-    line decoded, so the format is written down once, in record_line."""
-    return json.loads(record_line(record))
-
-
-def record_line(record):
-    """The record's records.jsonl line, without its newline: the one encoder."""
-    line = record.__dict__.get("_line")
-    if line is None:
-        line = _encode(record)
-    return line
-
-
 _dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False).encode
 _string = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
@@ -182,8 +150,10 @@ class _FloatTexts(dict):
         return text
 
 
-def _encode(record):
-    """The compact JSON of the document
+def encode_record(seed, controller, outcome, halt_reason, recovery_iterations, g_min,
+                  start_state, steps):
+    """An episode's records.jsonl line, without its newline: the one
+    encoder.  The line is the compact JSON of the document
 
         {"format", "version", "seed", "controller", "outcome", "halt_reason",
          "recovery_iterations", "g_min", "start_state",
@@ -205,8 +175,8 @@ def _encode(record):
         return "null" if v is None else text(float(v))
 
     objects = {}  # id of an AppliedRecord or RecoveryStep -> its text
-    steps = []
-    for s in record.steps:
+    step_texts = []
+    for s in steps:
         applied = []
         for a in s.applied:
             a_text = objects.get(id(a))
@@ -223,31 +193,21 @@ def _encode(record):
                         text(float(e.g_probe)), text(float(e.g_after)),
                         "true" if e.flipped else "false", text(float(e.threshold))))
             recovery.append(e_text)
-        steps.append('{"t":%d,"g":%s,"applied":[%s],"recovery":[%s]}' % (
+        step_texts.append('{"t":%d,"g":%s,"applied":[%s],"recovery":[%s]}' % (
             int(s.t), optional(s.g), ",".join(applied), ",".join(recovery)))
     return (
         '{"format":%s,"version":%d,"seed":%s,"controller":%s,"outcome":%s,"halt_reason":%s,'
         '"recovery_iterations":%d,"g_min":%s,"start_state":[%s],"steps":[%s]}' % (
-            _string(RECORD_FORMAT), RECORD_VERSION, _dumps(record.seed),
-            _dumps(record.controller), _dumps(record.outcome), _dumps(record.halt_reason),
-            int(record.recovery_iterations), optional(record.g_min),
-            numbers(record.start_state), ",".join(steps))
+            _string(RECORD_FORMAT), RECORD_VERSION, _dumps(seed), _dumps(controller),
+            _dumps(outcome), _dumps(halt_reason), int(recovery_iterations), optional(g_min),
+            numbers(start_state), ",".join(step_texts))
     )
 
 
-_RECORD_FACTS = ("seed", "controller", "outcome", "halt_reason", "recovery_iterations",
-                 "g_min", "wall_clock_s", "activations")
-
-
-def finish_record(record):
-    """The record as the runners keep it: its facts and its line, no steps."""
-    done = RolloutRecord.__new__(RolloutRecord)
-    done.__dict__.update({f: getattr(record, f) for f in _RECORD_FACTS}, _line=record_line(record))
-    return done
-
-
-def record_from_document(doc):
+def _decode(line):
+    """(document, start_state, steps) of a record's line."""
     with malformed("malformed rollout record"):
+        doc = json.loads(line)
         if doc["format"] != RECORD_FORMAT:
             raise InvalidInputError(f"not a rollout record: format={doc['format']!r}")
         if doc.get("version") != RECORD_VERSION:
@@ -282,13 +242,21 @@ def record_from_document(doc):
             steps[-1].end = doc["outcome"]
         if steps and doc["halt_reason"] in STEP_HALTS:
             steps[-1].halt = doc["halt_reason"]
+        return doc, np.asarray(doc["start_state"], dtype=float), steps
+
+
+def record_from_line(line):
+    """The record a records.jsonl line (without its newline) holds, with the
+    line kept as given: it is never encoded again."""
+    doc, _, steps = _decode(line)
+    with malformed("malformed rollout record"):
         return RolloutRecord(
             seed=doc["seed"],
             controller=doc["controller"],
             outcome=doc["outcome"],
-            start_state=np.asarray(doc["start_state"], dtype=float),
-            steps=steps,
             halt_reason=doc["halt_reason"],
             recovery_iterations=int(doc["recovery_iterations"]),
             g_min=doc["g_min"],
+            activations=record_activations(steps),
+            line=line,
         )

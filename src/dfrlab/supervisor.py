@@ -266,24 +266,29 @@ def save_demos(demos, path):
 
 
 def load_demos(path):
+    """The demo set in the file at path.  An error names the path, and the
+    1-based number of the line it is about, if it is about one."""
     trajectories = []
+    number = None
     try:
-        with open(path) as fh, malformed(f"malformed demo record in {path}"):
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                trajectories.append(
-                    Trajectory(
-                        states=np.asarray(rec["states"], dtype=float),
-                        controls=np.asarray(rec["controls"], dtype=float),
-                        seed=rec.get("seed"),
-                        outcome=rec.get("outcome"),
+        with open(path) as fh, malformed("malformed demo record"):
+            for number, line in enumerate(fh, 1):
+                if line.strip():
+                    rec = json.loads(line)
+                    trajectories.append(
+                        Trajectory(
+                            states=np.asarray(rec["states"], dtype=float),
+                            controls=np.asarray(rec["controls"], dtype=float),
+                            seed=rec.get("seed"),
+                            outcome=rec.get("outcome"),
+                        )
                     )
-                )
+            number = None  # every line is read: what fails next is about the file
+        if not trajectories:
+            raise InvalidInputError("contains no trajectories")
+        return DemoSet(trajectories=trajectories)
     except OSError as exc:
         raise InvalidInputError(f"cannot read demo file {path}: {exc}") from exc
-    if not trajectories:
-        raise InvalidInputError(f"demo file {path} contains no trajectories")
-    return DemoSet(trajectories=trajectories)
+    except InvalidInputError as exc:
+        line = "" if number is None else f", line {number}"
+        raise InvalidInputError(f"demo file {path}{line}: {exc}") from exc

@@ -61,10 +61,10 @@ def _reclassified(config, records, expected):
     spec = builtin_env_spec(config.env)
     bad = miscounted = misplaced = 0
     for r in records:
-        d = r._decoded()  # a finished record decodes its line at each read: once here
-        bad += classify_outcome(d, spec) != r.outcome
-        miscounted += r.recovery_iterations != sum(len(s.recovery) for s in d.steps)
-        last_halt = d.steps[-1].halt if d.steps else None
+        bad += classify_outcome(r, spec) != r.outcome
+        steps = r.steps  # decoded from the record's line at each read: once here
+        miscounted += r.recovery_iterations != sum(len(s.recovery) for s in steps)
+        last_halt = steps[-1].halt if steps else None
         misplaced += last_halt != (r.halt_reason if r.halt_reason in STEP_HALTS else None)
     ok = len(records) == expected and bad == miscounted == misplaced == 0
     return ok, (

@@ -305,33 +305,53 @@ def _demo_control_widths_disagree(work, d):
     return ("fit-policy", "--demos", str(d / "demos.jsonl"), "--out", str(d / "p.json"))
 
 
-def _demo_flat_controls(work, d):
+def _demo_flat_controls(work, d, blank_lines=0):
     lines = work["demos"].read_text().splitlines()
     rec = json.loads(lines[1])
     rec["controls"] = [u[0] for u in rec["controls"]]
-    (d / "demos.jsonl").write_text("\n".join([lines[0], json.dumps(rec)] + lines[2:]) + "\n")
+    lines = [lines[0]] + [" "] * blank_lines + [json.dumps(rec)] + lines[2:]
+    (d / "demos.jsonl").write_text("\n".join(lines) + "\n")
     return ("fit-policy", "--demos", str(d / "demos.jsonl"), "--out", str(d / "p.json"))
 
 
+def _demo_flat_controls_after_blank_lines(work, d):
+    return _demo_flat_controls(work, d, blank_lines=2)
+
+
+# case -> (the command's arguments, given the shared pipeline and a fresh
+# directory d; the start of its error message, with d for {d}, or None)
 MALFORMED_INPUTS = {
-    "policy-ragged-centers": _ragged_policy,
-    "estimator-ragged-support-vectors": _ragged_estimator,
-    "bundle-manifest-without-slices": _manifest_without_slices,
-    "config-non-integer-demo-grid": _non_integer_demo_grid,
-    "config-empty-ascent-cells": _empty_ascent_cells,
-    "demos-ragged-states": _ragged_demo_states,
-    "demos-control-widths-disagree": _demo_control_widths_disagree,
-    "demos-flat-controls": _demo_flat_controls,
-    "env-spec-fractional-horizon": _fractional_horizon,
+    "policy-ragged-centers": (_ragged_policy, None),
+    "estimator-ragged-support-vectors": (_ragged_estimator, None),
+    "bundle-manifest-without-slices": (_manifest_without_slices, None),
+    "config-non-integer-demo-grid": (_non_integer_demo_grid, None),
+    "config-empty-ascent-cells": (_empty_ascent_cells, None),
+    "demos-ragged-states": (
+        _ragged_demo_states, "demo file {d}/demos.jsonl, line 1: malformed demo record: "),
+    "demos-control-widths-disagree": (
+        _demo_control_widths_disagree,
+        "demo file {d}/demos.jsonl: trajectories disagree on control width: [2, 3]"),
+    "demos-flat-controls": (
+        _demo_flat_controls,
+        "demo file {d}/demos.jsonl, line 2: trajectory controls must be a (steps, width) "
+        "array"),
+    "demos-flat-controls-after-blank-lines": (
+        _demo_flat_controls_after_blank_lines,
+        "demo file {d}/demos.jsonl, line 4: trajectory controls must be a (steps, width) "
+        "array"),
+    "env-spec-fractional-horizon": (_fractional_horizon, None),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
 def test_malformed_input_file_exits_2(work, tmp_path, case):
-    proc = run_cli(*MALFORMED_INPUTS[case](work, tmp_path))
+    arguments, message = MALFORMED_INPUTS[case]
+    proc = run_cli(*arguments(work, tmp_path))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+    if message is not None:
+        assert proc.stderr.startswith(f"error: {message.format(d=tmp_path)}"), proc.stderr
 
 
 # ---------------------------------------------------------------------------

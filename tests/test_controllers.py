@@ -31,7 +31,6 @@ from dfrlab.envs import EnvHandle, builtin_env_spec, check_constraint, reached_g
 from dfrlab.errors import InvalidInputError
 from dfrlab.harness import activation_traces, rollout
 from dfrlab.kernel_ocsvm import KernelParams, OcsvmModel
-from dfrlab.records import record_line
 from dfrlab.support import DemoSet, TimeVaryingSupport, Trajectory
 
 
@@ -620,7 +619,7 @@ def test_oracle_cycle_replay_writes_the_plain_loops_record(
     plain = _plain_oracle_rollout(monkeypatch, *args, **kwargs)
     fd_calls = _counted(monkeypatch, "finite_difference_oracle_step")
     replayed = rollout(*args, **kwargs)
-    assert record_line(replayed) == record_line(plain)
+    assert replayed.line == plain.line
     assert (replayed.halt_reason, replayed.recovery_iterations) == ("recovery-cap", cap)
     (step,) = replayed.steps
     assert step.halt == "recovery-cap"
@@ -631,12 +630,16 @@ def test_oracle_cycle_replay_writes_the_plain_loops_record(
     assert len({s.tobytes() for s in states[start + 1:]}) == period
 
 
-def test_step_records_have_slots_and_replays_share_their_objects(line_track_spec):
-    # the overshoot cycle above: period 2 from iteration 3, capped at 10
-    rec = rollout(line_track_spec, "oracle", _radial_support(center=(0.7, 0.0)),
-                  _constant_policy((1.0, 0.0)), 0,
-                  cfg=SwitchConfig(lam=2.0, eta=0.3, max_recovery_iters=10), disturbance=False)
-    (step,) = rec.steps
+def test_step_records_have_slots_and_replays_share_their_objects(lt_handle):
+    # the overshoot cycle above, from the origin where line_track resets:
+    # period 2 from iteration 3, capped at 10.  The oracle's own StepRecord
+    # shares the replayed objects; steps decoded from a line share nothing.
+    support = _radial_support(center=(0.7, 0.0))
+    ctrl = make_controller("oracle", SwitchConfig(lam=2.0, eta=0.3, max_recovery_iters=10))
+    state = np.zeros(2)
+    step = ctrl.step(lt_handle, support, _constant_policy((1.0, 0.0)), 0, state, None,
+                     _g(support, state))
+    assert step.halt == "recovery-cap"
     for obj in (step, step.applied[0], step.recovery[0]):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
     # iterations 3 and 4 close the cycle; every later one is a repeat
@@ -654,7 +657,7 @@ def test_oracle_hand_back_before_a_repeat_matches_the_plain_loop(line_track_spec
     plain = _plain_oracle_rollout(monkeypatch, *args, **kwargs)
     replays = _counted(monkeypatch, "_replay_cycle")
     replayed = rollout(*args, **kwargs)
-    assert record_line(replayed) == record_line(plain)
+    assert replayed.line == plain.line
     assert replays == []
     first = replayed.steps[0]
     assert first.recovery and first.applied[-1].tag == "policy"

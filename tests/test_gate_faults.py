@@ -17,7 +17,7 @@ from dfrlab import controllers, harness
 from dfrlab.harness import (
     ExperimentConfig, load_experiment_config, run_ascent_traces, run_learning_curve,
 )
-from dfrlab.records import AppliedRecord, record_line
+from dfrlab.records import AppliedRecord
 from dfrlab.support import TimeVaryingSupport
 
 
@@ -30,7 +30,7 @@ ASCENT = "exp_point_push_ascent.json"
 
 
 def _lines(result, kind):
-    return [record_line(r) for r in result["records"] if r.controller == kind]
+    return [r.line for r in result["records"] if r.controller == kind]
 
 
 def test_supervisor_sanity_fails_when_the_supervisor_arm_stands_still(monkeypatch):

@@ -48,10 +48,9 @@ from dfrlab.records import (
     RolloutRecord,
     STEP_HALTS,
     StepRecord,
-    finish_record,
-    record_from_document,
-    record_line,
-    record_to_document,
+    encode_record,
+    record_activations,
+    record_from_line,
 )
 from dfrlab.supervisor import generate_demos
 from dfrlab.support import TimeVaryingSupport
@@ -84,20 +83,48 @@ def _flat_model(rho):
     )
 
 
+# The nine fields of a record, in order: no steps, no start state.
+RECORD_FIELDS = ["seed", "controller", "outcome", "halt_reason", "recovery_iterations", "g_min",
+                 "activations", "line", "wall_clock_s"]
+
+
+def _record(start_state, steps, controller="baseline", outcome="halted", halt_reason=None,
+            recovery_iterations=0, g_min=None, wall_clock_s=None):
+    """The record of an episode's parts, built as rollout builds one."""
+    facts = dict(seed=0, controller=controller, outcome=outcome, halt_reason=halt_reason,
+                 recovery_iterations=recovery_iterations, g_min=g_min)
+    line = encode_record(**facts, start_state=np.asarray(start_state, dtype=float), steps=steps)
+    return RolloutRecord(**facts, activations=record_activations(steps), line=line,
+                         wall_clock_s=wall_clock_s)
+
+
 def _synthetic_record(vecs, controller="baseline", outcome="halted", **kw):
     applied = [
         AppliedRecord(u=np.zeros(2), tag="policy", state=np.asarray(v, dtype=float))
         for v in vecs[1:]
     ]
     steps = [StepRecord(t=0, g=None, applied=applied, recovery=[])] if applied else []
-    return RolloutRecord(
-        seed=0,
-        controller=controller,
-        outcome=outcome,
-        start_state=np.asarray(vecs[0], dtype=float),
-        steps=steps,
-        **kw,
-    )
+    return _record(vecs[0], steps, controller, outcome, **kw)
+
+
+def _reencoded(rec):
+    """The line encode_record writes from the record's facts and decoded parts."""
+    return encode_record(seed=rec.seed, controller=rec.controller, outcome=rec.outcome,
+                         halt_reason=rec.halt_reason,
+                         recovery_iterations=rec.recovery_iterations, g_min=rec.g_min,
+                         start_state=rec.start_state, steps=rec.steps)
+
+
+def _rollout_and_parts(monkeypatch, *args, **kwargs):
+    """rollout's record and the start state and steps it encoded, as they
+    were in memory."""
+    parts = []
+    encode = harness.encode_record
+    with monkeypatch.context() as m:
+        m.setattr(harness, "encode_record", lambda **p: parts.append(p) or encode(**p))
+        rec = rollout(*args, **kwargs)
+    (p,) = parts
+    return rec, p["start_state"], p["steps"]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +269,7 @@ def test_rollout_is_bit_deterministic(point_push_spec, pp_support, pp_policy):
     cfg = SwitchConfig(lam=0.05)
     a = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=[1, 2, 3, 4], cfg=cfg)
     b = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=[1, 2, 3, 4], cfg=cfg)
-    assert record_to_document(a) == record_to_document(b)
+    assert a.line == b.line
 
 
 def test_rollout_validates_required_inputs(point_push_spec, line_track_spec, pp_policy):
@@ -357,9 +384,9 @@ def test_record_document_round_trip(point_push_spec, pp_support, pp_policy):
         point_push_spec, "dfr", pp_support, pp_policy, seed=[9, 0],
         cfg=SwitchConfig(lam=0.05),
     )
-    doc = record_to_document(rec)
-    back = record_from_document(doc)
-    assert record_to_document(back) == doc
+    doc = json.loads(rec.line)
+    back = record_from_line(rec.line)
+    assert back.line is rec.line and _reencoded(back) == rec.line
     assert classify_outcome(back, point_push_spec) == rec.outcome
     assert doc["version"] == 5
     # version 5 stores each fact once: a step's halt, a motion's flags, an
@@ -369,7 +396,7 @@ def test_record_document_round_trip(point_push_spec, pp_support, pp_policy):
                          "recovery_iterations", "g_min", "start_state", "steps"]
     recovering = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=17,
                          cfg=SwitchConfig(lam=0.05))
-    steps = doc["steps"] + record_to_document(recovering)["steps"]
+    steps = doc["steps"] + json.loads(recovering.line)["steps"]
     assert any(s["recovery"] for s in steps)
     for s in steps:
         assert list(s) == ["t", "g", "applied", "recovery"]
@@ -403,9 +430,8 @@ def test_records_pickle_exactly(point_push_spec, pp_support, pp_policy):
     rec = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=17,
                   cfg=SwitchConfig(lam=0.05))
     back = pickle.loads(pickle.dumps(rec))
-    assert record_to_document(back) == record_to_document(rec)
-    assert back.wall_clock_s == rec.wall_clock_s
-    assert (back.start_state.tobytes(), back.seed) == (rec.start_state.tobytes(), rec.seed)
+    _assert_same_fields(rec, back)  # the line and wall_clock_s among them
+    assert back.start_state.tobytes() == rec.start_state.tobytes()
     assert any(s.recovery for s in rec.steps)
     for s, t in zip(rec.steps, back.steps):
         for a, b in zip(s.applied + s.recovery, t.applied + t.recovery):
@@ -413,59 +439,69 @@ def test_records_pickle_exactly(point_push_spec, pp_support, pp_policy):
 
 
 def _wire_copy(rec):
-    """The record finished, as a runner keeps it, and sent through pickle,
-    as it crosses the pool."""
-    back = pickle.loads(pickle.dumps(finish_record(rec)))
-    assert "steps" not in vars(back) and "start_state" not in vars(back)
+    """The record sent through pickle, as it crosses the pool."""
+    back = pickle.loads(pickle.dumps(rec))
+    assert list(vars(back)) == RECORD_FIELDS
     return back
 
 
-def test_wire_record_decodes_bit_identical_fields(point_push_spec, pp_support, pp_policy):
+def test_wire_record_decodes_bit_identical_fields(monkeypatch, point_push_spec, pp_support,
+                                                  pp_policy):
     applied = AppliedRecord(u=np.array([-0.0, 1e-300]), tag="probe",
                             state=np.array([0.1, -0.0, 3.0, -4.5, 5.0, 1e-300]))
     step = RecoveryStep(g_probe=-0.0, g_after=1e-300, flipped=True, threshold=0.3)
-    synthetic = _synthetic_record([[-0.0, 1e-300], [0.5, -0.0]], "dfr", "halted",
-                                  halt_reason="recovery-cap", recovery_iterations=1,
-                                  g_min=-0.0, wall_clock_s=0.25)
-    synthetic.steps.append(StepRecord(t=1, g=0.2, applied=[applied], recovery=[step],
-                                      halt="recovery-cap"))
-    assert synthetic.steps[0].g is None
-    # real records that end collided, completed and halted: the decoder
-    # rebuilds each step's end from the outcome alone, and its halt from the
-    # halt reason
-    real = [rollout(point_push_spec, kind, pp_support, pp_policy, seed=seed,
-                    cfg=SwitchConfig(lam=0.05))
+    start = np.array([-0.0, 1e-300])
+    steps = [StepRecord(t=0, g=None, applied=[AppliedRecord(np.zeros(2), "policy",
+                                                            np.array([0.5, -0.0]))]),
+             StepRecord(t=1, g=0.2, applied=[applied], recovery=[step], halt="recovery-cap")]
+    synthetic = _record(start, steps, "dfr", "halted", halt_reason="recovery-cap",
+                        recovery_iterations=1, g_min=-0.0, wall_clock_s=0.25)
+    # real records that end collided, completed and halted, with the parts
+    # rollout held in memory: the decoder rebuilds each step's end from the
+    # outcome alone, and its halt from the halt reason
+    real = [_rollout_and_parts(monkeypatch, point_push_spec, kind, pp_support, pp_policy,
+                               seed=seed, cfg=SwitchConfig(lam=0.05))
             for kind, seed in (("baseline", 11), ("baseline", 0), ("baseline", 2),
                                ("dfr", 17), ("dfr", 2))]
-    assert [r.outcome for r in real] == ["collided", "completed", "halted", "completed", "halted"]
-    assert any(s.recovery for s in real[3].steps)
-    for rec in (synthetic, *real):
-        ends = [s.end for s in rec.steps]
+    assert [r.outcome for r, _, _ in real] == ["collided", "completed", "halted", "completed",
+                                               "halted"]
+    assert any(s.recovery for s in real[3][2])
+    for rec, start_state, steps in ((synthetic, start, steps), *real):
+        ends = [s.end for s in steps]
         assert ends[:-1] == [None] * (len(ends) - 1)
         assert ends[-1] == (None if rec.outcome == "halted" else rec.outcome)
-        halts = [s.halt for s in rec.steps]
+        halts = [s.halt for s in steps]
         assert halts[:-1] == [None] * (len(halts) - 1)
         assert halts[-1] == (rec.halt_reason if rec.halt_reason in STEP_HALTS else None)
         back = _wire_copy(rec)
-        assert record_line(back) == record_line(rec)
-        assert "steps" not in vars(back)  # the line is written as it came
-        again = _wire_copy(back)  # a finished record finishes and pickles as it is
+        _assert_same_fields(rec, back)
+        again = _wire_copy(record_from_line(back.line))  # a record read back has no clock
+        assert again.wall_clock_s is None
         for copy in (back, again):
-            _assert_same_fields(rec, copy)
+            assert copy.line == rec.line
+            assert repr(copy.activations) == repr(record_activations(steps))
+            assert copy.start_state.tobytes() == start_state.tobytes()
+            assert len(copy.steps) == len(steps)
+            for a, b in zip(steps, copy.steps):
+                _assert_same_fields(a, b)
 
 
 def test_rebuilt_record_decodes_at_each_read_and_keeps_nothing(point_push_spec, pp_support,
                                                                pp_policy):
     rec = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=17,
                   cfg=SwitchConfig(lam=0.05))
-    back = _wire_copy(rec)
-    first, second = back.steps, back.steps
-    assert first is not second and any(s.recovery for s in first)
-    assert len(first) == len(second) == len(rec.steps)
-    for a, b in zip(first, second):
-        _assert_same_fields(a, b)
-    assert back.start_state.tobytes() == back.start_state.tobytes() == rec.start_state.tobytes()
-    assert "steps" not in vars(back) and "start_state" not in vars(back)
+    assert list(vars(rec)) == RECORD_FIELDS
+    for copy in (rec, _wire_copy(rec), record_from_line(rec.line)):
+        first, second = copy.steps, copy.steps
+        assert first is not second and any(s.recovery for s in first)
+        assert len(first) == len(second)
+        for a, b in zip(first, second):
+            _assert_same_fields(a, b)
+        assert copy.start_state is not copy.start_state
+        assert copy.start_state.tobytes() == rec.start_state.tobytes()
+        assert list(vars(copy)) == RECORD_FIELDS
+    with pytest.raises(AttributeError):
+        rec.steps = []
 
 
 def test_classify_outcome_decodes_a_rebuilt_record_once(monkeypatch, point_push_spec,
@@ -474,11 +510,29 @@ def test_classify_outcome_decodes_a_rebuilt_record_once(monkeypatch, point_push_
                   cfg=SwitchConfig(lam=0.05))
     back = _wire_copy(rec)
     calls = []
-    decode = records.record_from_document
-    monkeypatch.setattr(records, "record_from_document",
-                        lambda doc: calls.append(doc) or decode(doc))
+    decode = records._decode
+    monkeypatch.setattr(records, "_decode", lambda line: calls.append(line) or decode(line))
     assert classify_outcome(back, point_push_spec) == rec.outcome
-    assert len(calls) == 1
+    assert calls == [rec.line]
+
+
+def test_record_from_line_keeps_the_line_and_never_encodes(monkeypatch, point_push_spec,
+                                                          pp_support, pp_policy):
+    rec = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=17,
+                  cfg=SwitchConfig(lam=0.05))
+    line = "".join(list(rec.line))  # equal to the record's line, not the same object
+
+    def refuse(**parts):
+        raise AssertionError("record_from_line encoded a record")
+
+    monkeypatch.setattr(records, "encode_record", refuse)
+    monkeypatch.setattr(harness, "encode_record", refuse)
+    back = record_from_line(line)
+    assert back.line is line and line is not rec.line
+    assert [getattr(back, f) for f in RECORD_FIELDS[:6]] == \
+        [getattr(rec, f) for f in RECORD_FIELDS[:6]]
+    assert repr(back.activations) == repr(rec.activations)
+    assert back.wall_clock_s is None
 
 
 # A reader that walks every rebuilt record of a --jobs 2 run holds one
@@ -490,10 +544,9 @@ def test_walking_rebuilt_records_holds_one_record_at_a_time():
     try:
         largest = 0
         for rec in recs:
-            line = record_line(rec)
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            decoded = record_from_document(json.loads(line))
+            decoded = rec.steps
             largest = max(largest, tracemalloc.get_traced_memory()[1] - base)
             del decoded
         base = tracemalloc.get_traced_memory()[0]
@@ -508,13 +561,14 @@ def test_walking_rebuilt_records_holds_one_record_at_a_time():
 
 @pytest.mark.parametrize("version", [1, 2, 3, 4, "5", None])
 def test_record_from_document_rejects_other_versions(version):
-    doc = record_to_document(_synthetic_record([[0, 0], [1, 1]]))
+    # the document of a line, with its version changed or dropped
+    doc = json.loads(_synthetic_record([[0, 0], [1, 1]]).line)
     if version is None:
         del doc["version"]
     else:
         doc["version"] = version
     with pytest.raises(InvalidInputError, match=f"record version {version!r}"):
-        record_from_document(doc)
+        record_from_line(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +585,8 @@ def test_activation_traces_values_and_anchor(point_push_spec, pp_support, pp_pol
             break
     assert rec is not None, "no recovering completed episode among the first 60 seeds"
     traces = activation_traces(rec)
-    triggering = [s for s in rec.steps if s.recovery]
+    steps = rec.steps  # each read decodes the line afresh
+    triggering = [s for s in steps if s.recovery]
     assert len(traces) == len(triggering)
     for step, vals in zip(triggering, traces):
         assert all(v <= 1.0 + 1e-12 for v in vals)
@@ -540,8 +595,8 @@ def test_activation_traces_values_and_anchor(point_push_spec, pp_support, pp_pol
     # the first iteration's threshold is lambda * ||u_hat|| at the step's
     # start state, recomputed by hand from the stored record
     first = triggering[0]
-    idx = rec.steps.index(first)
-    pre = rec.start_state if idx == 0 else rec.steps[idx - 1].applied[-1].state
+    idx = steps.index(first)
+    pre = rec.start_state if idx == 0 else steps[idx - 1].applied[-1].state
     ev = first.recovery[0]
     assert ev.threshold == 0.05 * _norm(pp_policy.action(pre))
     assert traces[0][0] == min(1.0, first.g / ev.threshold)
@@ -610,10 +665,11 @@ def test_activation_traces_survive_the_record_format(point_push_spec, pp_support
             for seed in range(10)]
     assert sum(len(activation_traces(r)) for r in recs) > 0
     for rec in recs:
-        doc = record_to_document(rec)
+        doc = json.loads(rec.line)
         for e in (e for s in doc["steps"] for e in s["recovery"]):
             assert list(e)[-2:] == ["flipped", "threshold"]
-        back = record_from_document(json.loads(json.dumps(doc)))
+        back = record_from_line(json.dumps(doc, separators=(",", ":")))
+        assert back.line == rec.line
         assert activation_traces(back) == activation_traces(rec)
 
 
@@ -628,9 +684,7 @@ def test_activations_agree_on_in_process_rebuilt_and_decoded_records(monkeypatch
     in_process = serial["records"]
     pooled = run_experiment("ascent", cfg, jobs=2)
     rebuilt = pooled["records"]  # activations computed in the workers
-    decoded = [record_from_document(json.loads(record_line(r))) for r in in_process]
-    assert all("activations" in vars(r) for r in rebuilt)
-    assert not any("activations" in vars(r) for r in decoded)
+    decoded = [record_from_line(r.line) for r in in_process]
     expected = [repr(r.activations) for r in in_process]
     assert sum(len(r.activations) for r in in_process) > 0
     for copies in (rebuilt, decoded):
@@ -646,12 +700,11 @@ def test_activations_agree_on_in_process_rebuilt_and_decoded_records(monkeypatch
 def test_serial_runs_keep_finished_records_as_the_pool_does():
     cfg = _shipped_config("exp_point_push_ascent.json", eval_samples=12, ascent_cells=((5, 30),))
     serial, pooled = (run_experiment("ascent", cfg, jobs=jobs)["records"] for jobs in (1, 2))
-    facts = ("seed", "controller", "outcome", "halt_reason", "recovery_iterations", "g_min",
-             "activations", "_line")
+    facts = RECORD_FIELDS[:-1]  # all but wall_clock_s
     for recs in (serial, pooled):
         assert len(recs) == 24
         for r in recs:
-            assert set(vars(r)) == {*facts, "wall_clock_s"}  # no steps, no start_state
+            assert list(vars(r)) == RECORD_FIELDS  # no steps, no start_state
     assert sum(len(r.activations) for r in serial) > 0
     # repr tells -0.0 apart
     assert [repr([vars(r)[f] for f in facts]) for r in serial] == \
@@ -662,7 +715,7 @@ def test_records_compare_by_identity(point_push_spec, pp_support, pp_policy):
     rec = rollout(point_push_spec, "dfr", pp_support, pp_policy, seed=17,
                   cfg=SwitchConfig(lam=0.05))
     step = next(s for s in rec.steps if s.recovery)
-    for obj in (rec, step, step.applied[0], finish_record(rec)):
+    for obj in (rec, step, step.applied[0]):
         assert obj == obj and not obj != obj
         twin = pickle.loads(pickle.dumps(obj))
         assert obj != twin and not obj == twin
@@ -826,8 +879,7 @@ def test_activation_split_groups_by_length_and_ending():
     steps = [plain, _activation([0.5], "hand-back"), _activation([0.1, 0.5], "hand-back"),
              _activation([0.2, 0.95, 0.4], "recovery-cap"),
              _activation([0.3] * 6, "outside-support"), _activation([0.8, 0.6], "collided")]
-    rec = RolloutRecord(seed=0, controller="oracle", outcome="halted", start_state=np.zeros(2),
-                        steps=steps)
+    rec = _record(np.zeros(2), steps, "oracle")
     split = activation_split([rec], 3)
     assert list(split) == ["1", "2-4", ">=5"]
     assert all(list(split[band])[:3] == ["hand-back", *STEP_HALTS] for band in split)
@@ -920,9 +972,7 @@ def _shipped_config(name, **kw):
 def test_parallel_rollouts_match_serial(experiment, cfg, jobs):
     a = run_experiment(experiment, cfg, jobs=1)
     b = run_experiment(experiment, cfg, jobs=jobs)
-    docs_a = [record_to_document(r) for r in a["records"]]
-    docs_b = [record_to_document(r) for r in b["records"]]
-    assert docs_a == docs_b
+    assert [r.line for r in a["records"]] == [r.line for r in b["records"]]
     assert a["rows"] == b["rows"]
     assert (a["gates"], a["aggregates"]) == (b["gates"], b["aggregates"])
     assert all(r.wall_clock_s is not None for r in a["records"] + b["records"])
@@ -943,17 +993,18 @@ def test_parallel_parent_never_decodes_records(monkeypatch, tmp_path, experiment
     run_experiment(experiment, cfg, out_dir=tmp_path / "jobs1", jobs=1)
     calls = []
 
-    def counting(fn):
-        def wrapped(doc):
-            calls.append(fn.__name__)
-            return fn(doc)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
         return wrapped
 
-    for fn in (records.record_from_document, records.record_to_document):
-        monkeypatch.setattr(records, fn.__name__, counting(fn))
+    # the workers fork after the patch and count in their own copies
+    monkeypatch.setattr(records, "_decode", counting("_decode", records._decode))
+    monkeypatch.setattr(harness, "encode_record", counting("encode", harness.encode_record))
     out = run_experiment(experiment, cfg, out_dir=tmp_path / "jobs2", jobs=2)
     assert calls == []
-    assert all("steps" not in vars(r) for r in out["records"])
+    assert all(list(vars(r)) == RECORD_FIELDS for r in out["records"])
     for name in ("records.jsonl", "traces.csv" if experiment == "ascent" else "metrics.csv"):
         assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
     for kind, entry in out["summary"]["controllers"].items():
@@ -985,8 +1036,8 @@ NOT_JUDGING = ("_arm_runs", "rollout", "_fit_cell", "fit_support", "fit_time_var
 
 
 def _read_back(run_dir):
-    with open(run_dir / "records.jsonl") as fh:
-        return [record_from_document(json.loads(line)) for line in fh]
+    lines = (run_dir / "records.jsonl").read_text().splitlines()
+    return [record_from_line(line) for line in lines]
 
 
 def _refuse_everything_but_judging(monkeypatch):
@@ -1029,7 +1080,7 @@ def test_the_judge_refuses_records_that_are_not_the_configs_episodes(tmp_path):
 
     def judge(lines, config=cfg):
         return harness.judge_learning_curve(
-            config, [record_from_document(json.loads(line)) for line in lines])
+            config, [record_from_line(line) for line in lines])
 
     judge(lines)
     # cell by cell, baseline then dfr: the last line is dfr's episode 2 of cell [0, 1]
@@ -1103,8 +1154,8 @@ def test_one_demo_set_per_demo_seed(monkeypatch):
     out = run_experiment("learning-curve", cfg)
     assert calls == [(5, 30), (6, 30)]
     monkeypatch.setattr(harness, "generate_demos", original)
-    assert [record_to_document(r) for r in run_experiment("learning-curve", cfg)["records"]] \
-        == [record_to_document(r) for r in out["records"]]
+    assert [r.line for r in run_experiment("learning-curve", cfg)["records"]] \
+        == [r.line for r in out["records"]]
 
 
 def test_every_prefix_gets_the_zero_variance_check():
@@ -1182,18 +1233,29 @@ def test_streamed_records_are_the_joined_lines(monkeypatch, tmp_path):
     cfg = _shipped_config("exp_point_push_ascent.json", eval_samples=40, ascent_cells=((5, 30),))
     out = run_experiment("ascent", cfg, out_dir=tmp_path / "ascent")
     assert replays  # the oracle arm's records hold replayed cycles
-    joined = "".join(record_line(r) + "\n" for r in out["records"])
+    joined = "".join(r.line + "\n" for r in out["records"])
     assert (tmp_path / "ascent" / "records.jsonl").read_bytes() == joined.encode()
     assert _write_records(tmp_path / "none", []).read_bytes() == b""
 
 
+class _Unwritable:
+    """A record whose line fails as the records file is being written."""
+
+    @property
+    def line(self):
+        raise ValueError("a line that fails mid-write")
+
+
 def test_a_record_that_fails_to_encode_leaves_no_records_file(tmp_path):
+    # rollout encodes a record's line as it builds the record, so a
+    # non-finite float fails there, before any file is opened
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _synthetic_record([[0.0, 0.0], [0.1, 0.0]], g_min=math.nan)
     path = tmp_path / "records.jsonl"
     path.write_text("earlier\n")
     good = _synthetic_record([[0.0, 0.0], [0.1, 0.0]])
-    bad = _synthetic_record([[0.0, 0.0], [0.1, 0.0]], g_min=math.nan)
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        _write_records(tmp_path, [good, bad, good])
+    with pytest.raises(ValueError, match="fails mid-write"):
+        _write_records(tmp_path, [good, _Unwritable(), good])
     assert path.read_text() == "earlier\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "records.jsonl"]
 
@@ -1201,7 +1263,7 @@ def test_a_record_that_fails_to_encode_leaves_no_records_file(tmp_path):
 def test_records_write_holds_one_line_at_a_time(tmp_path):
     recs = [_synthetic_record([[0.1 * i, 0.2], [0.3, 0.4 * i], [0.5, 0.6]])
             for i in range(3000)]
-    total = sum(len(record_line(r)) + 1 for r in recs)
+    total = sum(len(r.line) + 1 for r in recs)
     tracemalloc.start()
     try:
         _write_records(tmp_path, recs)

@@ -2,7 +2,7 @@
 
 point_push step, check_constraint and reached_goal, TimeVaryingSupport.g_at
 and Policy.action compute with Python floats and cached constants, and
-records.record_line builds each line by hand.  The references below are the
+records.encode_record builds each line by hand.  The references below are the
 straightforward forms of the same arithmetic and the json.dumps of the
 record document; every stored value must come out with identical bits, and
 every line byte for byte, so records hashes do not move.  A 2-vector norm in
@@ -37,8 +37,7 @@ from dfrlab.envs import (
 from dfrlab.errors import InvalidInputError
 from dfrlab.kernel_ocsvm import KernelParams, OcsvmParams, decision_value
 from dfrlab.records import (
-    RECORD_FORMAT, RECORD_VERSION, AppliedRecord, RecoveryStep, RolloutRecord, StepRecord,
-    record_line, record_to_document,
+    RECORD_FORMAT, RECORD_VERSION, AppliedRecord, RecoveryStep, StepRecord, encode_record,
 )
 from dfrlab.support import TimeVaryingSupport, fit_time_varying
 from dfrlab.util import float_list
@@ -451,22 +450,23 @@ def test_policy_feature_row_is_not_pickled(pp_policy, rng):
 
 
 # ---------------------------------------------------------------------------
-# record_line
+# encode_record
 
 
-def ref_record_to_document(record):
-    """The record document written out field by field, whose compact
-    json.dumps record_line must give byte for byte."""
+def ref_record_to_document(parts):
+    """The document of an episode's parts (encode_record's arguments)
+    written out field by field, whose compact json.dumps encode_record must
+    give byte for byte."""
     return {
         "format": RECORD_FORMAT,
         "version": RECORD_VERSION,
-        "seed": record.seed,
-        "controller": record.controller,
-        "outcome": record.outcome,
-        "halt_reason": record.halt_reason,
-        "recovery_iterations": int(record.recovery_iterations),
-        "g_min": None if record.g_min is None else float(record.g_min),
-        "start_state": float_list(record.start_state),
+        "seed": parts["seed"],
+        "controller": parts["controller"],
+        "outcome": parts["outcome"],
+        "halt_reason": parts["halt_reason"],
+        "recovery_iterations": int(parts["recovery_iterations"]),
+        "g_min": None if parts["g_min"] is None else float(parts["g_min"]),
+        "start_state": float_list(parts["start_state"]),
         "steps": [
             {
                 "t": int(s.t),
@@ -485,13 +485,13 @@ def ref_record_to_document(record):
                     for e in s.recovery
                 ],
             }
-            for s in record.steps
+            for s in parts["steps"]
         ],
     }
 
 
-def ref_record_line(record):
-    return json.dumps(ref_record_to_document(record), separators=(",", ":"), allow_nan=False)
+def ref_record_line(parts):
+    return json.dumps(ref_record_to_document(parts), separators=(",", ":"), allow_nan=False)
 
 
 # finite floats, with both zeros, tiny and huge magnitudes and short and
@@ -506,9 +506,9 @@ text = st.one_of(st.sampled_from(["policy", "probe", "recovery", "zero"]), st.te
 
 @st.composite
 def records(draw):
-    """A record whose steps pick their motions and iterations from small
-    pools, so objects repeat within a step and across steps as the
-    oracle's replayed cycles do."""
+    """An episode's parts, whose steps pick their motions and iterations
+    from small pools, so objects repeat within a step and across steps as
+    the oracle's replayed cycles do."""
     dim = draw(st.sampled_from([2, 6]))
     vector = st.lists(finite, min_size=dim, max_size=dim).map(np.array)
     motions = draw(st.lists(st.builds(AppliedRecord, u=st.lists(finite, min_size=2, max_size=2)
@@ -526,7 +526,7 @@ def records(draw):
         )
         for _ in range(draw(st.integers(0, 4)))
     ]
-    return RolloutRecord(
+    return dict(
         seed=draw(st.integers(0, 2**63) | st.lists(st.integers(0, 2**40), max_size=4)),
         controller=draw(text),
         outcome=draw(text),
@@ -543,36 +543,36 @@ def _signed_zeros_record():
     again = RecoveryStep(g_probe=-0.0, g_after=0.0, flipped=False, threshold=0.1)
     steps = [StepRecord(0, -0.0, [shared, shared], [again, again]),
              StepRecord(1, 0.0, [AppliedRecord(np.array([-0.0, -0.0]), "policy", shared.state)])]
-    return RolloutRecord(seed=[7, 0], controller="oracle", outcome="halted",
-                         start_state=np.array([0.0, -0.0, 0.8, 0.5, 0.8, 0.5]), steps=steps,
-                         halt_reason="recovery-cap", recovery_iterations=2, g_min=-0.0)
+    return dict(seed=[7, 0], controller="oracle", outcome="halted",
+                start_state=np.array([0.0, -0.0, 0.8, 0.5, 0.8, 0.5]), steps=steps,
+                halt_reason="recovery-cap", recovery_iterations=2, g_min=-0.0)
 
 
 @given(records())
 @example(_signed_zeros_record())
-def test_record_line_is_the_compact_json_of_the_document(record):
-    line = ref_record_line(record)
-    assert record_line(record) == line
-    assert record_to_document(record) == json.loads(line)
+def test_record_line_is_the_compact_json_of_the_document(parts):
+    line = ref_record_line(parts)
+    assert encode_record(**parts) == line
+    assert json.loads(line) == ref_record_to_document(parts)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", ["u", "state", "start_state", "g", "g_min", "g_probe",
                                    "g_after", "threshold"])
 def test_record_line_refuses_non_finite_floats(bad, where):
-    record = _signed_zeros_record()
-    step = record.steps[0]
+    parts = _signed_zeros_record()
+    step = parts["steps"][0]
     if where in ("u", "state"):
         getattr(step.applied[0], where)[1] = bad
     elif where == "start_state":
-        record.start_state[0] = bad
+        parts["start_state"][0] = bad
     elif where == "g":
         step.g = bad
     elif where == "g_min":
-        record.g_min = bad
+        parts["g_min"] = bad
     else:
         step.recovery[0] = dataclasses.replace(step.recovery[0], **{where: bad})
     with pytest.raises(ValueError):
-        ref_record_line(record)
+        ref_record_line(parts)
     with pytest.raises(ValueError):
-        record_line(record)
+        encode_record(**parts)
